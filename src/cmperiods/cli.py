@@ -83,17 +83,8 @@ def _kronecker_class(disc, i, f, ctx):
         z = (delta_lattice(form_to_lattice(f, ctx), ctx)
              * delta_lattice(inverse_ideal_lattice(f, ctx), ctx))
         rhs = -mp.log(mp.re(z)) / 12
-        err = max(abs(jet.value + 1), abs(jet.deriv - rhs))
-        scale = max(abs(rhs), mp.mpf(1))
-        if err == 0:
-            digits = ctx.working_digits
-        else:
-            digits = min(ctx.working_digits, max(0, int(-mp.log10(err / scale))))
-        ok = err < mp.mpf(10) ** (-(ctx.target_digits // 2))
-        return {"check": f"kronecker-limit d={disc.d} class={i}",
-                "inputs": {"d": disc.d, "class": i, "form": list(f.tuple())},
-                "lhs_log": _numstr(jet.deriv, ctx), "rhs_log": _numstr(rhs, ctx),
-                "digits_agreed": digits, "pass": bool(ok)}
+    rep = make_report(f"kronecker-limit d={disc.d} class={i}", jet.deriv, rhs, ctx)
+    return _identity_dict(rep, {"d": disc.d, "class": i, "form": list(f.tuple())}, ctx)
 
 
 def _cmd_kronecker(args, ctx):

@@ -14,17 +14,21 @@ gamma function.  The dual form (c, -b, a) produced by the modular flip
 represents the same integers as Q via (x, y) -> (y, -x), so one count
 array serves both sums.  Everything decays like e^(-n*t0), giving any
 real s off the poles at full working precision.
+
+At s = 0 the same split gives the jet in closed form: Z_Q(0) = -1, and
+Z_Q'(0) is one series in E1(n*t0) = G(0, n*t0) plus elementary terms.
 """
 
 from __future__ import annotations
 
-from math import isqrt, log10
+from fractions import Fraction
+from math import isqrt, log, log10
 
 from mpmath import mp
 
 from .errors import DomainError, PrecisionError
 from .lseries import SZeroJet
-from .numkernel import PrecisionContext, log_gamma, to_mpf
+from .numkernel import PrecisionContext, error_digits, log_gamma, to_mpf
 from .quadforms import QuadForm
 
 _LOG10E = 0.4342944819032518
@@ -93,7 +97,8 @@ def _upper_gamma_cf(s, x, expmx):
             f *= delta
             if abs(delta - 1) < tol:
                 return mp.exp(s * mp.log(x)) * expmx / f
-    raise PrecisionError("incomplete gamma continued fraction stalled")
+    raise PrecisionError("incomplete gamma continued fraction stalled",
+                         achieved_digits=error_digits(abs(delta - 1)))
 
 
 def _upper_gamma_series(s, x):
@@ -125,7 +130,10 @@ def _upper_gamma_series(s, x):
             total += term / (s + k)
             if k > xf and abs(term) * k < floor_mag:
                 return head - mp.exp(s * mp.log(x)) * total
-    raise PrecisionError("incomplete gamma series did not converge")
+        # floor_mag sits cancel digits below the dps the result is due
+        achieved = max(0, error_digits(abs(term) * k) - cancel)
+    raise PrecisionError("incomplete gamma series did not converge",
+                         achieved_digits=achieved)
 
 
 def _upper_gamma(s, x, expmx):
@@ -152,54 +160,45 @@ def _upper_gamma(s, x, expmx):
     return _upper_gamma_series(s, x)
 
 
-def _z_values(f: QuadForm, svals, wp: int):
-    """Z_Q at each s in svals, computed at wp digits off a shared count array.
+def _theta_sum(f: QuadForm, t0, term, slack=0.0):
+    """sum_{n>=1} r(n) * term(n, n*t0, e^(-n*t0)) at ambient precision.
 
-    svals must avoid s = 1 and the nonpositive integers.  Work on the
-    n-th term runs at a precision reduced by its e^(-n*t0) weight.
+    Each term runs at a precision reduced by its e^(-n*t0) weight.  The
+    sum stops once that weight is below 10^-(dps+12), plus
+    slack*log(n)/t0 further terms for summands growing like n^slack.
     """
-    d = -f.disc
-    with mp.workdps(wp):
-        t0 = 2 * mp.pi / mp.sqrt(d)
-        t0f = float(t0)
-        smax = max(abs(float(s) - 1) for s in svals)
-        limit = int((wp + 12) * 2.302586 / t0f) + 2
-        limit += int(smax * mp.log(limit + 1) / t0f) + 2
-        counts = theta_counts(f, limit)
-        e1 = mp.exp(-t0)
-        logt0 = mp.log(t0)
-        spow = [mp.exp((2 * s - 1) * logt0) for s in svals]
-        sums = [mp.mpf(0) for _ in svals]
-        expmx = mp.mpf(1)
-        for n in range(1, limit + 1):
-            expmx *= e1
-            r = counts[n]
-            if not r:
-                continue
-            dps_n = max(25, wp + 12 - int(n * t0f * _LOG10E))
-            with mp.workdps(dps_n):
-                x = n * t0
-                lx = mp.log(x)
-                ln = mp.log(n)
-                cache = {}
-                terms = []
-                for i, s in enumerate(svals):
-                    gs = cache.get(s)
-                    if gs is None:
-                        gs = cache[s] = _upper_gamma(s, x, expmx)
-                    gneg = cache.get(-s)
-                    if gneg is None:
-                        gneg = cache[-s] = _upper_gamma(-s, x, expmx)
-                    g1ms = -s * gneg + mp.exp(-s * lx) * expmx
-                    terms.append(r * (mp.exp(-s * ln) * gs
-                                      + spow[i] * mp.exp((s - 1) * ln) * g1ms))
-            for i, term in enumerate(terms):
-                sums[i] += term
-        out = []
-        for i, s in enumerate(svals):
-            pole = mp.exp(s * logt0) * (1 / (s - 1) - 1 / s)
-            out.append((sums[i] + pole) / _gamma_at(s))
-        return out
+    wp = mp.dps
+    t0f = float(t0)
+    limit = int((wp + 12) * 2.302586 / t0f) + 2
+    limit += int(slack * log(limit + 1) / t0f) + 2
+    counts = theta_counts(f, limit)
+    e1 = mp.exp(-t0)
+    expmx = mp.mpf(1)
+    total = mp.mpf(0)
+    for n in range(1, limit + 1):
+        expmx *= e1
+        if counts[n]:
+            with mp.workdps(max(25, wp + 12 - int(n * t0f * _LOG10E))):
+                t = counts[n] * term(n, n * t0, expmx)
+            total += t
+    return total
+
+
+def _z_value(f: QuadForm, s):
+    """Z_Q(s) at ambient precision, s off 1 and the nonpositive integers."""
+    t0 = 2 * mp.pi / mp.sqrt(-f.disc)
+    spow = mp.exp((2 * s - 1) * mp.log(t0))
+
+    def term(n, x, expmx):
+        # Gamma(1-s, x) = -s Gamma(-s, x) + x^(-s) e^(-x)
+        g1ms = -s * _upper_gamma(-s, x, expmx) + mp.exp(-s * mp.log(x)) * expmx
+        ln = mp.log(n)
+        return (mp.exp(-s * ln) * _upper_gamma(s, x, expmx)
+                + spow * mp.exp((s - 1) * ln) * g1ms)
+
+    total = _theta_sum(f, t0, term, slack=abs(float(s) - 1))
+    pole = mp.exp(s * mp.log(t0)) * (1 / (s - 1) - 1 / s)
+    return (total + pole) / _gamma_at(s)
 
 
 def epstein_continued(f: QuadForm, s, ctx: PrecisionContext):
@@ -212,27 +211,30 @@ def epstein_continued(f: QuadForm, s, ctx: PrecisionContext):
             raise DomainError("use epstein_jet for the value at s = 0")
         if mp.isint(sv) and sv < 0:
             return mp.mpf(0)
-        val = _z_values(f, [sv], mp.dps)[0]
+        val = _z_value(f, sv)
     with ctx.workprec():
         return +val
 
 
 def epstein_jet(f: QuadForm, ctx: PrecisionContext) -> SZeroJet:
-    """Jet (Z_Q(0), Z_Q'(0)) by Richardson-extrapolated central differences.
+    """Jet (Z_Q(0), Z_Q'(0)) in closed form.
 
-    Four evaluations at +-h and +-h/2 with h = 10^-(target/2 + 5), run at
-    a precision inflated by the same amount so the difference quotient
-    keeps ~target + guard correct digits.
+    At s = 0 the continuation reads Gamma(s) Z_Q(s) = -1/s + C + O(s), and
+    1/Gamma(s) = s + gamma*s^2 + O(s^3), so Z_Q(0) = -1 exactly and
+
+        Z_Q'(0) = C - gamma = sum_{n>=1} r(n) [E1(n*t0) + e^(-n*t0)/(n*t0)]
+                  - 1 - log(t0) - gamma,
+
+    with E1 = Gamma(0, .) and t0 = 2*pi/sqrt(d).  The sum runs at
+    working + 10 digits.
     """
-    hexp = ctx.target_digits // 2 + 5
-    wp = ctx.working_digits + hexp + 15
-    with mp.workdps(wp):
-        h = mp.mpf(10) ** (-hexp)
-        zp, zm, zp2, zm2 = _z_values(f, [h, -h, h / 2, -h / 2], wp)
-        value = (4 * (zp2 + zm2) / 2 - (zp + zm) / 2) / 3
-        deriv = (4 * (zp2 - zm2) / h - (zp - zm) / (2 * h)) / 3
+    with mp.workdps(ctx.working_digits + 10):
+        t0 = 2 * mp.pi / mp.sqrt(-f.disc)
+        total = _theta_sum(
+            f, t0, lambda n, x, expmx: _upper_gamma(0, x, expmx) + expmx / x)
+        deriv = total - 1 - mp.log(t0) - mp.euler
     with ctx.workprec():
-        return SZeroJet(value=+value, deriv=+deriv)
+        return SZeroJet(value=mp.mpf(-1), deriv=+deriv, value_exact=Fraction(-1))
 
 
 def direct_tail_bound(f: QuadForm, s, radius):
@@ -264,11 +266,11 @@ def epstein_direct(f: QuadForm, s, ctx: PrecisionContext, radius=None):
             need = mp.power(4 * mp.pi / (mp.sqrt(-f.disc) * (sv - 1) * eps),
                             1 / (sv - 1))
             if need > _DIRECT_RADIUS_CAP:
-                ach = -mp.log10(direct_tail_bound(f, sv, _DIRECT_RADIUS_CAP))
                 raise PrecisionError(
                     "direct summation hits the radius cap before "
                     f"{ctx.target_digits} digits",
-                    achieved_digits=max(0, int(ach)))
+                    achieved_digits=error_digits(
+                        direct_tail_bound(f, sv, _DIRECT_RADIUS_CAP)))
             radius = int(need) + 1
         radius = int(radius)
         if radius < 1:

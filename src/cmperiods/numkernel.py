@@ -86,19 +86,33 @@ def to_mpf(x):
     return mp.mpf(x)
 
 
+def error_digits(err) -> int:
+    """Decimal digits an error of size err > 0 leaves: floor(-log10 err), at least 0."""
+    return max(0, int(-mp.log10(err)))
+
+
+def _stirling_terms(z):
+    """Bernoulli terms B_2k / (2k (2k-1) z^(2k-1)) of Stirling's series."""
+    zsq = z * z
+    zpow = z
+    for k in range(1, 4 * mp.dps):
+        yield mp.bernoulli(2 * k) / ((2 * k) * (2 * k - 1) * zpow)
+        zpow *= zsq
+
+
 def _stirling_log_gamma(z, budget):
     # Asymptotic series at large real z; remainder after the k-th Bernoulli
     # term is bounded by the next term for z > 0, so stop once below budget.
     acc = (z - mp.mpf(1) / 2) * mp.log(z) - z + mp.log(2 * mp.pi) / 2
-    zsq = z * z
-    zpow = z
-    for k in range(1, 4 * mp.dps):
-        term = mp.bernoulli(2 * k) / ((2 * k) * (2 * k - 1) * zpow)
+    for term in _stirling_terms(z):
         acc += term
         if abs(term) < budget:
             return acc
-        zpow *= zsq
-    raise PrecisionError("Stirling series did not reach the error budget")
+    # the smallest term bounds the best this series can do at z; it is
+    # found again here rather than tracked on the path that succeeds
+    smallest = min(abs(term) for term in _stirling_terms(z))
+    raise PrecisionError("Stirling series did not reach the error budget",
+                         achieved_digits=error_digits(smallest))
 
 
 def log_gamma(x, ctx: PrecisionContext):
@@ -177,7 +191,8 @@ def hurwitz_zeta(x, s, ctx: PrecisionContext):
             if last < budget:
                 return total
             n_cut = 2 * n_cut  # enlarge the direct block and retry
-        raise PrecisionError("Euler-Maclaurin tail did not reach the budget")
+        raise PrecisionError("Euler-Maclaurin tail did not reach the budget",
+                             achieved_digits=error_digits(last))
 
 
 def delta_q_terms(im_tau, working_digits: int) -> int:

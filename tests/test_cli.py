@@ -1,9 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from cmperiods import cli
+from cmperiods import cli, epstein
 from cmperiods.errors import PrecisionError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -46,6 +50,33 @@ def test_kronecker_class_flag(capsys):
     code, out, _ = run(capsys, "kronecker", "--d", "23", "--class", "1")
     assert code == 0
     assert out.count("[pass]") == 1
+
+
+@pytest.mark.parametrize("d", [3, 4, 7, 23])
+def test_kronecker_json_golden_bytes(capsys, d):
+    # bytes recorded from the earlier finite-difference jet at 60 digits;
+    # the closed form must reproduce every digit and every verdict
+    code, out, _ = run(capsys, "kronecker", "--d", str(d), "--json", "--prec", "60")
+    assert code == 0
+    assert out == (GOLDEN / f"kronecker_d{d}_prec60.json").read_text()
+
+
+@pytest.mark.parametrize("d, k, prec", [(4, 0, 30), (7, 0, 30), (23, 1, 30),
+                                        (1019, 1, 30), (4, 0, 300), (7, 0, 300),
+                                        (23, 2, 300)])
+def test_kronecker_precision_sweep(capsys, d, k, prec):
+    code, out, _ = run(capsys, "kronecker", "--d", str(d), "--class", str(k),
+                       "--prec", str(prec), "--json")
+    [row] = json.loads(out)
+    assert code == 0 and row["pass"] is True
+    assert row["digits_agreed"] == prec + 20
+
+
+def test_kronecker_precision_failure_reports_digits(capsys, monkeypatch):
+    monkeypatch.setattr(epstein, "_CF_CAP", 2)
+    code, _, err = run(capsys, "kronecker", "--d", "7", "--prec", "60")
+    assert code == 3
+    assert re.search(r"continued fraction stalled \(achieved \d+ digits\)", err)
 
 
 def test_kronecker_class_out_of_range(capsys):

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from cmperiods.epstein import (direct_tail_bound, epstein_continued, epstein_direct,
-                               epstein_jet, theta_counts)
+from cmperiods import epstein
+from cmperiods.epstein import (_upper_gamma_cf, _upper_gamma_series, direct_tail_bound,
+                               epstein_continued, epstein_direct, epstein_jet,
+                               theta_counts)
 from cmperiods.errors import DomainError, PrecisionError
 from cmperiods.numkernel import Lattice, PrecisionContext, delta_lattice, log_gamma
 from cmperiods.quadforms import (Discriminant, QuadForm, form_to_lattice,
@@ -48,6 +50,40 @@ def test_trivial_zeros(ctx):
         assert epstein_continued(f, mp.mpf(s), ctx) == 0
 
 
+def test_cf_stall_reports_digits(monkeypatch):
+    # five Lentz steps at x = 50 settle about eleven digits
+    monkeypatch.setattr(epstein, "_CF_CAP", 5)
+    with mp.workdps(30):
+        with pytest.raises(PrecisionError) as err:
+            _upper_gamma_cf(mp.mpf(0), mp.mpf(50), mp.exp(-50))
+    assert err.value.achieved_digits == 11
+
+
+def test_series_cap_reports_digits(monkeypatch):
+    # the last of 79 terms at x = 10 gives |term|*k ~ 1e-36, against a floor
+    # 25 cancellation-guard digits below the 10^-30 the result is due
+    monkeypatch.setattr(epstein, "_SERIES_CAP", 80)
+    with mp.workdps(30):
+        with pytest.raises(PrecisionError) as err:
+            _upper_gamma_series(mp.mpf("0.5"), mp.mpf(10))
+    assert err.value.achieved_digits == 11
+
+
+@pytest.mark.parametrize("form", [QuadForm(1, 1, 2), QuadForm(2, 1, 3)])
+def test_jet_matches_continuation_difference(form):
+    # Z(0) = -1 holds by construction in the closed form; the continuation
+    # at s = +-eps checks it, and Z'(0), independently
+    lo = PrecisionContext(40)
+    jet = epstein_jet(form, lo)
+    assert jet.value == -1 and jet.value_exact == Fraction(-1)
+    with lo.workprec():
+        eps = mp.mpf(10) ** -12
+        zp = epstein_continued(form, eps, lo)
+        zm = epstein_continued(form, -eps, lo)
+        assert abs((zp - zm) / (2 * eps) - jet.deriv) < mp.mpf(10) ** -20
+        assert abs((zp + zm) / 2 + 1) < mp.mpf(10) ** -20
+
+
 def test_jet_lemniscatic_exact(ctx):
     # d = 4: Delta(Zi + Z) = Gamma(1/4)^24 / (2^12 pi^6) gives
     # Z'(0) = -(1/12) log Delta^2 = -4 log Gamma(1/4) + 2 log 2 + log pi.
@@ -67,8 +103,8 @@ def test_jet_kronecker_limit(ctx):
                 z = (delta_lattice(form_to_lattice(f, ctx), ctx)
                      * delta_lattice(inverse_ideal_lattice(f, ctx), ctx))
                 rhs = -mp.log(mp.re(z)) / 12
-                assert abs(jet.value + 1) < ctx.eps(10)
-                assert abs(jet.deriv - rhs) < ctx.eps(15)
+                assert jet.value == -1
+                assert abs(jet.deriv - rhs) < ctx.eps()
 
 
 def test_jet_inverse_class_symmetry(ctx):

@@ -4,10 +4,10 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from cmperiods.errors import DomainError, PoleError
-from cmperiods.numkernel import (Lattice, PrecisionContext, beta, delta_lattice,
-                                 delta_q_terms, gamma_rational, hurwitz_zeta,
-                                 log_gamma, to_mpf)
+from cmperiods.errors import DomainError, PoleError, PrecisionError
+from cmperiods.numkernel import (Lattice, PrecisionContext, _stirling_log_gamma, beta,
+                                 delta_lattice, delta_q_terms, gamma_rational,
+                                 hurwitz_zeta, log_gamma, to_mpf)
 
 
 def test_context_floors():
@@ -116,6 +116,22 @@ def test_hurwitz_zeta_against_mpmath(ctx):
     with ctx.workprec():
         for (x, s), ref in zip(points, refs):
             assert abs(hurwitz_zeta(x, mp.mpf(s), ctx) - ref) < ctx.eps()
+
+
+def test_stirling_shortfall_reports_smallest_term():
+    # at z = 5 the asymptotic series bottoms out near e^(-2*pi*5) ~ 2e-14
+    with mp.workdps(50):
+        with pytest.raises(PrecisionError) as err:
+            _stirling_log_gamma(mp.mpf(5), mp.mpf(10) ** -100)
+    assert err.value.achieved_digits == 14
+
+
+def test_hurwitz_shortfall_reports_last_term():
+    # at s = -31.5 the last correction term is still ~1e-16 after every
+    # enlargement of the direct block
+    with pytest.raises(PrecisionError) as err:
+        hurwitz_zeta(Fraction(1, 2), mp.mpf("-31.5"), PrecisionContext(30))
+    assert err.value.achieved_digits == 16
 
 
 def test_hurwitz_zeta_pole(ctx):
