@@ -18,8 +18,9 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .csperiods import (cs_verify, faltings_height_L, faltings_height_periods,
-                        m_invariant, make_report, period_integral)
+from .csperiods import (IdentityReport, cs_verify, exact_report, faltings_height_L,
+                        faltings_height_periods, m_invariant, make_report,
+                        period_integral, unrecognized_report)
 from .epstein import epstein_jet
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .fermat import cm_type, epsilon_rst, tate_twist_certificate
@@ -34,22 +35,6 @@ _RECOGNIZE_MAX_DEN = 10 ** 12
 
 _FALTINGS_PRIMES = (7, 11, 23, 43, 67, 163)
 _PERIOD_PRIMES = (7, 11, 23, 31, 47)
-
-
-def _numstr(x, ctx):
-    return mp.nstr(x, ctx.target_digits)
-
-
-def _identity_dict(rep, inputs, ctx):
-    return {"check": rep.name, "inputs": inputs,
-            "lhs_log": _numstr(rep.lhs, ctx), "rhs_log": _numstr(rep.rhs, ctx),
-            "digits_agreed": rep.digits_agreed, "pass": rep.passed}
-
-
-def _exact_dict(name, inputs, lhs, rhs, ctx):
-    ok = lhs == rhs
-    return {"check": name, "inputs": inputs, "lhs_log": str(lhs), "rhs_log": str(rhs),
-            "digits_agreed": ctx.target_digits if ok else 0, "pass": ok}
 
 
 def _parse_ints(text, n, what):
@@ -67,14 +52,13 @@ def _cmd_class(args, ctx):
     group = reduced_forms(disc)
     lines = [f"h(-{disc.d}) = {group.h}"]
     lines += [f"  {f.tuple()}" for f in group]
-    rep = _exact_dict(f"class-number d={disc.d}", {"d": disc.d},
-                      group.h, class_number_dirichlet(disc), ctx)
+    rep = exact_report(f"class-number d={disc.d}", {"d": disc.d},
+                       group.h, class_number_dirichlet(disc), ctx)
     return [rep], lines
 
 
 def _cmd_verify_cs(args, ctx):
-    rep = cs_verify(Discriminant(args.d), ctx)
-    return [_identity_dict(rep, {"d": args.d}, ctx)], []
+    return [cs_verify(args.d, ctx)], []
 
 
 def _kronecker_class(disc, i, f, ctx):
@@ -83,8 +67,9 @@ def _kronecker_class(disc, i, f, ctx):
         z = (delta_lattice(form_to_lattice(f, ctx), ctx)
              * delta_lattice(inverse_ideal_lattice(f, ctx), ctx))
         rhs = -mp.log(mp.re(z)) / 12
-    rep = make_report(f"kronecker-limit d={disc.d} class={i}", jet.deriv, rhs, ctx)
-    return _identity_dict(rep, {"d": disc.d, "class": i, "form": list(f.tuple())}, ctx)
+    return make_report(f"kronecker-limit d={disc.d} class={i}",
+                       {"d": disc.d, "class": i, "form": list(f.tuple())},
+                       jet.deriv, rhs, ctx)
 
 
 def _cmd_kronecker(args, ctx):
@@ -99,8 +84,8 @@ def _cmd_kronecker(args, ctx):
     return [_kronecker_class(disc, i, f, ctx) for i, f in picked], []
 
 
-def _cmd_periods(args, ctx):
-    disc = Discriminant(args.p)
+def _periods(p, ctx):
+    disc = Discriminant.prime(p)
     group = reduced_forms(disc)
     lines = []
     with ctx.workprec():
@@ -112,34 +97,16 @@ def _cmd_periods(args, ctx):
         gsum = mp.fsum(disc.epsilon(a) * log_gamma(Fraction(a, disc.d), ctx)
                        for a in range(1, disc.d))
         rhs = group.h * mp.log(2 * mp.pi / disc.d) + gsum
-    rep = make_report(f"period-product p={disc.d}", total, rhs, ctx)
-    return [_identity_dict(rep, {"p": disc.d}, ctx)], lines
+    rep = make_report(f"period-product p={disc.d}", {"p": disc.d}, total, rhs, ctx)
+    return [rep], lines
 
 
-def _cmd_faltings(args, ctx):
-    disc = Discriminant(args.p)
-    rep = make_report(f"faltings-height p={disc.d}",
+def _faltings(p, ctx):
+    disc = Discriminant.prime(p)
+    rep = make_report(f"faltings-height p={disc.d}", {"p": disc.d},
                       faltings_height_periods(disc, ctx),
                       faltings_height_L(disc, ctx), ctx)
-    return [_identity_dict(rep, {"p": disc.d}, ctx)], []
-
-
-def _cert_dict(cert, inputs, ctx):
-    if cert.recognized is None:
-        return {"check": cert.name, "inputs": inputs,
-                "lhs_log": _numstr(cert.ratio, ctx), "rhs_log": "unrecognized",
-                "digits_agreed": 0, "pass": False}
-    with ctx.workprec():
-        exact = mp.mpf(cert.recognized.numerator) / cert.recognized.denominator
-        if cert.kind == "sqrtp":
-            exact *= mp.sqrt(inputs["p"])
-        rel = abs(cert.ratio - exact) / abs(cert.ratio)
-        digits = ctx.working_digits if rel == 0 else \
-            min(ctx.working_digits, max(0, int(-mp.log10(rel))))
-    rhs = str(cert.recognized) + (f"*sqrt({inputs['p']})" if cert.kind == "sqrtp" else "")
-    return {"check": cert.name, "inputs": inputs,
-            "lhs_log": _numstr(cert.ratio, ctx), "rhs_log": rhs,
-            "digits_agreed": digits, "pass": cert.passed}
+    return [rep], []
 
 
 def _cmd_fermat(args, ctx):
@@ -149,16 +116,15 @@ def _cmd_fermat(args, ctx):
     lines = [f"phi = {rec.phi}",
              f"u = {rec.u}, v = {rec.v}, eps(r,s,t) = {eps}"]
     inputs = {"p": args.p, "rst": [rec.rst[0], rec.rst[1], rec.rst[2]]}
-    reports = [
-        _exact_dict(f"cm-type-size p={args.p} rst={args.rst}", inputs,
-                    rec.u + rec.v, (args.p - 1) // 2, ctx),
-        _exact_dict(f"cm-type-balance p={args.p} rst={args.rst}", inputs,
-                    rec.u - rec.v, class_number_dirichlet(Discriminant(args.p)) * eps,
-                    ctx),
-    ]
     cert = tate_twist_certificate(args.p, r, s, t, ctx)
     lines.append(f"tate ratio recognized: {_cert_text(cert)} (height {cert.height}, m = {cert.m})")
-    reports.append(_cert_dict(cert, inputs, ctx))
+    reports = [
+        exact_report(f"cm-type-size p={args.p} rst={args.rst}", inputs,
+                     rec.u + rec.v, (args.p - 1) // 2, ctx),
+        exact_report(f"cm-type-balance p={args.p} rst={args.rst}", inputs,
+                     rec.u - rec.v, class_number_dirichlet(args.p) * eps, ctx),
+        cert.report,
+    ]
     return reports, lines
 
 
@@ -172,10 +138,10 @@ def _cmd_hecke(args, ctx):
     a, b, c = _parse_ints(args.form, 3, "--form")
     f = QuadForm(a, b, c)
     beta = psi_M(f, args.p)
-    h = class_number_dirichlet(Discriminant(args.p))
+    h = class_number_dirichlet(args.p)
     lines = [f"beta = ({beta.x}, {beta.y})   meaning ({beta.x} + {beta.y}*sqrt(-{args.p}))/2",
              f"N(beta) = {beta.norm} = {a}^{h}"]
-    rep = _exact_dict(
+    rep = exact_report(
         f"hecke-psi p={args.p} form={a},{b},{c} beta=({beta.x},{beta.y})",
         {"p": args.p, "form": [a, b, c]}, beta.norm, a ** h, ctx)
     return [rep], lines
@@ -194,21 +160,17 @@ def _cmd_recognize(args, ctx):
         rec = recognize_sqrtp(x, args.sqrtp, _RECOGNIZE_MAX_DEN, ctx)
         suffix = f"*sqrt({args.sqrtp})"
     inputs = {"value": args.value, "sqrtp": args.sqrtp}
-    name = "recognize"
     if rec is None:
-        rep = {"check": name, "inputs": inputs, "lhs_log": args.value,
-               "rhs_log": "unrecognized", "digits_agreed": 0, "pass": False}
-        return [rep], ["unrecognized"]
+        return [unrecognized_report("recognize", inputs, args.value)], ["unrecognized"]
     text = str(rec) + suffix
-    rep = {"check": name, "inputs": inputs, "lhs_log": args.value, "rhs_log": text,
-           "digits_agreed": ctx.target_digits, "pass": True}
+    rep = IdentityReport("recognize", inputs, args.value, text, ctx.target_digits, True)
     return [rep], [text]
 
 
 def _cs_worker(task):
     d, prec = task
     ctx = PrecisionContext(prec)
-    return _identity_dict(cs_verify(Discriminant(d), ctx), {"d": d}, ctx)
+    return cs_verify(d, ctx)
 
 
 def _cmd_suite(args, ctx):
@@ -218,16 +180,15 @@ def _cmd_suite(args, ctx):
     ds = [d for d in range(3, maxd + 1) if is_fundamental(d)]
     reports = []
 
-    agree = sum(1 for d in ds
-                if class_number(Discriminant(d)) == class_number_dirichlet(Discriminant(d)))
-    reports.append(_exact_dict(f"class-number-sweep 3<=d<={maxd}", {"max_d": maxd},
-                               agree, len(ds), ctx))
+    agree = sum(1 for d in ds if class_number(d) == class_number_dirichlet(d))
+    reports.append(exact_report(f"class-number-sweep 3<=d<={maxd}", {"max_d": maxd},
+                                agree, len(ds), ctx))
 
     ps = [d for d in ds if Discriminant(d).is_prime_3mod4 and d >= 7]
     for p in ps:
-        m_invariant(Discriminant(p))
-    reports.append(_exact_dict(f"m-invariant-sweep p<={maxd}", {"max_d": maxd},
-                               len(ps), len(ps), ctx))
+        m_invariant(p)
+    reports.append(exact_report(f"m-invariant-sweep p<={maxd}", {"max_d": maxd},
+                                len(ps), len(ps), ctx))
 
     tasks = [(d, ctx.target_digits) for d in ds]
     if args.threads > 1:
@@ -237,9 +198,9 @@ def _cmd_suite(args, ctx):
         reports.extend(_cs_worker(t) for t in tasks)
 
     for p in (q for q in _PERIOD_PRIMES if q <= maxd):
-        reports.extend(_cmd_periods(argparse.Namespace(p=p), ctx)[0])
+        reports.extend(_periods(p, ctx)[0])
     for p in (q for q in _FALTINGS_PRIMES if q <= maxd):
-        reports.extend(_cmd_faltings(argparse.Namespace(p=p), ctx)[0])
+        reports.extend(_faltings(p, ctx)[0])
     return reports, []
 
 
@@ -247,8 +208,8 @@ _HANDLERS = {
     "class": _cmd_class,
     "verify-cs": _cmd_verify_cs,
     "kronecker": _cmd_kronecker,
-    "periods": _cmd_periods,
-    "faltings": _cmd_faltings,
+    "periods": lambda args, ctx: _periods(args.p, ctx),
+    "faltings": lambda args, ctx: _faltings(args.p, ctx),
     "fermat": _cmd_fermat,
     "hecke": _cmd_hecke,
     "recognize": _cmd_recognize,
@@ -309,8 +270,8 @@ def _global_flags(parser, on_top):
 
 
 def _render(rep) -> str:
-    mark = "pass" if rep["pass"] else "FAIL"
-    return f"[{mark}] {rep['check']}  ({rep['digits_agreed']} digits agreed)"
+    mark = "pass" if rep.passed else "FAIL"
+    return f"[{mark}] {rep.name}  ({rep.digits_agreed} digits agreed)"
 
 
 def main(argv=None) -> int:
@@ -338,16 +299,19 @@ def main(argv=None) -> int:
         return 1
 
     if args.json:
-        text = json.dumps(reports, indent=2, sort_keys=True) + "\n"
+        text = json.dumps([rep.row(ctx) for rep in reports], indent=2, sort_keys=True) + "\n"
     else:
-        text = "".join(line + "\n" for line in lines)
-        text += "".join(_render(r) + "\n" for r in reports)
+        text = "".join(line + "\n" for line in lines + [_render(rep) for rep in reports])
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
-    return 0 if all(r["pass"] for r in reports) else 1
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 if __name__ == "__main__":

@@ -19,57 +19,66 @@ from mpmath import mp
 
 from .errors import ConsistencyError, DomainError
 from .lseries import dirichlet_jet
-from .numkernel import PrecisionContext, delta_lattice, log_gamma
+from .numkernel import PrecisionContext, delta_lattice, error_digits, log_gamma
 from .quadforms import (Discriminant, QuadForm, class_number_dirichlet,
                         form_to_lattice, inverse_ideal_lattice, reduced_forms)
 
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Two-sided comparison of an identity, with agreement bookkeeping."""
+    """One identity check: its two sides, their agreement and the verdict.
+
+    Every report row comes from here.  Sides are mpf numbers (printed to
+    target digits) or exact values and labels (printed as they are).
+    """
 
     name: str
+    inputs: dict
     lhs: Any
     rhs: Any
-    abs_err: Any
-    rel_err: Any
     digits_agreed: int
     passed: bool
 
-    def as_dict(self, digits: int = 30) -> dict:
-        return {
-            "name": self.name,
-            "lhs": mp.nstr(self.lhs, digits),
-            "rhs": mp.nstr(self.rhs, digits),
-            "abs_err": mp.nstr(self.abs_err, 8),
-            "rel_err": mp.nstr(self.rel_err, 8),
-            "digits_agreed": self.digits_agreed,
-            "pass": self.passed,
-        }
+    def row(self, ctx: PrecisionContext) -> dict:
+        """The six-key report row: check, inputs, lhs_log, rhs_log, digits_agreed, pass."""
+        return {"check": self.name, "inputs": self.inputs,
+                "lhs_log": _side_text(self.lhs, ctx), "rhs_log": _side_text(self.rhs, ctx),
+                "digits_agreed": self.digits_agreed, "pass": self.passed}
 
 
-def make_report(name: str, lhs, rhs, ctx: PrecisionContext) -> IdentityReport:
-    """Compare lhs and rhs; passing means agreement to target - 20 digits."""
+def _side_text(x, ctx):
+    return str(x) if isinstance(x, (int, Fraction, str)) else mp.nstr(x, ctx.target_digits)
+
+
+def make_report(name: str, inputs: dict, lhs, rhs, ctx: PrecisionContext) -> IdentityReport:
+    """Compare two numbers by relative error.
+
+    digits_agreed is floor(-log10(rel_err)), at most working digits;
+    passing means agreement to target - 20 digits.
+    """
     with ctx.workprec():
         abs_err = abs(lhs - rhs)
         scale = max(abs(lhs), abs(rhs))
         rel_err = abs_err / scale if scale > 0 else abs_err
-        if rel_err == 0:
-            digits = ctx.working_digits
-        else:
-            digits = min(ctx.working_digits, max(0, int(-mp.log10(rel_err))))
+        digits = min(ctx.working_digits, error_digits(rel_err)) if rel_err else ctx.working_digits
         passed = rel_err < mp.mpf(10) ** (20 - ctx.target_digits)
-        return IdentityReport(name=name, lhs=+lhs, rhs=+rhs, abs_err=+abs_err,
-                              rel_err=+rel_err, digits_agreed=digits, passed=passed)
+        return IdentityReport(name, inputs, +lhs, +rhs, digits, passed)
 
 
-def _disc(d) -> Discriminant:
-    return d if isinstance(d, Discriminant) else Discriminant(d)
+def exact_report(name: str, inputs: dict, lhs, rhs, ctx: PrecisionContext) -> IdentityReport:
+    """Compare two exact values: equal ones agree to target digits, others to none."""
+    ok = lhs == rhs
+    return IdentityReport(name, inputs, lhs, rhs, ctx.target_digits if ok else 0, ok)
+
+
+def unrecognized_report(name: str, inputs: dict, lhs) -> IdentityReport:
+    """A value no exact form was found for: a failed check with no digits agreed."""
+    return IdentityReport(name, inputs, lhs, "unrecognized", 0, False)
 
 
 def cs_verify(d, ctx: PrecisionContext) -> IdentityReport:
     """Check the Chowla-Selberg identity at fundamental discriminant -d."""
-    disc = _disc(d)
+    disc = Discriminant.of(d)
     d = disc.d
     group = reduced_forms(disc)
     with ctx.workprec():
@@ -88,19 +97,12 @@ def cs_verify(d, ctx: PrecisionContext) -> IdentityReport:
             if e:
                 gsum += e * log_gamma(Fraction(a, d), ctx)
         rhs = 12 * group.h * mp.log(2 * mp.pi / d) + 6 * disc.w * gsum
-    return make_report(f"chowla-selberg d={d}", lhs, rhs, ctx)
-
-
-def _prime_disc(p) -> Discriminant:
-    disc = _disc(p)
-    if not disc.is_prime_3mod4 or disc.d == 3:
-        raise DomainError("the period formulas need a prime p = 3 mod 4, p > 3")
-    return disc
+    return make_report(f"chowla-selberg d={d}", {"d": d}, lhs, rhs, ctx)
 
 
 def period_integral(f: QuadForm, p, ctx: PrecisionContext):
     """Real period attached to the ideal class of f, p = 3 mod 4 prime > 3."""
-    disc = _prime_disc(p)
+    disc = Discriminant.prime(p)
     if f.disc != -disc.d:
         raise DomainError("form discriminant does not match p")
     p = disc.d
@@ -112,7 +114,7 @@ def period_integral(f: QuadForm, p, ctx: PrecisionContext):
 
 def m_invariant(p) -> Fraction:
     """m = sum of a/p over quadratic residues a; equals (p-1)/4 - h/2."""
-    disc = _prime_disc(p)
+    disc = Discriminant.prime(p)
     p = disc.d
     m = sum((Fraction(a, p) for a in range(1, p) if disc.epsilon(a) == 1),
             Fraction(0))
@@ -124,7 +126,7 @@ def m_invariant(p) -> Fraction:
 
 def faltings_height_periods(p, ctx: PrecisionContext):
     """Faltings height from the period integrals over the class group."""
-    disc = _prime_disc(p)
+    disc = Discriminant.prime(p)
     p = disc.d
     group = reduced_forms(disc)
     with ctx.workprec():
@@ -136,7 +138,7 @@ def faltings_height_periods(p, ctx: PrecisionContext):
 
 def faltings_height_L(p, ctx: PrecisionContext):
     """The same height via the logarithmic derivative of L(eps, s) at 0."""
-    disc = _prime_disc(p)
+    disc = Discriminant.prime(p)
     p = disc.d
     jet = dirichlet_jet(disc, ctx)
     with ctx.workprec():

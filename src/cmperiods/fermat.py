@@ -9,16 +9,14 @@ rational multiples of sqrt(p), and the certificates here pin those down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any
 
 from mpmath import mp
 
-from .arith import is_prime
-from .csperiods import m_invariant
+from .csperiods import IdentityReport, m_invariant, make_report, unrecognized_report
 from .errors import ConsistencyError, DomainError
-from .numkernel import PrecisionContext, log_gamma
+from .numkernel import PrecisionContext, log_gamma, to_mpf
 from .quadforms import Discriminant, class_number_dirichlet
 from .relint import recognize_rational, recognize_sqrtp
 
@@ -42,45 +40,46 @@ class CMTypeRecord:
 
 @dataclass(frozen=True)
 class RatioCertificate:
-    """A period ratio, its recognized exact value, and a re-verification bit.
+    """A period ratio, its recognized exact value, and the check comparing them.
 
     kind is "rational" (ratio = recognized) or "sqrtp" (ratio =
     recognized * sqrt(p)).  height is max(|numerator|, denominator).
+    report.lhs is the ratio; report.rhs names the exact value, or is
+    "unrecognized".
     """
 
-    name: str
-    ratio: Any
+    report: IdentityReport
     kind: str
     recognized: Fraction | None
     height: int
     m: Fraction | None
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.report.passed
 
 
 def _check_triple(p, r, s, t):
-    if not (is_prime(p) and p % 4 == 3 and p > 3):
-        raise DomainError("p must be a prime = 3 mod 4 with p > 3")
+    disc = Discriminant.prime(p)
     r, s, t = r % p, s % p, t % p
     if 0 in (r, s, t):
         raise DomainError("r, s, t must be nonzero mod p")
     if (r + s + t) % p != 0:
         raise DomainError("r + s + t must vanish mod p")
-    return r, s, t
+    return disc, r, s, t
 
 
 def epsilon_rst(p, r, s, t) -> int:
     """eps(r) + eps(s) + eps(t) in {-3, -1, 1, 3}."""
-    r, s, t = _check_triple(p, r, s, t)
-    disc = Discriminant(p)
+    disc, r, s, t = _check_triple(p, r, s, t)
     return disc.epsilon(r) + disc.epsilon(s) + disc.epsilon(t)
 
 
 def cm_type(p, r, s, t) -> CMTypeRecord:
     """The set phi = {a : <ar/p> + <as/p> + <at/p> = 1} with its QR split."""
-    r, s, t = _check_triple(p, r, s, t)
+    disc, r, s, t = _check_triple(p, r, s, t)
     phi = tuple(a for a in range(1, p)
                 if (a * r % p) + (a * s % p) + (a * t % p) == p)
-    disc = Discriminant(p)
     u = sum(1 for a in phi if disc.epsilon(a) == 1)
     v = len(phi) - u
     if u + v != (p - 1) // 2:
@@ -98,8 +97,7 @@ def beta_period(p, r, s, t, ctx: PrecisionContext):
     u + v, which may lie in (1, 2); reducing it mod 1 would silently
     drop the rational factor this module is after.
     """
-    r, s, t = _check_triple(p, r, s, t)
-    disc = Discriminant(p)
+    disc, r, s, t = _check_triple(p, r, s, t)
     with ctx.workprec():
         total = mp.mpf(0)
         for a in range(1, p):
@@ -114,8 +112,7 @@ def beta_period(p, r, s, t, ctx: PrecisionContext):
 
 def gamma_period(p, r, s, t, ctx: PrecisionContext):
     """log of (2 pi)^(-(p-1)/2) prod over QRs a of Gamma(<ar/p>)Gamma(<as/p>)Gamma(<at/p>)."""
-    r, s, t = _check_triple(p, r, s, t)
-    disc = Discriminant(p)
+    disc, r, s, t = _check_triple(p, r, s, t)
     with ctx.workprec():
         total = -mp.mpf(p - 1) / 2 * mp.log(2 * mp.pi)
         for a in range(1, p):
@@ -134,24 +131,21 @@ def _qr_gamma_log(p, disc, ctx):
     return total
 
 
-def _certify(name, log_ratio, kind, p, m, ctx) -> RatioCertificate:
+def _certify(name, inputs, log_ratio, kind, p, m, ctx) -> RatioCertificate:
     with ctx.workprec():
         ratio = mp.exp(log_ratio)
         if kind == "rational":
             rec = recognize_rational(ratio, _MAX_DEN, ctx)
-            exact = None if rec is None else mp.mpf(rec.numerator) / rec.denominator
         else:
             rec = recognize_sqrtp(ratio, p, _MAX_DEN, ctx)
-            exact = None if rec is None else (mp.mpf(rec.numerator) / rec.denominator
-                                              * mp.sqrt(p))
-        passed = False
-        height = 0
-        if rec is not None:
-            height = max(abs(rec.numerator), rec.denominator)
-            tol = mp.mpf(10) ** (20 - ctx.target_digits)
-            passed = abs(ratio - exact) < tol * abs(ratio)
-        return RatioCertificate(name=name, ratio=+ratio, kind=kind,
-                                recognized=rec, height=height, m=m, passed=passed)
+        if rec is None:
+            return RatioCertificate(unrecognized_report(name, inputs, +ratio), kind,
+                                    None, 0, m)
+        exact, text = to_mpf(rec), str(rec)
+        if kind == "sqrtp":
+            exact, text = exact * mp.sqrt(p), f"{text}*sqrt({p})"
+        rep = replace(make_report(name, inputs, ratio, exact, ctx), rhs=text)
+        return RatioCertificate(rep, kind, rec, max(abs(rec.numerator), rec.denominator), m)
 
 
 def residue_twist_certificate(p, r, ctx: PrecisionContext) -> RatioCertificate:
@@ -161,12 +155,11 @@ def residue_twist_certificate(p, r, ctx: PrecisionContext) -> RatioCertificate:
     is 1.  For eps(r) = -1 it lands on the non-residues, and by the
     Gamma multiplication formula the certified combination is sqrt(p)/p.
     """
-    if not (is_prime(p) and p % 4 == 3 and p > 3):
-        raise DomainError("p must be a prime = 3 mod 4 with p > 3")
+    disc = Discriminant.prime(p)
     r = r % p
     if r == 0:
         raise DomainError("r must be nonzero mod p")
-    disc = Discriminant(p)
+    name, inputs = f"residue-twist p={p} r={r}", {"p": p, "r": r}
     with ctx.workprec():
         num = mp.mpf(0)
         for a in range(1, p):
@@ -174,11 +167,9 @@ def residue_twist_certificate(p, r, ctx: PrecisionContext) -> RatioCertificate:
                 num += log_gamma(frac(Fraction(a * r, p)), ctx)
         qr = _qr_gamma_log(p, disc, ctx)
         if disc.epsilon(r) == 1:
-            return _certify(f"residue-twist p={p} r={r}", num - qr,
-                            "rational", p, None, ctx)
+            return _certify(name, inputs, num - qr, "rational", p, None, ctx)
         log_ratio = num + qr - mp.mpf(p - 1) / 2 * mp.log(2 * mp.pi)
-        return _certify(f"residue-twist p={p} r={r}", log_ratio,
-                        "sqrtp", p, None, ctx)
+        return _certify(name, inputs, log_ratio, "sqrtp", p, None, ctx)
 
 
 def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificate:
@@ -188,17 +179,16 @@ def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificat
     ratio is rational; at -1 it is rational * sqrt(p).  The m-invariant
     rides along as the twist exponent the comparison is taken at.
     """
-    r, s, t = _check_triple(p, r, s, t)
+    disc, r, s, t = _check_triple(p, r, s, t)
     e = epsilon_rst(p, r, s, t)
     if abs(e) != 1:
         raise DomainError("tate certificate needs eps(r)+eps(s)+eps(t) = +-1")
-    disc = Discriminant(p)
-    m = m_invariant(p)
-    name = f"tate-twist p={p} rst={r},{s},{t}"
+    m = m_invariant(disc)
+    name, inputs = f"tate-twist p={p} rst={r},{s},{t}", {"p": p, "rst": [r, s, t]}
     with ctx.workprec():
         logb = beta_period(p, r, s, t, ctx)
         qr = _qr_gamma_log(p, disc, ctx)
         if e == 1:
-            return _certify(name, logb - qr, "rational", p, m, ctx)
+            return _certify(name, inputs, logb - qr, "rational", p, m, ctx)
         log_ratio = logb + qr - mp.mpf(p - 1) / 2 * mp.log(2 * mp.pi)
-        return _certify(name, log_ratio, "sqrtp", p, m, ctx)
+        return _certify(name, inputs, log_ratio, "sqrtp", p, m, ctx)

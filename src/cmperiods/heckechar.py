@@ -92,16 +92,9 @@ def _form_ideal(f: QuadForm) -> tuple:
     return _hnf2([(f.a, 0), ((-f.b - 1) // 2, 1)])
 
 
-def _prime_setup(p):
-    disc = p if isinstance(p, Discriminant) else Discriminant(p)
-    if not disc.is_prime_3mod4 or disc.d == 3:
-        raise DomainError("psi_M needs a prime p = 3 mod 4 with p > 3")
-    return disc
-
-
 def psi_M(f: QuadForm, p) -> QuadInteger:
     """Character value on the class of f: the square-normalized generator of a^h."""
-    disc = _prime_setup(p)
+    disc = Discriminant.prime(p)
     p = disc.d
     if f.disc != -p:
         raise DomainError("form discriminant does not match p")
@@ -131,7 +124,7 @@ def psi_multiplicativity_check(p, f: QuadForm, g: QuadForm) -> bool:
     Exact arithmetic throughout: nu ranges over the elements of norm
     a_f a_g a_c given by descent, with all four sign variants.
     """
-    disc = _prime_setup(p)
+    disc = Discriminant.prime(p)
     p = disc.d
     h = class_number_dirichlet(disc)
     c = compose(f, g)

@@ -32,10 +32,6 @@ class SZeroJet:
         return self.deriv / self.value
 
 
-def _disc(d) -> Discriminant:
-    return d if isinstance(d, Discriminant) else Discriminant(d)
-
-
 def riemann_jet(ctx: PrecisionContext) -> SZeroJet:
     """zeta(0) = -1/2, zeta'(0) = -(1/2) log(2 pi)."""
     with ctx.workprec():
@@ -45,9 +41,10 @@ def riemann_jet(ctx: PrecisionContext) -> SZeroJet:
 
 def dirichlet_jet(d, ctx: PrecisionContext) -> SZeroJet:
     """Jet of L(epsilon, s) = d^(-s) * sum_a epsilon(a) H(a/d, s) at s = 0."""
-    disc = _disc(d)
+    disc = Discriminant.of(d)
     d = disc.d
-    value = -sum(Fraction(disc.epsilon(a) * a, d) for a in range(1, d))
+    # L(eps, 0) = -sum eps(a) a / d = 2h/w
+    value = Fraction(2 * class_number_dirichlet(disc), disc.w)
     with ctx.workprec():
         # the log sqrt(2*pi) terms cancel over the character sum; keeping
         # them exercises sum(epsilon) = 0 numerically
@@ -63,7 +60,7 @@ def dirichlet_jet(d, ctx: PrecisionContext) -> SZeroJet:
 
 def dirichlet_L(d, s, ctx: PrecisionContext):
     """L(epsilon, s) for real s != 1, by the finite Hurwitz expansion."""
-    disc = _disc(d)
+    disc = Discriminant.of(d)
     d = disc.d
     with ctx.workprec():
         sv = to_mpf(s)
@@ -77,7 +74,7 @@ def dirichlet_L(d, s, ctx: PrecisionContext):
 
 def zetak_dlog0(d, ctx: PrecisionContext):
     """dlog zeta_k(s) at s = 0: log(2 pi) - log d + (w/2h) sum eps(a) log Gamma(a/d)."""
-    disc = _disc(d)
+    disc = Discriminant.of(d)
     d = disc.d
     h = class_number_dirichlet(disc)
     with ctx.workprec():

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, log10
 
 from mpmath import mp
 
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _LN10 = 2.302585092994046
+_EM_TERM_CAP = 100000  # the Euler-Maclaurin series turns and grows long before
 
 
 @dataclass(frozen=True)
@@ -159,40 +160,45 @@ def hurwitz_zeta(x, s, ctx: PrecisionContext):
     below s = 1; s = 1 raises PoleError).
     """
     with ctx.workprec(10):
-        xv = to_mpf(x)
-        sv = to_mpf(s)
-        if not (0 < xv <= 1):
+        if not (0 < to_mpf(x) <= 1):
             raise DomainError("hurwitz_zeta requires 0 < x <= 1")
-        if sv == 1:
+        if to_mpf(s) == 1:
             raise PoleError("hurwitz_zeta has a pole at s = 1")
         wp = mp.dps
         budget = mp.mpf(10) ** (-(wp + 5))
-        m_terms = ceil(wp / 3)
         n_cut = int(1.6 * wp) + 16
         for _attempt in range(4):
-            total = mp.mpf(0)
-            for n in range(n_cut):
-                total += (n + xv) ** (-sv)
-            t = n_cut + xv
-            total += t ** (1 - sv) / (sv - 1) + t ** (-sv) / 2
-            # Correction terms B_2k/(2k)! * (s)_{2k-1} * t^(-s-2k+1).
-            rising = sv
-            tpow = t ** (-sv - 1)
-            tsq = t * t
-            last = mp.inf
-            for k in range(1, m_terms + 1):
-                term = mp.bernoulli(2 * k) / mp.factorial(2 * k) * rising * tpow
-                total += term
-                last = abs(term)
-                if last < budget:
-                    break
-                rising *= (sv + 2 * k - 1) * (sv + 2 * k)
-                tpow /= tsq
-            if last < budget:
-                return total
+            # below s = 1 the direct block and the tail term grow like
+            # t^(1-s) while H stays moderate: carry that many more digits
+            # through the cancellation
+            cancel = max(0, ceil((1 - float(s)) * log10(n_cut + 1)))
+            with mp.workdps(wp + cancel):
+                xv, sv = to_mpf(x), to_mpf(s)
+                total = mp.mpf(0)
+                for n in range(n_cut):
+                    total += (n + xv) ** (-sv)
+                t = n_cut + xv
+                total += t ** (1 - sv) / (sv - 1) + t ** (-sv) / 2
+                # Correction terms B_2k/(2k)! * (s)_{2k-1} * t^(-s-2k+1),
+                # summed until one is below budget or the asymptotic
+                # series turns and grows.
+                rising = sv
+                tpow = t ** (-sv - 1)
+                tsq = t * t
+                smallest = mp.inf
+                for k in range(1, _EM_TERM_CAP + 1):
+                    term = mp.bernoulli(2 * k) / mp.factorial(2 * k) * rising * tpow
+                    total += term
+                    if abs(term) < budget:
+                        return total
+                    if abs(term) >= smallest:
+                        break
+                    smallest = abs(term)
+                    rising *= (sv + 2 * k - 1) * (sv + 2 * k)
+                    tpow /= tsq
             n_cut = 2 * n_cut  # enlarge the direct block and retry
         raise PrecisionError("Euler-Maclaurin tail did not reach the budget",
-                             achieved_digits=error_digits(last))
+                             achieved_digits=error_digits(smallest))
 
 
 def delta_q_terms(im_tau, working_digits: int) -> int:

@@ -72,6 +72,19 @@ class Discriminant:
         if not is_fundamental(self.d):
             raise DomainError(f"-{self.d} is not a fundamental discriminant")
 
+    @classmethod
+    def of(cls, d) -> "Discriminant":
+        """d itself when it is a Discriminant, else Discriminant(d)."""
+        return d if isinstance(d, cls) else cls(d)
+
+    @classmethod
+    def prime(cls, p) -> "Discriminant":
+        """Q(sqrt(-p)) for a prime p = 3 mod 4, p > 3: the domain of the period formulas."""
+        d = p.d if isinstance(p, cls) else p
+        if not (is_prime(d) and d % 4 == 3 and d > 3):
+            raise DomainError("p must be a prime = 3 mod 4 with p > 3")
+        return cls.of(p)
+
     @property
     def w(self) -> int:
         """Number of roots of unity in the field."""
@@ -88,15 +101,6 @@ class Discriminant:
     def epsilon(self, a: int) -> int:
         """The quadratic character (-d | a)."""
         return kronecker(-self.d, a)
-
-
-def _dval(d) -> int:
-    return d.d if isinstance(d, Discriminant) else int(d)
-
-
-def kronecker_epsilon(a: int, d) -> int:
-    """Character value epsilon(a) = (-d | a); d may be a Discriminant or int."""
-    return kronecker(-_dval(d), a)
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,7 @@ class ClassGroup:
 
 def reduced_forms(d) -> ClassGroup:
     """The class group of discriminant -d as reduced forms, principal first."""
-    disc = d if isinstance(d, Discriminant) else Discriminant(d)
+    disc = Discriminant.of(d)
     d = disc.d
     out = []
     b = d % 2
@@ -241,11 +245,10 @@ def class_number(d: int) -> int:
 
 
 def class_number_dirichlet(d) -> int:
-    """h(-d) by the finite character sum; exact rational arithmetic."""
-    disc = d if isinstance(d, Discriminant) else Discriminant(d)
+    """h(-d) = -(w / 2d) sum eps(a) a, the finite character sum in exact arithmetic."""
+    disc = Discriminant.of(d)
     d = disc.d
-    s = sum(Fraction(disc.epsilon(a) * a, d) for a in range(1, d))
-    h = -Fraction(disc.w, 2) * s
+    h = Fraction(-disc.w * sum(disc.epsilon(a) * a for a in range(1, d)), 2 * d)
     if h.denominator != 1 or h <= 0:
         raise ConsistencyError(f"character sum gave h(-{d}) = {h}")
     return int(h)
@@ -332,14 +335,13 @@ def _cornacchia_primitive(d: int, m: int) -> list[tuple[int, int]]:
     return sorted(sols)
 
 
-def cornacchia_all(d, n: int) -> list[QuadInteger]:
+def cornacchia_all(d: int, n: int) -> list[QuadInteger]:
     """All elements (x + y*sqrt(-d))/2 of norm n with x, y >= 0.
 
     Solves x^2 + d*y^2 = 4n over each square divisor g^2 | 4n by root
     enumeration mod 4n/g^2 plus Euclidean descent.  Primitive solutions
     come first, then by increasing x.
     """
-    d = _dval(d)
     if d <= 0 or n <= 0:
         raise DomainError("cornacchia needs d > 0 and n > 0")
     m = 4 * n
@@ -354,7 +356,7 @@ def cornacchia_all(d, n: int) -> list[QuadInteger]:
     return [QuadInteger(x, y, d) for (x, y) in ordered]
 
 
-def cornacchia(d, n: int) -> QuadInteger | None:
+def cornacchia(d: int, n: int) -> QuadInteger | None:
     """An element of norm n (first of cornacchia_all), or None."""
     sols = cornacchia_all(d, n)
     return sols[0] if sols else None

@@ -52,13 +52,42 @@ def test_kronecker_class_flag(capsys):
     assert out.count("[pass]") == 1
 
 
-@pytest.mark.parametrize("d", [3, 4, 7, 23])
-def test_kronecker_json_golden_bytes(capsys, d):
-    # bytes recorded from the earlier finite-difference jet at 60 digits;
-    # the closed form must reproduce every digit and every verdict
-    code, out, _ = run(capsys, "kronecker", "--d", str(d), "--json", "--prec", "60")
-    assert code == 0
-    assert out == (GOLDEN / f"kronecker_d{d}_prec60.json").read_text()
+# (test id, argv, golden file, exit code).  The kronecker files were
+# recorded from the earlier finite-difference jet, the others from the
+# five row shapes the single check record replaced; both rewrites must
+# reproduce every digit and every verdict.
+GOLDEN_RUNS = [
+    *((f"kronecker_d{d}", f"kronecker --d {d} --json --prec 60",
+       f"kronecker_d{d}_prec60.json", 0) for d in (3, 4, 7, 23)),
+    ("class_d23", "class --d 23 --json --prec 60", "class_d23_prec60.json", 0),
+    ("verify_cs_d163", "verify-cs --d 163 --json --prec 60", "verify_cs_d163_prec60.json", 0),
+    ("periods_p23", "periods --p 23 --json --prec 60", "periods_p23_prec60.json", 0),
+    ("faltings_p23", "faltings --p 23 --json --prec 60", "faltings_p23_prec60.json", 0),
+    ("fermat_rational", "fermat --p 7 --rst 1,1,5 --json --prec 60",
+     "fermat_p7_rst115_prec60.json", 0),
+    ("fermat_sqrtp", "fermat --p 7 --rst 3,3,1 --json --prec 60",
+     "fermat_p7_rst331_prec60.json", 0),
+    ("hecke_p23", "hecke --p 23 --form 2,1,3 --json --prec 60",
+     "hecke_p23_form213_prec60.json", 0),
+    ("recognize_rational", "recognize --value 0.75 --json --prec 60",
+     "recognize_rational_prec60.json", 0),
+    ("recognize_miss", "recognize --value 0.5000000000001 --json --prec 60",
+     "recognize_miss_prec60.json", 1),
+    ("suite_threads1", "suite --max-d 60 --threads 1 --json --prec 60",
+     "suite_maxd60_prec60.json", 0),
+    ("suite_threads2", "suite --max-d 60 --threads 2 --json --prec 60",
+     "suite_maxd60_prec60.json", 0),
+    ("fermat_text", "fermat --p 7 --rst 1,1,5", "fermat_p7_rst115.txt", 0),
+    ("periods_text", "periods --p 23", "periods_p23.txt", 0),
+]
+
+
+@pytest.mark.parametrize("argv, golden, exit_code", [r[1:] for r in GOLDEN_RUNS],
+                         ids=[r[0] for r in GOLDEN_RUNS])
+def test_golden_bytes(capsys, argv, golden, exit_code):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == exit_code
+    assert out == (GOLDEN / golden).read_text()
 
 
 @pytest.mark.parametrize("d, k, prec", [(4, 0, 30), (7, 0, 30), (23, 1, 30),
@@ -141,12 +170,32 @@ def test_recognize_unrecognized_is_failure(capsys):
     assert "unrecognized" in out
 
 
+MALFORMED = [
+    "fermat --p 7 --rst 1,2,4",
+    "fermat --p 7 --rst 1,2",
+    "fermat --p 7 --rst a,b,c",
+    "hecke --p 7 --form 7,7,2",
+    "hecke --p 23 --form 2,1",
+    "hecke --p 23 --form 0,1,3",
+    "hecke --p 4 --form 1,0,1",
+    "verify-cs --d 999",
+    "periods --p 15",
+    "faltings --p 3",
+    "recognize --value nan",
+    "recognize --value 0.75 --sqrtp 0",
+    "suite --max-d 2",
+    "kronecker --d 23 --class -1",
+    "--prec 10 class --d 7",
+    "--threads 0 class --d 7",
+    "--out /nonexistent/dir/x class --d 7",
+]
+
+
 def test_exit_code_domain_errors(capsys):
-    assert run(capsys, "fermat", "--p", "7", "--rst", "1,2,4")[0] == 2
-    assert run(capsys, "hecke", "--p", "7", "--form", "7,7,2")[0] == 2
-    assert run(capsys, "verify-cs", "--d", "999")[0] == 2
-    assert run(capsys, "--prec", "10", "class", "--d", "7")[0] == 2
-    assert run(capsys, "--threads", "0", "class", "--d", "7")[0] == 2
+    for argv in MALFORMED:
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
 
 
 def test_argparse_failures(capsys):
@@ -204,3 +253,46 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "h(-7) = 1" in proc.stdout
+
+
+TRACING_PROBE = """
+import sys
+import tracing
+tracing.install()
+from cmperiods import cli
+for name in tracing.SPAN_NAMES:
+    modname, fn = name.split(".")
+    bound = getattr(sys.modules["cmperiods." + modname], fn)
+    assert bound.__wrapped__ is tracing._ORIGINAL[name], name
+assert cli._cs_worker is tracing.traced_cs_worker
+assert cli.ProcessPoolExecutor is tracing.TracedPool
+requests = [
+    (["verify-cs", "--d", "7"], {"csperiods.cs_verify", "csperiods.make_report",
+                                 "numkernel.log_gamma", "numkernel.delta_lattice",
+                                 "quadforms.reduced_forms"}),
+    (["fermat", "--p", "7", "--rst", "1,1,5"], {
+        "fermat.cm_type", "fermat.tate_twist_certificate", "fermat.beta_period",
+        "csperiods.m_invariant", "csperiods.make_report", "relint.recognize_rational",
+        "quadforms.class_number_dirichlet"}),
+]
+for i, (argv, expected) in enumerate(requests):
+    tracing.start_request(i)
+    cli.main(["--prec", "30"] + argv)
+    missing = expected - {span[0] for span in tracing._REC.spans if span[4] == i}
+    assert not missing, (argv, missing)
+"""
+
+
+def test_perfbench_tracing_binds_every_name():
+    # the traced benchmark wraps 23 functions by module attribute and
+    # rebinds each by-name import of them; a renamed function fails here,
+    # and a call through a stored function object would leave no span
+    import os
+    import subprocess
+    import sys
+    root = Path(__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                        str(root / "perfbench")])}
+    proc = subprocess.run([sys.executable, "-c", TRACING_PROBE], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from cmperiods.csperiods import (IdentityReport, cs_verify, faltings_height_L,
+from cmperiods.csperiods import (cs_verify, exact_report, faltings_height_L,
                                  faltings_height_periods, m_invariant, make_report,
-                                 period_integral)
+                                 period_integral, unrecognized_report)
 from cmperiods.errors import DomainError
 from cmperiods.numkernel import PrecisionContext, log_gamma
 from cmperiods.quadforms import Discriminant, QuadForm, is_fundamental, reduced_forms
@@ -13,18 +13,24 @@ from cmperiods.quadforms import Discriminant, QuadForm, is_fundamental, reduced_
 
 def test_make_report_thresholds(ctx):
     with ctx.workprec():
-        good = make_report("x", mp.mpf(1), 1 + mp.mpf(10) ** -110, ctx)
+        good = make_report("x", {}, mp.mpf(1), 1 + mp.mpf(10) ** -110, ctx)
         assert good.passed and good.digits_agreed >= 105
-        bad = make_report("x", mp.mpf(1), 1 + mp.mpf(10) ** -90, ctx)
+        bad = make_report("x", {}, mp.mpf(1), 1 + mp.mpf(10) ** -90, ctx)
         assert not bad.passed
 
 
-def test_report_as_dict(ctx):
+def test_report_row(ctx):
     rep = cs_verify(Discriminant(7), ctx)
-    d = rep.as_dict()
-    assert set(d) == {"name", "lhs", "rhs", "abs_err", "rel_err", "digits_agreed", "pass"}
-    assert d["pass"] is True
-    assert d["name"] == "chowla-selberg d=7"
+    row = rep.row(ctx)
+    assert set(row) == {"check", "inputs", "lhs_log", "rhs_log", "digits_agreed", "pass"}
+    assert row["check"] == "chowla-selberg d=7" and row["inputs"] == {"d": 7}
+    assert row["pass"] is True and row["digits_agreed"] == rep.digits_agreed
+    assert row["lhs_log"] == mp.nstr(rep.lhs, ctx.target_digits)
+    exact = exact_report("x", {}, 3, 3, ctx).row(ctx)
+    assert (exact["lhs_log"], exact["digits_agreed"], exact["pass"]) == ("3", 120, True)
+    assert exact_report("x", {}, 3, 4, ctx).row(ctx)["digits_agreed"] == 0
+    miss = unrecognized_report("x", {}, mp.mpf(2)).row(ctx)
+    assert (miss["rhs_log"], miss["digits_agreed"], miss["pass"]) == ("unrecognized", 0, False)
 
 
 @pytest.mark.parametrize("d", [4, 7, 23])
@@ -32,7 +38,7 @@ def test_cs_verify_examples(ctx, d):
     rep = cs_verify(Discriminant(d), ctx)
     assert rep.passed
     assert rep.digits_agreed >= 100
-    assert abs(rep.abs_err) < mp.mpf(10) ** -100
+    assert abs(rep.lhs - rep.rhs) < mp.mpf(10) ** -100
 
 
 def test_cs_verify_two_precisions():

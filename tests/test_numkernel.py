@@ -4,6 +4,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from cmperiods import numkernel
 from cmperiods.errors import DomainError, PoleError, PrecisionError
 from cmperiods.numkernel import (Lattice, PrecisionContext, _stirling_log_gamma, beta,
                                  delta_lattice, delta_q_terms, gamma_rational,
@@ -126,9 +127,22 @@ def test_stirling_shortfall_reports_smallest_term():
     assert err.value.achieved_digits == 14
 
 
-def test_hurwitz_shortfall_reports_last_term():
-    # at s = -31.5 the last correction term is still ~1e-16 after every
-    # enlargement of the direct block
+@pytest.mark.parametrize("target", [30, 60, 120])
+def test_hurwitz_zeta_negative_s_against_zeta(target):
+    # H(1/2, s) = (2^s - 1) zeta(s); below s = -11 the direct block grows
+    # to 10^29..10^48 and must not cost digits of the absolute bound
+    ctx = PrecisionContext(target)
+    for k in range(2, 26):
+        s = mp.mpf(-k) - mp.mpf(1) / 2
+        with mp.workdps(target + 60):
+            ref = (mp.mpf(2) ** s - 1) * mp.zeta(s)
+            assert abs(hurwitz_zeta(Fraction(1, 2), s, ctx) - ref) < ctx.eps(), f"s={s}"
+
+
+def test_hurwitz_shortfall_reports_last_term(monkeypatch):
+    # cut at 20 correction terms, the smallest at s = -31.5 is still ~1e-16
+    # after every enlargement of the direct block
+    monkeypatch.setattr(numkernel, "_EM_TERM_CAP", 20)
     with pytest.raises(PrecisionError) as err:
         hurwitz_zeta(Fraction(1, 2), mp.mpf("-31.5"), PrecisionContext(30))
     assert err.value.achieved_digits == 16

@@ -12,7 +12,7 @@ from cmperiods.quadforms import (ClassGroup, Discriminant, QuadForm, QuadInteger
                                  class_number, class_number_dirichlet, compose,
                                  cornacchia, cornacchia_all, form_pow, form_to_lattice,
                                  inverse, inverse_ideal_lattice, is_fundamental,
-                                 kronecker, kronecker_epsilon, principal_form,
+                                 kronecker, principal_form,
                                  reduce_form, reduced_forms)
 
 
@@ -37,6 +37,12 @@ def test_discriminant_fields():
     assert not Discriminant(4).is_prime_3mod4
     with pytest.raises(DomainError):
         Discriminant(9)
+    d7 = Discriminant(7)
+    assert Discriminant.of(d7) is d7 and Discriminant.of(7) == d7
+    assert Discriminant.prime(d7) is d7 and Discriminant.prime(23) == Discriminant(23)
+    for p in (3, 4, 5, 9, 15, 21, -7, 0):
+        with pytest.raises(DomainError, match="prime = 3 mod 4 with p > 3"):
+            Discriminant.prime(p)
 
 
 @given(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
@@ -53,15 +59,14 @@ def test_kronecker_matches_sympy(a, n):
 @settings(max_examples=500)
 def test_epsilon_multiplicative(a, b):
     disc = Discriminant(23)
-    assert kronecker_epsilon(a * b, disc) == \
-        kronecker_epsilon(a, disc) * kronecker_epsilon(b, disc)
+    assert disc.epsilon(a * b) == disc.epsilon(a) * disc.epsilon(b)
 
 
 def test_epsilon_examples():
     d7 = Discriminant(7)
-    assert kronecker_epsilon(2, d7) == 1
-    assert kronecker_epsilon(3, d7) == -1
-    assert sum(kronecker_epsilon(a, Discriminant(15)) for a in range(1, 15)) == 0
+    assert d7.epsilon(2) == 1
+    assert d7.epsilon(3) == -1
+    assert sum(Discriminant(15).epsilon(a) for a in range(1, 15)) == 0
 
 
 def test_quadform_validation():
