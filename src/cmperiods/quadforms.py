@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from mpmath import mp
@@ -16,6 +17,10 @@ from mpmath import mp
 from .arith import divisors, factorize, is_prime, is_square, solve_linmod, sqrt_mod
 from .errors import ConsistencyError, DomainError
 from .numkernel import Lattice, PrecisionContext
+
+# 3,043 fundamental discriminants -d have d <= 10^4, the scale the class
+# number checks are meant to reach; each memoized h is one small int
+_CLASS_NUMBER_MEMO = 4096
 
 
 def kronecker(D: int, n: int) -> int:
@@ -245,8 +250,15 @@ def class_number(d: int) -> int:
 
 
 def class_number_dirichlet(d) -> int:
-    """h(-d) = -(w / 2d) sum eps(a) a, the finite character sum in exact arithmetic."""
-    disc = Discriminant.of(d)
+    """h(-d) = -(w / 2d) sum eps(a) a, the finite character sum in exact arithmetic.
+
+    Memoized per validated discriminant; a failed sum raises on every call.
+    """
+    return _class_number_dirichlet(Discriminant.of(d))
+
+
+@lru_cache(maxsize=_CLASS_NUMBER_MEMO)
+def _class_number_dirichlet(disc: Discriminant) -> int:
     d = disc.d
     h = Fraction(-disc.w * sum(disc.epsilon(a) * a for a in range(1, d)), 2 * d)
     if h.denominator != 1 or h <= 0:

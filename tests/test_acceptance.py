@@ -18,8 +18,8 @@ from cmperiods.epstein import epstein_jet
 from cmperiods.fermat import cm_type, epsilon_rst, tate_twist_certificate
 from cmperiods.heckechar import psi_M, psi_multiplicativity_check
 from cmperiods.lseries import dirichlet_jet
-from cmperiods.numkernel import (delta_lattice, delta_q_terms, hurwitz_zeta,
-                                 log_gamma, to_mpf)
+from cmperiods.numkernel import (PrecisionContext, delta_lattice, delta_q_terms,
+                                 hurwitz_zeta, log_gamma, to_mpf)
 from cmperiods.quadforms import (Discriminant, class_number, class_number_dirichlet,
                                  form_to_lattice, inverse_ideal_lattice,
                                  is_fundamental, reduced_forms)
@@ -124,13 +124,22 @@ def test_criterion_07_cm_types():
                 assert rec.u - rec.v == h * epsilon_rst(p, r, s, t)
 
 
-def test_criterion_08_tate_certificates(ctx):
+def certify_mixed_triples(ctx):
     for p in (7, 11, 19):
         for r, s, t in mixed_triples(p):
             cert = tate_twist_certificate(p, r, s, t, ctx)
             assert cert.recognized is not None, f"p={p} rst={(r, s, t)}"
             assert cert.passed, f"p={p} rst={(r, s, t)}"
             assert cert.height < 10 ** 8, f"p={p} rst={(r, s, t)}"
+
+
+def test_criterion_08_tate_certificates(ctx):
+    certify_mixed_triples(ctx)
+
+
+@pytest.mark.parametrize("prec", [30, 300])
+def test_tate_certificates_precision_sweep(prec):
+    certify_mixed_triples(PrecisionContext(prec))
 
 
 def test_criterion_09_hecke_character():

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from cmperiods import cli, epstein
+from cmperiods import cli, csperiods, epstein
 from cmperiods.errors import PrecisionError
+from cmperiods.quadforms import Discriminant
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -143,6 +144,14 @@ def test_fermat_json_recognized(capsys):
     assert tate[0]["pass"] is True
 
 
+def test_fermat_rows_name_the_reduced_triple(capsys):
+    code, out, _ = run(capsys, "--json", "--prec", "30", "fermat", "--p", "7", "--rst", "8,8,5")
+    assert code == 0
+    names = [r["check"] for r in json.loads(out)]
+    assert len(names) == 3
+    assert all(name.endswith(" p=7 rst=1,1,5") for name in names), names
+
+
 def test_hecke(capsys):
     code, out, _ = run(capsys, "hecke", "--p", "23", "--form", "2,1,3")
     assert code == 0
@@ -244,6 +253,19 @@ def test_suite_thread_invariance(capsys, tmp_path):
     assert checks[0].startswith("class-number-sweep")
     assert "chowla-selberg d=7" in checks
     assert all(r["pass"] for r in reports)
+
+
+def test_suite_m_invariant_row_counts_disagreements(capsys, monkeypatch):
+    real = csperiods.class_number_dirichlet
+    monkeypatch.setattr(csperiods, "class_number_dirichlet",
+                        lambda d: real(d) + (Discriminant.of(d).d == 11))
+    code, out, _ = run(capsys, "--json", "--prec", "30", "suite", "--max-d", "20")
+    assert code == 1
+    rows = json.loads(out)
+    failed = [r for r in rows if not r["pass"]]
+    assert failed == [{"check": "m-invariant-sweep p<=20", "inputs": {"max_d": 20},
+                       "lhs_log": "2", "rhs_log": "3", "digits_agreed": 0, "pass": False}]
+    assert len(rows) == 14  # class and m sweeps, 8 chowla-selberg, 2 periods, 2 faltings
 
 
 def test_module_entry_point():

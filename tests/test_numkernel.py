@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from cmperiods import numkernel
@@ -35,10 +36,40 @@ def test_log_gamma_exact_points(ctx):
 
 
 def test_log_gamma_domain(ctx):
-    with pytest.raises(DomainError):
-        log_gamma(Fraction(0), ctx)
-    with pytest.raises(DomainError):
-        log_gamma(Fraction(-3, 2), ctx)
+    # the memo keeps no errors: each call raises again
+    for x in (Fraction(0), Fraction(-3, 2), 0, -1, 0, -1):
+        with pytest.raises(DomainError):
+            log_gamma(x, ctx)
+
+
+def test_log_gamma_memo_hit_is_fresh_value(ctx):
+    with ctx.workprec():
+        args = (Fraction(2, 7), 3, mp.mpf(1) / 7)
+    for x in args:
+        hit = log_gamma(x, ctx)
+        assert log_gamma(x, ctx) is hit
+        log_gamma.cache_clear()
+        fresh = log_gamma(x, ctx)
+        assert fresh is not hit and fresh._mpf_ == hit._mpf_, x
+
+
+def test_log_gamma_memo_keeps_precisions_apart():
+    lo, hi = PrecisionContext(60), PrecisionContext(120)
+    x = Fraction(1, 3)
+    log_gamma(x, lo)
+    with mp.workdps(160):
+        ref = mpmath.loggamma(mp.mpf(1) / 3)
+        assert abs(log_gamma(x, hi) - ref) < mp.mpf(10) ** -120
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(30, 400), st.integers(2, 200), st.data())
+def test_log_gamma_against_mpmath_random_precision(target, d, data):
+    a = data.draw(st.integers(1, d - 1))
+    ctx = PrecisionContext(target)
+    with mp.workdps(target + 20):
+        ref = mpmath.loggamma(mp.mpf(a) / d)
+        assert abs(log_gamma(Fraction(a, d), ctx) - ref) < mp.mpf(10) ** -target
 
 
 def test_log_gamma_against_mpmath(ctx):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from cmperiods.errors import DomainError
+from cmperiods.errors import ConsistencyError, DomainError
 from cmperiods.numkernel import PrecisionContext
 from cmperiods.quadforms import (ClassGroup, Discriminant, QuadForm, QuadInteger,
                                  class_number, class_number_dirichlet, compose,
@@ -116,6 +116,21 @@ def test_class_number_agreement():
 def test_class_number_spot_values():
     for d, h in ((7, 1), (23, 3), (47, 5), (163, 1), (15, 2)):
         assert class_number_dirichlet(Discriminant(d)) == h
+
+
+def test_class_number_dirichlet_memo(monkeypatch):
+    from cmperiods import quadforms
+    quadforms._class_number_dirichlet.cache_clear()
+    assert class_number_dirichlet(23) == class_number_dirichlet(Discriminant(23)) == 3
+    assert quadforms._class_number_dirichlet.cache_info().currsize == 1
+    # a character sum that gives no class number raises on every call
+    monkeypatch.setattr(Discriminant, "epsilon", lambda self, a: 1)
+    for _ in range(2):
+        with pytest.raises(ConsistencyError):
+            class_number_dirichlet(47)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            class_number_dirichlet(25)
 
 
 def test_compose_group_laws(rng):
