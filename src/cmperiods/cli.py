@@ -112,19 +112,20 @@ def _faltings(p, ctx):
 
 def _cmd_fermat(args, ctx):
     r, s, t = _parse_ints(args.rst, 3, "--rst")
-    rec = cm_type(args.p, r, s, t)
-    eps = epsilon_rst(args.p, r, s, t)
+    disc = Discriminant.prime(args.p)
+    rec = cm_type(disc, r, s, t)
+    eps = epsilon_rst(disc, r, s, t)
     lines = [f"phi = {rec.phi}",
              f"u = {rec.u}, v = {rec.v}, eps(r,s,t) = {eps}"]
     inputs = {"p": args.p, "rst": [rec.rst[0], rec.rst[1], rec.rst[2]]}
-    cert = tate_twist_certificate(args.p, r, s, t, ctx)
+    cert = tate_twist_certificate(disc, r, s, t, ctx)
     lines.append(f"tate ratio recognized: {_cert_text(cert)} (height {cert.height}, m = {cert.m})")
     rst = ",".join(map(str, rec.rst))
     reports = [
         exact_report(f"cm-type-size p={args.p} rst={rst}", inputs,
                      rec.u + rec.v, (args.p - 1) // 2, ctx),
         exact_report(f"cm-type-balance p={args.p} rst={rst}", inputs,
-                     rec.u - rec.v, class_number_dirichlet(args.p) * eps, ctx),
+                     rec.u - rec.v, class_number_dirichlet(disc) * eps, ctx),
         cert.report,
     ]
     return reports, lines

@@ -5,6 +5,11 @@ the exponents a with <ar/p> + <as/p> + <at/p> = 1 form a CM type.  The
 associated period products are Euler beta values; their comparison with
 products of Gamma(a/p) yields ratios that are exactly rational, or
 rational multiples of sqrt(p), and the certificates here pin those down.
+
+Each public function takes p as an int or as the Discriminant that
+``Discriminant.prime`` returned, and checks the triple once; a caller
+holding that Discriminant passes it on, so p is tested for primality
+once per request.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ class RatioCertificate:
 
 def _check_triple(p, r, s, t):
     disc = Discriminant.prime(p)
+    p = disc.d
     r, s, t = r % p, s % p, t % p
     if 0 in (r, s, t):
         raise DomainError("r, s, t must be nonzero mod p")
@@ -69,15 +75,19 @@ def _check_triple(p, r, s, t):
     return disc, r, s, t
 
 
+def _epsilon(disc, r, s, t) -> int:
+    return disc.epsilon(r) + disc.epsilon(s) + disc.epsilon(t)
+
+
 def epsilon_rst(p, r, s, t) -> int:
     """eps(r) + eps(s) + eps(t) in {-3, -1, 1, 3}."""
-    disc, r, s, t = _check_triple(p, r, s, t)
-    return disc.epsilon(r) + disc.epsilon(s) + disc.epsilon(t)
+    return _epsilon(*_check_triple(p, r, s, t))
 
 
 def cm_type(p, r, s, t) -> CMTypeRecord:
     """The set phi = {a : <ar/p> + <as/p> + <at/p> = 1} with its QR split."""
     disc, r, s, t = _check_triple(p, r, s, t)
+    p = disc.d
     phi = tuple(a for a in range(1, p)
                 if (a * r % p) + (a * s % p) + (a * t % p) == p)
     u = sum(1 for a in phi if disc.epsilon(a) == 1)
@@ -85,7 +95,7 @@ def cm_type(p, r, s, t) -> CMTypeRecord:
     if u + v != (p - 1) // 2:
         raise ConsistencyError(f"CM type at p={p} has size {u + v} != (p-1)/2")
     h = class_number_dirichlet(disc)
-    if u - v != h * epsilon_rst(p, r, s, t):
+    if u - v != h * _epsilon(disc, r, s, t):
         raise ConsistencyError(f"u - v != h * eps at p={p}, rst={(r, s, t)}")
     return CMTypeRecord(p=p, rst=(r, s, t), phi=phi, u=u, v=v)
 
@@ -98,6 +108,7 @@ def beta_period(p, r, s, t, ctx: PrecisionContext):
     drop the rational factor this module is after.
     """
     disc, r, s, t = _check_triple(p, r, s, t)
+    p = disc.d
     with ctx.workprec():
         total = mp.mpf(0)
         for a in range(1, p):
@@ -113,6 +124,7 @@ def beta_period(p, r, s, t, ctx: PrecisionContext):
 def gamma_period(p, r, s, t, ctx: PrecisionContext):
     """log of (2 pi)^(-(p-1)/2) prod over QRs a of Gamma(<ar/p>)Gamma(<as/p>)Gamma(<at/p>)."""
     disc, r, s, t = _check_triple(p, r, s, t)
+    p = disc.d
     with ctx.workprec():
         total = -mp.mpf(p - 1) / 2 * mp.log(2 * mp.pi)
         for a in range(1, p):
@@ -156,6 +168,7 @@ def residue_twist_certificate(p, r, ctx: PrecisionContext) -> RatioCertificate:
     Gamma multiplication formula the certified combination is sqrt(p)/p.
     """
     disc = Discriminant.prime(p)
+    p = disc.d
     r = r % p
     if r == 0:
         raise DomainError("r must be nonzero mod p")
@@ -180,13 +193,14 @@ def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificat
     rides along as the twist exponent the comparison is taken at.
     """
     disc, r, s, t = _check_triple(p, r, s, t)
-    e = epsilon_rst(p, r, s, t)
+    p = disc.d
+    e = _epsilon(disc, r, s, t)
     if abs(e) != 1:
         raise DomainError("tate certificate needs eps(r)+eps(s)+eps(t) = +-1")
     m = m_invariant(disc)
     name, inputs = f"tate-twist p={p} rst={r},{s},{t}", {"p": p, "rst": [r, s, t]}
     with ctx.workprec():
-        logb = beta_period(p, r, s, t, ctx)
+        logb = beta_period(disc, r, s, t, ctx)
         qr = _qr_gamma_log(p, disc, ctx)
         if e == 1:
             return _certify(name, inputs, logb - qr, "rational", p, m, ctx)

@@ -15,6 +15,14 @@ the process, per (argument type, argument value, PrecisionContext): every
 identity sums log Gamma over the same rationals a/d, and a hit returns the
 very mpf the kernel computed.  The memo holds 8,192 values, enough for
 one ``suite --max-d 200`` tier (4,342 distinct arguments).
+
+A log-gamma call that misses the memo shifts x = n/m up by N ~ 1.2*dps
+(Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 4): the shift
+product prod_{j<N} (n + j*m) is formed in Python integers by binary
+splitting, exactly for every rational the checks use, and folded back in
+with one quotient by m^N and one log; Stirling's series reads its
+coefficients B_2k / (2k (2k-1)) from a table kept per working precision,
+so a term costs two multiplications.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ _EM_TERM_CAP = 100000  # the Euler-Maclaurin series turns and grows long before
 # one suite --max-d 200 tier asks for 4,342 distinct log-Gamma arguments; the
 # next power of two holds them all, at a few hundred bytes a value
 _LOG_GAMMA_MEMO = 8192
+# Stirling coefficient tables kept, one per binary working precision
+_STIRLING_TABLES = 16
 
 
 @dataclass(frozen=True)
@@ -100,13 +110,28 @@ def error_digits(err) -> int:
     return max(0, int(-mp.log10(err)))
 
 
+@lru_cache(maxsize=_STIRLING_TABLES)
+def _stirling_coefficients(prec):
+    """c_k = B_2k / (2k (2k-1)) at binary precision prec, keyed by k.
+
+    Filled lazily by ``_stirling_terms`` up to the largest k used so far:
+    the series stops far below its 4*dps cap, and building that many
+    Bernoulli numbers up front takes seconds at 300 digits.
+    """
+    return {}
+
+
 def _stirling_terms(z):
     """Bernoulli terms B_2k / (2k (2k-1) z^(2k-1)) of Stirling's series."""
-    zsq = z * z
-    zpow = z
+    coeffs = _stirling_coefficients(mp.prec)
+    zinv = 1 / z
+    zinv2 = zinv * zinv
     for k in range(1, 4 * mp.dps):
-        yield mp.bernoulli(2 * k) / ((2 * k) * (2 * k - 1) * zpow)
-        zpow *= zsq
+        c = coeffs.get(k)
+        if c is None:
+            c = coeffs[k] = mp.bernoulli(2 * k) / ((2 * k) * (2 * k - 1))
+        yield c * zinv
+        zinv *= zinv2
 
 
 def _stirling_log_gamma(z, budget):
@@ -124,6 +149,40 @@ def _stirling_log_gamma(z, budget):
                          achieved_digits=error_digits(smallest))
 
 
+def _exact_ratio(x, xv):
+    """Integers (n, m), m > 0, with x = n/m exactly.
+
+    A Fraction or int gives its own numerator and denominator; anything
+    else is read from its working-precision mpf xv = man * 2^exp.
+    """
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    man, exp = int(xv.man), int(xv.exp)
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def _shift_product(n, m, lo, hi):
+    """prod_{lo <= j < hi} (n + j*m) by binary splitting.
+
+    Exact in integers while a partial product fits in a few times the
+    working precision, which holds for every a/d the checks use; past
+    that it is carried as an mpf, so an mpf argument with a full-length
+    mantissa costs what its precision costs, not what N times its length
+    would.
+    """
+    limit = 4 * mp.prec
+    if hi - lo > 16:
+        mid = (lo + hi) // 2
+        p = _shift_product(n, m, lo, mid) * _shift_product(n, m, mid, hi)
+        return mp.mpf(p) if isinstance(p, int) and p.bit_length() > limit else p
+    p = 1
+    for j in range(lo, hi):
+        p *= n + j * m
+        if isinstance(p, int) and p.bit_length() > limit:
+            p = mp.mpf(p)
+    return p
+
+
 @lru_cache(maxsize=_LOG_GAMMA_MEMO, typed=True)
 def log_gamma(x, ctx: PrecisionContext):
     """log Gamma(x) for real x > 0, absolute error < 10**-target_digits.
@@ -136,11 +195,12 @@ def log_gamma(x, ctx: PrecisionContext):
             raise DomainError("log_gamma requires x > 0")
         budget = mp.mpf(10) ** (-(ctx.working_digits + 5))
         # Shift the argument up past ~1.2*working digits, then apply
-        # Stirling; the shift product is folded back in with one log.
+        # Stirling.  With x = n/m, prod_{j<N} (x + j) is the integer
+        # product prod (n + j*m) over m^N, folded back in with one
+        # quotient and one log; log P - N log m would cancel digits.
         shift = int(ceil(1.2 * mp.dps - xv)) if xv < 1.2 * mp.dps else 0
-        prod = mp.mpf(1)
-        for j in range(shift):
-            prod *= xv + j
+        n, m = _exact_ratio(x, xv)
+        prod = mp.mpf(_shift_product(n, m, 0, shift)) / mp.mpf(m) ** shift
         return _stirling_log_gamma(xv + shift, budget) - mp.log(prod)
 
 

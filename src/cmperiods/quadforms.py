@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 from mpmath import mp
@@ -84,11 +84,21 @@ class Discriminant:
 
     @classmethod
     def prime(cls, p) -> "Discriminant":
-        """Q(sqrt(-p)) for a prime p = 3 mod 4, p > 3: the domain of the period formulas."""
-        d = p.d if isinstance(p, cls) else p
-        if not (is_prime(d) and d % 4 == 3 and d > 3):
+        """Q(sqrt(-p)) for a prime p = 3 mod 4, p > 3: the domain of the period formulas.
+
+        The primality test runs once per value: a Discriminant this
+        returned passes again without one.
+        """
+        if isinstance(p, cls):
+            disc = p
+        elif is_prime(p) and p % 4 == 3:
+            disc = cls(p)
+            disc.__dict__["is_prime_3mod4"] = True  # the test just made
+        else:
+            disc = None
+        if disc is None or not (disc.is_prime_3mod4 and disc.d > 3):
             raise DomainError("p must be a prime = 3 mod 4 with p > 3")
-        return cls.of(p)
+        return disc
 
     @property
     def w(self) -> int:
@@ -99,7 +109,7 @@ class Discriminant:
             return 4
         return 2
 
-    @property
+    @cached_property
     def is_prime_3mod4(self) -> bool:
         return self.d % 4 == 3 and is_prime(self.d)
 

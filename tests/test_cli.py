@@ -152,6 +152,31 @@ def test_fermat_rows_name_the_reduced_triple(capsys):
     assert all(name.endswith(" p=7 rst=1,1,5") for name in names), names
 
 
+@pytest.mark.parametrize("rst, kind", [("1,2,16", "rational"), ("1,3,15", "sqrtp")])
+def test_fermat_request_validates_p_once(capsys, monkeypatch, rst, kind):
+    # the Discriminant checked at the entry is passed inward, so one
+    # request costs the primality tests of one Discriminant.prime(p);
+    # recognize_sqrtp checks its own p once more
+    from cmperiods import arith, quadforms, relint
+    calls = {"arith": 0, "quadforms": 0, "relint": 0}
+    real = arith.is_prime
+    for mod in (arith, quadforms, relint):
+        def counting(n, _name=mod.__name__.split(".")[-1]):
+            calls[_name] += 1
+            return real(n)
+        monkeypatch.setattr(mod, "is_prime", counting)
+    Discriminant.prime(19)
+    one_validation = calls["arith"] + calls["quadforms"]
+    assert one_validation > 0
+    calls.update(arith=0, quadforms=0, relint=0)
+    code, out, _ = run(capsys, "--json", "--prec", "30", "fermat", "--p", "19", "--rst", rst)
+    assert code == 0
+    tate = json.loads(out)[2]
+    assert tate["pass"] and ("sqrt(19)" in tate["rhs_log"]) == (kind == "sqrtp")
+    assert calls["arith"] + calls["quadforms"] == one_validation, calls
+    assert calls["relint"] == (kind == "sqrtp")
+
+
 def test_hecke(capsys):
     code, out, _ = run(capsys, "hecke", "--p", "23", "--form", "2,1,3")
     assert code == 0

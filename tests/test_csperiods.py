@@ -8,7 +8,8 @@ from cmperiods.csperiods import (cs_verify, exact_report, faltings_height_L,
                                  period_integral, unrecognized_report)
 from cmperiods.errors import DomainError
 from cmperiods.numkernel import PrecisionContext, log_gamma
-from cmperiods.quadforms import Discriminant, QuadForm, is_fundamental, reduced_forms
+from cmperiods.quadforms import (Discriminant, QuadForm, class_number, class_number_dirichlet,
+                                  is_fundamental, reduced_forms)
 
 
 def test_make_report_thresholds(ctx):
@@ -115,3 +116,11 @@ def test_faltings_zetak_form(ctx):
         alt = -zetak_dlog0(Discriminant(p), ctx) / 2 - mp.log(p) / 4
         hl = faltings_height_L(Discriminant(p), ctx)
         assert abs(alt - hl) < ctx.eps(10)
+
+
+def test_cs_verify_scale_envelope():
+    # -9995 = -5 * 1999 is fundamental with h = 40; its Gamma side sums
+    # 7,992 distinct arguments a/9995, each a log-Gamma evaluation
+    assert class_number(9995) == class_number_dirichlet(9995) == 40
+    rep = cs_verify(9995, PrecisionContext(30))
+    assert rep.passed and rep.digits_agreed >= 30

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from cmperiods import numkernel
@@ -70,6 +70,42 @@ def test_log_gamma_against_mpmath_random_precision(target, d, data):
     with mp.workdps(target + 20):
         ref = mpmath.loggamma(mp.mpf(a) / d)
         assert abs(log_gamma(Fraction(a, d), ctx) - ref) < mp.mpf(10) ** -target
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(30, 400), st.sampled_from(("int", "mpf", "shift0", "tiny")), st.data())
+def test_log_gamma_argument_kinds_against_mpmath(target, kind, data):
+    # each way the shift product is formed: an int (m = 1), an mpf with a
+    # full random mantissa (m = 2^k), an argument past the shift point
+    # (no shift), and x < 10^-3, where log Gamma ~ -log x
+    ctx = PrecisionContext(target)
+    with ctx.workprec(10):
+        bits = mp.prec
+        shift_point = 1.2 * mp.dps
+        if kind == "int":
+            x = data.draw(st.integers(1, 3 * target))
+        elif kind == "mpf":
+            x = mp.mpf(data.draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))) / 2 ** (bits - 6)
+        elif kind == "shift0":
+            x = Fraction(data.draw(st.integers(int(7 * shift_point) + 1, 10 ** 5)), 7)
+        else:
+            x = mp.mpf(data.draw(st.integers(1, 2 ** bits - 1))) / 2 ** (bits + 10)
+    with mp.workdps(target + 40):
+        ref = mpmath.loggamma(to_mpf(x))
+        assert abs(log_gamma(x, ctx) - ref) < mp.mpf(10) ** -target, (kind, x)
+
+
+def test_stirling_table_kept_per_precision():
+    # each working precision has its own coefficient table, so a table
+    # filled at 60 digits is never read at 300, nor the other way round
+    numkernel._stirling_coefficients.cache_clear()
+    for target in (60, 300, 60, 300):
+        log_gamma.cache_clear()
+        ctx = PrecisionContext(target)
+        with mp.workdps(target + 40):
+            for a in range(1, 7):
+                ref = mpmath.loggamma(mp.mpf(a) / 7)
+                assert abs(log_gamma(Fraction(a, 7), ctx) - ref) < mp.mpf(10) ** -target
 
 
 def test_log_gamma_against_mpmath(ctx):
@@ -262,3 +298,23 @@ def test_delta_complex_scale(ctx):
         base = delta_lattice(Lattice(tau, mp.mpf(1)), ctx)
         spun = delta_lattice(Lattice(tau, mp.mpc(0, 2)), ctx)
         assert abs(spun - base / 2 ** 12) < ctx.eps(10) * abs(base)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(30, 400), st.floats(-0.5, 0.5), st.floats(0, 2),
+       st.sampled_from((1, 2, 1j, 3 + 1j)))
+@example(target=400, x=-0.5, lift=0.0, scale=1)
+@example(target=400, x=0.5, lift=0.0, scale=3 + 1j)
+def test_delta_lattice_against_eta_product(target, x, lift, scale):
+    # tau = x + i(sqrt(1 - x^2) + lift) runs over the fundamental domain
+    # from its bottom corners rho, where |q| is largest and the product
+    # needs the most factors; the reference is mpmath's q-Pochhammer
+    # prod (1 - q^n) = qp(q)
+    ctx = PrecisionContext(target)
+    with ctx.workprec(10):
+        tau = mp.mpc(x, mp.sqrt(1 - mp.mpf(x) ** 2) + lift)
+        val = delta_lattice(Lattice(tau, mp.mpc(scale)), ctx)
+    with mp.workdps(target + 40):
+        q = mp.exp(2j * mp.pi * tau)
+        ref = mp.mpc(scale) ** -12 * (2 * mp.pi) ** 12 * q * mp.qp(q) ** 24
+        assert abs(val - ref) < mp.mpf(10) ** -target
