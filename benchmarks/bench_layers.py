@@ -1,0 +1,147 @@
+"""Per-call cost of the numkernel kernels, cold and warm.
+
+    python benchmarks/bench_layers.py --tree parent=/path/to/old/src \
+        --tree change=src --rounds 5 --out BENCH_layers.json
+
+Each ``--tree LABEL=DIR`` names a source directory holding the
+``cmperiods`` package; the default is ``current=src``.  Every sample runs
+in a fresh interpreter with that directory first on ``sys.path``, and the
+trees take turns round by round, so a machine that speeds up or slows down
+meets them alike.  At 60, 120 and 300 target digits a sample records, for
+each kernel,
+
+- ``cold_ms``: the first call at that precision, which also pays for
+  mpmath's constants and whatever tables the kernel builds;
+- ``warm_ms``: the mean per call over all its arguments, after one
+  untimed pass.
+
+The kernels and their arguments:
+
+- ``log_gamma`` over a/199, 0 < a < 199, the memo cleared before the
+  untimed pass and again before the timed pass, so that every call
+  computes; the cold call is log Gamma(1/199);
+- ``delta_lattice`` over the lattices of Delta(a) and Delta(a^-1) for
+  every reduced form a of discriminant -d, d in 23, 71, 163 and 199
+  (40 lattices, built before timing); the cold call is the first of them.
+
+The JSON written to ``--out`` holds, per kernel, tree and precision, the
+median of the samples and their quartiles, plus the machine.  Only public
+names are used (``log_gamma`` and its ``cache_clear``, ``delta_lattice``,
+``PrecisionContext``, and ``reduced_forms``, ``form_to_lattice`` and
+``inverse_ideal_lattice`` from ``quadforms``), so any two versions of the
+kernels compare.  The script is not under ``tests/`` and tier-1 does not
+collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+TARGETS = (60, 120, 300)
+DEN = 199
+DISCS = (23, 71, 163, 199)
+
+PRELUDE = """
+import json, sys, time
+from fractions import Fraction
+sys.path.insert(0, sys.argv[1])
+from cmperiods.numkernel import PrecisionContext, delta_lattice, log_gamma
+from cmperiods.quadforms import form_to_lattice, inverse_ideal_lattice, reduced_forms
+ctx = PrecisionContext(int(sys.argv[2]))
+"""
+
+# each worker binds kernel, args and fresh (what makes the next pass compute)
+TIMING = """
+t = time.perf_counter()
+kernel(args[0], ctx)
+cold = time.perf_counter() - t
+fresh()
+for x in args:
+    kernel(x, ctx)
+fresh()
+t = time.perf_counter()
+for x in args:
+    kernel(x, ctx)
+warm = (time.perf_counter() - t) / len(args)
+print(json.dumps({"cold_ms": cold * 1e3, "warm_ms": warm * 1e3}))
+"""
+
+WORKERS = {
+    "log_gamma": ("numkernel.log_gamma per call over a/%d, ms" % DEN, """
+kernel, fresh = log_gamma, log_gamma.cache_clear
+args = [Fraction(a, %d) for a in range(1, %d)]
+""" % (DEN, DEN)),
+    "delta_lattice": ("numkernel.delta_lattice per call over Delta(a), Delta(a^-1), "
+                      "d in %s, ms" % ", ".join(map(str, DISCS)), """
+kernel, fresh = delta_lattice, lambda: None
+args = [lat(f, ctx) for d in %r for f in reduced_forms(d)
+        for lat in (form_to_lattice, inverse_ideal_lattice)]
+""" % (DISCS,)),
+}
+
+
+def sample(src: str, kernel: str, target: int) -> dict:
+    code = PRELUDE + WORKERS[kernel][1] + TIMING
+    out = subprocess.run([sys.executable, "-c", code, src, str(target)],
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
+            "samples": len(values)}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tree", action="append", default=[],
+                    help="LABEL=DIR, a source directory holding cmperiods (repeatable)")
+    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--out", type=Path, default=None)
+    args = ap.parse_args(argv)
+    trees = dict(t.split("=", 1) for t in args.tree) or {"current": "src"}
+    raw = {k: {label: {t: {"cold_ms": [], "warm_ms": []} for t in TARGETS} for label in trees}
+           for k in WORKERS}
+    for rnd in range(args.rounds):
+        order = list(trees) if rnd % 2 == 0 else list(reversed(trees))
+        for label in order:
+            for kernel in WORKERS:
+                for target in TARGETS:
+                    got = sample(os.path.abspath(trees[label]), kernel, target)
+                    for key, val in got.items():
+                        raw[kernel][label][target][key].append(val)
+        print(f"round {rnd + 1}/{args.rounds} done", file=sys.stderr)
+    result = {
+        "bench": "numkernel kernels per call, ms",
+        "machine": {"python": platform.python_version(), "platform": platform.platform(),
+                    "cpus": os.cpu_count(),
+                    "mpmath": subprocess.run([sys.executable, "-c",
+                                              "import mpmath; print(mpmath.__version__)"],
+                                             capture_output=True, text=True).stdout.strip()},
+        "kernels": {kernel: {"bench": WORKERS[kernel][0],
+                             "trees": {label: {str(t): {k: summary(v) for k, v in per.items()}
+                                               for t, per in raw[kernel][label].items()}
+                                       for label in trees}}
+                    for kernel in WORKERS},
+    }
+    for kernel, body in result["kernels"].items():
+        for label, per in body["trees"].items():
+            for t, row in per.items():
+                print(f"{kernel:>13} {label:>8} {t:>4} digits"
+                      f"  cold {row['cold_ms']['median']:8.3f} ms"
+                      f"  warm {row['warm_ms']['median']:7.3f} ms")
+    if args.out:
+        args.out.write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,9 +20,14 @@ A log-gamma call that misses the memo shifts x = n/m up by N ~ 1.2*dps
 (Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 4): the shift
 product prod_{j<N} (n + j*m) is formed in Python integers by binary
 splitting, exactly for every rational the checks use, and folded back in
-with one quotient by m^N and one log; Stirling's series reads its
-coefficients B_2k / (2k (2k-1)) from a table kept per working precision,
-so a term costs two multiplications.
+with one quotient by m^N and one log.  The two hot inner loops run in
+fixed point, on Python integers scaled by 2^(prec + 20), with no mpf
+normalization per step: Stirling's series carries each term from the
+last by a ratio c_k / c_(k-1) of its coefficients B_2k / (2k (2k-1)),
+read from a table kept per working precision, and 1/z^2, so a term
+costs two integer multiplications; the q-product of the discriminant
+multiplies Gaussian integers and becomes an mpc once, before its 24th
+power.
 """
 
 from __future__ import annotations
@@ -53,6 +58,9 @@ _EM_TERM_CAP = 100000  # the Euler-Maclaurin series turns and grows long before
 _LOG_GAMMA_MEMO = 8192
 # Stirling coefficient tables kept, one per binary working precision
 _STIRLING_TABLES = 16
+# bits carried below the working precision by the fixed-point loops of
+# Stirling's series and the q-product, for the rounding of each step
+_GUARD_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -112,41 +120,58 @@ def error_digits(err) -> int:
 
 @lru_cache(maxsize=_STIRLING_TABLES)
 def _stirling_coefficients(prec):
-    """c_k = B_2k / (2k (2k-1)) at binary precision prec, keyed by k.
+    """Ratios c_k / c_(k-1) of c_k = B_2k / (2k (2k-1)), keyed by k >= 2.
 
-    Filled lazily by ``_stirling_terms`` up to the largest k used so far:
-    the series stops far below its 4*dps cap, and building that many
-    Bernoulli numbers up front takes seconds at 300 digits.
+    Each is an integer scaled by 2^(prec + _GUARD_BITS), the scale of
+    ``_stirling_log_gamma`` at binary precision prec.  Filled lazily up
+    to the largest k used so far: the series stops far below its 4*dps
+    cap, and building that many Bernoulli numbers up front takes seconds
+    at 300 digits.
     """
     return {}
 
 
-def _stirling_terms(z):
-    """Bernoulli terms B_2k / (2k (2k-1) z^(2k-1)) of Stirling's series."""
-    coeffs = _stirling_coefficients(mp.prec)
-    zinv = 1 / z
-    zinv2 = zinv * zinv
-    for k in range(1, 4 * mp.dps):
-        c = coeffs.get(k)
-        if c is None:
-            c = coeffs[k] = mp.bernoulli(2 * k) / ((2 * k) * (2 * k - 1))
-        yield c * zinv
-        zinv *= zinv2
+def _stirling_ratio(k, wp):
+    """c_k / c_(k-1) as an integer scaled by 2^wp.
+
+    Formed at the ambient precision, where mpmath keeps its Bernoulli
+    numbers: an error relative to the ratio is one relative to the terms,
+    which are below 1/(12 z), not one on the scale 2^-wp.
+    """
+    r = (mp.bernoulli(2 * k) / mp.bernoulli(2 * k - 2)
+         * ((2 * k - 2) * (2 * k - 3)) / ((2 * k) * (2 * k - 1)))
+    return int(mp.ldexp(r, wp))
 
 
 def _stirling_log_gamma(z, budget):
     # Asymptotic series at large real z; remainder after the k-th Bernoulli
     # term is bounded by the next term for z > 0, so stop once below budget.
+    # With z = n/m read exactly, the terms are integers scaled by 2^wp, each
+    # carried from the last: term_k = term_(k-1) * (c_k / c_(k-1)) / z^2.
+    # Forming c_k / z^(2k-1) instead would let the powers of 1/z underflow
+    # the scale while c_k grows.
     acc = (z - mp.mpf(1) / 2) * mp.log(z) - z + mp.log(2 * mp.pi) / 2
-    for term in _stirling_terms(z):
-        acc += term
-        if abs(term) < budget:
-            return acc
-    # the smallest term bounds the best this series can do at z; it is
-    # found again here rather than tracked on the path that succeeds
-    smallest = min(abs(term) for term in _stirling_terms(z))
+    wp = mp.prec + _GUARD_BITS
+    ratios = _stirling_coefficients(mp.prec)
+    n, m = _exact_ratio(z, z)
+    inv_z2 = ((m * m) << wp) // (n * n)
+    limit = max(1, int(mp.ldexp(budget, wp)))
+    term = (m << wp) // (12 * n)
+    total = 0
+    for k in range(2, 4 * mp.dps + 1):
+        total += term
+        if abs(term) < limit:
+            return acc + mp.mpf((total, -wp))
+        smallest = abs(term)
+        r = ratios.get(k)
+        if r is None:
+            r = ratios[k] = _stirling_ratio(k, wp)
+        term = (term * r >> wp) * inv_z2 >> wp
+        if abs(term) >= smallest:
+            break  # the series has turned: no later term is smaller
+    # the smallest term bounds the best this series can do at z
     raise PrecisionError("Stirling series did not reach the error budget",
-                         achieved_digits=error_digits(smallest))
+                         achieved_digits=error_digits(mp.mpf((smallest, -wp))))
 
 
 def _exact_ratio(x, xv):
@@ -217,12 +242,17 @@ def gamma_rational(a: int, d: int, ctx: PrecisionContext):
 
 
 def beta(u, v, ctx: PrecisionContext):
-    """Euler beta B(u, v) = Gamma(u)Gamma(v)/Gamma(u+v) for u, v > 0."""
+    """Euler beta B(u, v) = Gamma(u)Gamma(v)/Gamma(u+v) for u, v > 0.
+
+    Fraction and int arguments reach ``log_gamma`` exact, so they share its
+    memo entries and its exact shift product; anything else goes as mpf.
+    """
     with ctx.workprec(10):
-        uv, vv = to_mpf(u), to_mpf(v)
-        if not (uv > 0 and vv > 0):
+        if not all(isinstance(a, (int, Fraction)) for a in (u, v)):
+            u, v = to_mpf(u), to_mpf(v)
+        if not (u > 0 and v > 0):
             raise DomainError("beta requires positive arguments")
-        return mp.exp(log_gamma(uv, ctx) + log_gamma(vv, ctx) - log_gamma(uv + vv, ctx))
+        return mp.exp(log_gamma(u, ctx) + log_gamma(v, ctx) - log_gamma(u + v, ctx))
 
 
 def hurwitz_zeta(x, s, ctx: PrecisionContext):
@@ -291,9 +321,16 @@ def delta_lattice(lattice: Lattice, ctx: PrecisionContext, terms: int | None = N
         if terms is None:
             terms = delta_q_terms(mp.im(tau), mp.dps)
         q = mp.exp(2j * mp.pi * tau)
-        prod = mp.mpc(1)
-        qp = mp.mpc(1)
+        # the loop runs on Gaussian integers scaled by 2^wp: q^n in
+        # (qn_re, qn_im) and prod (1 - q^n) in (p_re, p_im)
+        wp = mp.prec + _GUARD_BITS
+        q_re, q_im = int(mp.ldexp(q.real, wp)), int(mp.ldexp(q.imag, wp))
+        qn_re, qn_im = 1 << wp, 0
+        p_re, p_im = 1 << wp, 0
         for _ in range(terms):
-            qp *= q
-            prod *= 1 - qp
+            qn_re, qn_im = ((qn_re * q_re - qn_im * q_im) >> wp,
+                            (qn_re * q_im + qn_im * q_re) >> wp)
+            p_re, p_im = (p_re - ((p_re * qn_re - p_im * qn_im) >> wp),
+                          p_im - ((p_re * qn_im + p_im * qn_re) >> wp))
+        prod = mp.mpc(mp.mpf((p_re, -wp)), mp.mpf((p_im, -wp)))
         return scale ** (-12) * (2 * mp.pi) ** 12 * q * prod ** 24

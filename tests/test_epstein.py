@@ -4,9 +4,9 @@ import pytest
 from mpmath import mp
 
 from cmperiods import epstein
-from cmperiods.epstein import (_upper_gamma_cf, _upper_gamma_series, direct_tail_bound,
-                               epstein_continued, epstein_direct, epstein_jet,
-                               theta_counts)
+from cmperiods.epstein import (_upper_gamma, _upper_gamma_cf, _upper_gamma_series,
+                               direct_tail_bound, epstein_continued, epstein_direct,
+                               epstein_jet, theta_counts)
 from cmperiods.errors import DomainError, PrecisionError
 from cmperiods.numkernel import Lattice, PrecisionContext, delta_lattice, log_gamma
 from cmperiods.quadforms import (Discriminant, QuadForm, form_to_lattice,
@@ -67,6 +67,23 @@ def test_series_cap_reports_digits(monkeypatch):
         with pytest.raises(PrecisionError) as err:
             _upper_gamma_series(mp.mpf("0.5"), mp.mpf(10))
     assert err.value.achieved_digits == 11
+
+
+@pytest.mark.parametrize("dps", [60, 300])
+@pytest.mark.parametrize("s", ["0", "1e-8", "-1e-8", "-1", "-2", "-3", "-0.5", "-1.5", "-2.5"])
+def test_upper_gamma_against_mpmath(dps, s):
+    # x runs across the switch to the continued fraction at _CF_MIN_X = 40,
+    # s through 0 from both sides, the negative integers and half-integers
+    # that take the downward recurrence; the result is due to a few units
+    # in the last place of the ambient precision
+    assert epstein._CF_MIN_X == 40
+    for x in ("0.5", "10", "39.5", "40.5", "90"):
+        with mp.workdps(dps):
+            sv, xv = mp.mpf(s), mp.mpf(x)
+            val = _upper_gamma(sv, xv, mp.exp(-xv))
+        with mp.workdps(dps + 40):
+            ref = mp.e1(xv) if sv == 0 else mp.gammainc(sv, xv)
+            assert abs(val - ref) < mp.mpf(10) ** -(dps - 3) * abs(ref), (s, x)
 
 
 @pytest.mark.parametrize("form", [QuadForm(1, 1, 2), QuadForm(2, 1, 3)])

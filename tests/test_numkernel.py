@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -95,6 +96,24 @@ def test_log_gamma_argument_kinds_against_mpmath(target, kind, data):
         assert abs(log_gamma(x, ctx) - ref) < mp.mpf(10) ** -target, (kind, x)
 
 
+@pytest.mark.parametrize("target", [300, 1000])
+@pytest.mark.parametrize("kind", ["1/199", "97/199", "mpf", "shift0"])
+def test_log_gamma_high_precision_against_mpmath(target, kind):
+    # the fixed-point Stirling loop where carrying c_k / z^(2k-1) from
+    # powers of 1/z would underflow the scale while c_k grows: 10 digits
+    # lost at 60 digits, about 400 at 1000
+    ctx = PrecisionContext(target)
+    with ctx.workprec(10):
+        bits = mp.prec
+        x = {"1/199": Fraction(1, 199), "97/199": Fraction(97, 199),
+             "mpf": mp.mpf(random.Random(target).getrandbits(bits) | 1 << (bits - 1))
+             / 2 ** (bits - 3),
+             "shift0": Fraction(int(1.2 * mp.dps) * 7 + 3, 7)}[kind]
+    with mp.workdps(target + 40):
+        ref = mpmath.loggamma(to_mpf(x))
+        assert abs(log_gamma(x, ctx) - ref) < mp.mpf(10) ** -target
+
+
 def test_stirling_table_kept_per_precision():
     # each working precision has its own coefficient table, so a table
     # filled at 60 digits is never read at 300, nor the other way round
@@ -165,6 +184,19 @@ def test_beta_quadrature_oracle(ctx):
     with ctx.workprec():
         val = beta(Fraction(1, 7), Fraction(1, 7), ctx)
         assert abs(val - oracle) < mp.mpf(10) ** -30 * val
+
+
+def test_beta_on_fractions_reuses_the_log_gamma_memo(ctx):
+    # fermat fills the memo with Fraction keys; beta on the same rationals
+    # finds them, and a second call is all hits
+    log_gamma.cache_clear()
+    for a in (2, 3, 5):
+        log_gamma(Fraction(a, 7), ctx)
+    for _ in range(2):
+        before = log_gamma.cache_info()
+        beta(Fraction(2, 7), Fraction(3, 7), ctx)
+        after = log_gamma.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
 
 
 def test_hurwitz_zeta_values(ctx):
@@ -318,3 +350,21 @@ def test_delta_lattice_against_eta_product(target, x, lift, scale):
         q = mp.exp(2j * mp.pi * tau)
         ref = mp.mpc(scale) ** -12 * (2 * mp.pi) ** 12 * q * mp.qp(q) ** 24
         assert abs(val - ref) < mp.mpf(10) ** -target
+
+
+@pytest.mark.parametrize("target", [300, 1000])
+@pytest.mark.parametrize("x", [-0.5, 0.5])
+def test_delta_lattice_corners_high_precision(target, x):
+    # at the corners rho = x + i sqrt(3)/2 |q| is largest and the q-product
+    # longest (about 450 factors at 1000 digits); the fixed-point loop keeps
+    # its rounding below the 10 digits the kernel carries past working
+    # precision, losing at most 2 of them, where a loop without guard bits
+    # loses 3
+    ctx = PrecisionContext(target)
+    with ctx.workprec(10):
+        tau = mp.mpc(x, mp.sqrt(3) / 2)
+        val = delta_lattice(Lattice(tau, mp.mpf(1)), ctx)
+    with mp.workdps(target + 40):
+        q = mp.exp(2j * mp.pi * tau)
+        ref = (2 * mp.pi) ** 12 * q * mp.qp(q) ** 24
+        assert abs(val - ref) < mp.mpf(10) ** -(ctx.working_digits + 8) * abs(ref)
