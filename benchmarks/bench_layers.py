@@ -1,4 +1,4 @@
-"""Per-call cost of the numkernel kernels, cold and warm.
+"""Per-call cost of the numeric kernels, cold and warm.
 
     python benchmarks/bench_layers.py --tree parent=/path/to/old/src \
         --tree change=src --rounds 5 --out BENCH_layers.json
@@ -22,14 +22,20 @@ The kernels and their arguments:
   computes; the cold call is log Gamma(1/199);
 - ``delta_lattice`` over the lattices of Delta(a) and Delta(a^-1) for
   every reduced form a of discriminant -d, d in 23, 71, 163 and 199
-  (40 lattices, built before timing); the cold call is the first of them.
+  (40 lattices, built before timing); the cold call is the first of them;
+- ``epstein._upper_gamma(s, x, e^-x)``, the incomplete gamma of the
+  Epstein theta sums, at target + 10 digits, one entry per regime: the
+  continued fraction (s = 0, x = 40.5 and 90), the series (s = 0,
+  x = 10 and 39.5) and the downward recurrence for negative s
+  (s = -3/2, x = 10); the cold call is the first (s, x).
 
 The JSON written to ``--out`` holds, per kernel, tree and precision, the
 median of the samples and their quartiles, plus the machine.  Only public
 names are used (``log_gamma`` and its ``cache_clear``, ``delta_lattice``,
 ``PrecisionContext``, and ``reduced_forms``, ``form_to_lattice`` and
-``inverse_ideal_lattice`` from ``quadforms``), so any two versions of the
-kernels compare.  The script is not under ``tests/`` and tier-1 does not
+``inverse_ideal_lattice`` from ``quadforms``), and ``epstein._upper_gamma``,
+whose signature has not changed since the closed-form jet, so any two
+versions of the kernels compare.  The script is not under ``tests/`` and tier-1 does not
 collect it.
 """
 
@@ -86,6 +92,26 @@ args = [lat(f, ctx) for d in %r for f in reduced_forms(d)
 """ % (DISCS,)),
 }
 
+# epstein._upper_gamma(s, x, e^-x) at target + 10 digits, e^-x formed
+# before timing as the theta sum forms it; no memo to clear
+UPPER_GAMMA = """
+from mpmath import mp
+from cmperiods.epstein import _upper_gamma
+def kernel(arg, ctx):
+    with mp.workdps(ctx.target_digits + 10):
+        return _upper_gamma(*arg)
+fresh = lambda: None
+with mp.workdps(ctx.target_digits + 10):
+    args = [(mp.mpf(s), mp.mpf(x), mp.exp(-mp.mpf(x))) for s, x in %r]
+"""
+for name, regime, points in (
+        ("upper_gamma_cf", "continued fraction", (("0", "40.5"), ("0", "90"))),
+        ("upper_gamma_series", "series", (("0", "10"), ("0", "39.5"))),
+        ("upper_gamma_recurrence", "recurrence for negative s", (("-1.5", "10"),))):
+    WORKERS[name] = ("epstein._upper_gamma per call, %s, (s, x) in %s, at target + 10 "
+                     "digits, ms" % (regime, ", ".join("(%s, %s)" % p for p in points)),
+                     UPPER_GAMMA % (points,))
+
 
 def sample(src: str, kernel: str, target: int) -> dict:
     code = PRELUDE + WORKERS[kernel][1] + TIMING
@@ -120,7 +146,7 @@ def main(argv=None) -> int:
                         raw[kernel][label][target][key].append(val)
         print(f"round {rnd + 1}/{args.rounds} done", file=sys.stderr)
     result = {
-        "bench": "numkernel kernels per call, ms",
+        "bench": "numeric kernels per call, ms",
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count(),
                     "mpmath": subprocess.run([sys.executable, "-c",
@@ -135,7 +161,7 @@ def main(argv=None) -> int:
     for kernel, body in result["kernels"].items():
         for label, per in body["trees"].items():
             for t, row in per.items():
-                print(f"{kernel:>13} {label:>8} {t:>4} digits"
+                print(f"{kernel:>22} {label:>8} {t:>4} digits"
                       f"  cold {row['cold_ms']['median']:8.3f} ms"
                       f"  warm {row['warm_ms']['median']:7.3f} ms")
     if args.out:

@@ -11,8 +11,12 @@ the same requests, in one fresh interpreter with that directory first on
   triples), at 30, 60 and 120 digits: 882 runs;
 - ``periods --json`` and ``faltings --json`` at every prime p = 3 mod 4
   from 7 to 199, at 30, 60 and 120 digits;
+- ``kronecker --json`` over every class of d = 3, 4, 7, 8, 23, 47, 71
+  and 163 at 30, 60 and 120 digits, and of d = 7 and 23 at 300;
 - ``suite --max-d 200 --prec 60 --json``;
-- every golden request of ``tests/test_cli.py`` (``GOLDEN_RUNS``).
+- every golden request of ``tests/test_cli.py`` (``GOLDEN_RUNS``);
+
+1,064 requests in all, 26 of them from the ``kronecker`` list.
 
 For each request the exit code, stdout and stderr are hashed.  The script
 prints one sha256 per tree over all requests, and the first request whose
@@ -33,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PRECS = (30, 60, 120)
+KRONECKER_DS = (3, 4, 7, 8, 23, 47, 71, 163)
 
 WORKER = """
 import contextlib, hashlib, io, json, sys
@@ -72,6 +77,9 @@ def requests() -> list[list[str]]:
     out += [[cmd, "--p", str(p), "--prec", str(prec), "--json"]
             for prec in PRECS for cmd in ("periods", "faltings")
             for p in _primes_3mod4(7, 199)]
+    out += [["kronecker", "--d", str(d), "--prec", str(prec), "--json"]
+            for prec in PRECS for d in KRONECKER_DS]
+    out += [["kronecker", "--d", str(d), "--prec", "300", "--json"] for d in (7, 23)]
     out.append(["suite", "--max-d", "200", "--prec", "60", "--json"])
     return out + _golden_requests()
 

@@ -17,6 +17,12 @@ real s off the poles at full working precision.
 
 At s = 0 the same split gives the jet in closed form: Z_Q(0) = -1, and
 Z_Q'(0) is one series in E1(n*t0) = G(0, n*t0) plus elementary terms.
+
+Nearly all the time goes into G, by the power series below x = 40 and
+the Legendre continued fraction (modified Lentz) above.  Both loops run
+in fixed point, on Python integers scaled by 2^(prec + 20) as in
+``numkernel``, with no mpf normalization per step; the result becomes an
+mpf once, where the loop ends.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from mpmath import mp
 
 from .errors import DomainError, PrecisionError
 from .lseries import SZeroJet
-from .numkernel import PrecisionContext, error_digits, log_gamma, to_mpf
+from .numkernel import _GUARD_BITS, PrecisionContext, error_digits, log_gamma, to_mpf
 from .quadforms import QuadForm
 
 _LOG10E = 0.4342944819032518
@@ -73,32 +79,34 @@ def _gamma_at(s):
 
 
 def _upper_gamma_cf(s, x, expmx):
-    """Lentz evaluation of the Legendre continued fraction, large x."""
+    """Lentz evaluation of the Legendre continued fraction, large x.
+
+    The loop runs on integers scaled by 2^wp, wp = prec + _GUARD_BITS:
+    the partial numerators a_j = -j (j - s) and denominators
+    b_j = x + 2j + 1 - s, the Lentz pair (c, d) and the product f.
+    """
     dps = mp.dps
     with mp.workdps(dps + 10):
-        tiny = mp.mpf(10) ** (-2 * (dps + 10))
-        tol = mp.mpf(10) ** (-(dps + 6))
-        f = x + 1 - s
-        if f == 0:
-            f = tiny
+        wp = mp.prec + _GUARD_BITS
+        one = 1 << wp
+        sf, xf = int(mp.ldexp(s, wp)), int(mp.ldexp(x, wp))
+        tol = int(mp.ldexp(mp.mpf(10) ** (-(dps + 6)), wp))
+        # a zero divisor becomes the smallest nonzero value, one unit
+        f = xf + one - sf or 1
         c = f
-        d = mp.mpf(0)
+        d = 0
         for j in range(1, _CF_CAP):
-            aj = -j * (j - s)
-            bj = x + 2 * j + 1 - s
-            d = bj + aj * d
-            if d == 0:
-                d = tiny
-            d = 1 / d
-            c = bj + aj / c
-            if c == 0:
-                c = tiny
-            delta = c * d
-            f *= delta
-            if abs(delta - 1) < tol:
-                return mp.exp(s * mp.log(x)) * expmx / f
+            aj = -j * (j * one - sf)
+            bj = xf + (2 * j + 1) * one - sf
+            d = (one * one) // (bj + (aj * d >> wp) or 1)
+            c = bj + (aj << wp) // c or 1
+            delta = c * d >> wp
+            f = f * delta >> wp
+            if abs(delta - one) < tol:
+                return mp.exp(s * mp.log(x)) * expmx / mp.mpf((f, -wp))
+        achieved = error_digits(mp.mpf((abs(delta - one), -wp)))
     raise PrecisionError("incomplete gamma continued fraction stalled",
-                         achieved_digits=error_digits(abs(delta - 1)))
+                         achieved_digits=achieved)
 
 
 def _upper_gamma_series(s, x):
@@ -106,7 +114,8 @@ def _upper_gamma_series(s, x):
 
     The partial sums swing up to e^x while the result is ~e^(-x), so the
     sum runs with about 2*x*log10(e) extra digits; a further guard covers
-    the head cancellation when s is close to 0.
+    the head cancellation when s is close to 0.  The term and the sum are
+    integers scaled by 2^wp, wp = prec + _GUARD_BITS.
     """
     dps = mp.dps
     cancel = int(2 * float(x) * _LOG10E) + 12
@@ -121,17 +130,19 @@ def _upper_gamma_series(s, x):
             head = (mp.exp(log_gamma(s + 1, ctx)) - mp.exp(s * mp.log(x))) / s
         else:
             head = _gamma_at(s) - mp.exp(s * mp.log(x)) / s
-        floor_mag = mp.mpf(10) ** (-(dps + cancel))
-        term = mp.mpf(1)
-        total = mp.mpf(0)
-        xf = float(x)
+        wp = mp.prec + _GUARD_BITS
+        floor = int(mp.ldexp(mp.mpf(10) ** (-(dps + cancel)), wp))
+        sf, xf = int(mp.ldexp(s, wp)), int(mp.ldexp(x, wp))
+        term = 1 << wp
+        total = 0
+        xlim = float(x)
         for k in range(1, _SERIES_CAP):
-            term *= -x / k
-            total += term / (s + k)
-            if k > xf and abs(term) * k < floor_mag:
-                return head - mp.exp(s * mp.log(x)) * total
-        # floor_mag sits cancel digits below the dps the result is due
-        achieved = max(0, error_digits(abs(term) * k) - cancel)
+            term = -(term * xf >> wp) // k
+            total += term // k if s == 0 else (term << wp) // (sf + (k << wp))
+            if k > xlim and abs(term) * k < floor:
+                return head - mp.exp(s * mp.log(x)) * mp.mpf((total, -wp))
+        # floor sits cancel digits below the dps the result is due
+        achieved = max(0, error_digits(mp.mpf((abs(term) * k, -wp))) - cancel)
     raise PrecisionError("incomplete gamma series did not converge",
                          achieved_digits=achieved)
 

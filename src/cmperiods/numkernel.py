@@ -59,7 +59,8 @@ _LOG_GAMMA_MEMO = 8192
 # Stirling coefficient tables kept, one per binary working precision
 _STIRLING_TABLES = 16
 # bits carried below the working precision by the fixed-point loops of
-# Stirling's series and the q-product, for the rounding of each step
+# Stirling's series, the q-product and epstein's incomplete gamma, for the
+# rounding of each step
 _GUARD_BITS = 20
 
 
@@ -178,11 +179,14 @@ def _exact_ratio(x, xv):
     """Integers (n, m), m > 0, with x = n/m exactly.
 
     A Fraction or int gives its own numerator and denominator; anything
-    else is read from its working-precision mpf xv = man * 2^exp.
+    else is read from its working-precision mpf xv = man * 2^exp; mpmath
+    keeps man without its sign, which is put back here.
     """
     if isinstance(x, (int, Fraction)):
         return x.numerator, x.denominator
     man, exp = int(xv.man), int(xv.exp)
+    if xv < 0:
+        man = -man
     return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from cmperiods import epstein
@@ -84,6 +85,55 @@ def test_upper_gamma_against_mpmath(dps, s):
         with mp.workdps(dps + 40):
             ref = mp.e1(xv) if sv == 0 else mp.gammainc(sv, xv)
             assert abs(val - ref) < mp.mpf(10) ** -(dps - 3) * abs(ref), (s, x)
+
+
+def _assert_upper_gamma_matches(dps, sv, xv):
+    # the result is due to a few units in the last place of dps digits
+    with mp.workdps(dps):
+        val = _upper_gamma(sv, xv, mp.exp(-xv))
+    with mp.workdps(dps + 40):
+        ref = mp.e1(xv) if sv == 0 else mp.gammainc(sv, xv)
+        assert abs(val - ref) < mp.mpf(10) ** -(dps - 3) * abs(ref), (dps, sv, xv)
+
+
+@pytest.mark.parametrize("s", ["0", "-0.5", "0.5", "1.7"])
+@pytest.mark.parametrize("x", ["10", "39.5", "40.5", "90"])
+def test_upper_gamma_1000_digits(s, x):
+    # both fixed-point loops at 1000 digits: the series below _CF_MIN_X and
+    # the continued fraction above it; s = 0.5 and 1.7 are the positive
+    # arguments epstein_continued passes, s = -0.5 takes the downward
+    # recurrence below 40
+    with mp.workdps(1000):
+        sv, xv = mp.mpf(s), mp.mpf(x)
+    _assert_upper_gamma_matches(1000, sv, xv)
+
+
+@pytest.mark.parametrize("x, guard", [("0.5", 11), ("10", 11), ("40.5", 4), ("90", 4)])
+def test_upper_gamma_loops_keep_guard_digits(x, guard):
+    # each loop, handed an exact e^-x, returns more digits than it is due:
+    # the series carries at least 12 digits past its cancellation, the
+    # continued fraction runs at dps + 10 and stops at |delta - 1| below
+    # 10^-(dps+6); rounding in the loop must not eat into that margin
+    dps = 1000
+    with mp.workdps(dps + 40):
+        xv = mp.mpf(x)
+        expmx, ref = mp.exp(-xv), mp.e1(xv)
+    with mp.workdps(dps):
+        if xv < epstein._CF_MIN_X:
+            val = _upper_gamma_series(mp.mpf(0), xv)
+        else:
+            val = _upper_gamma_cf(mp.mpf(0), xv, expmx)
+    with mp.workdps(dps + 40):
+        assert abs(val - ref) < mp.mpf(10) ** -(dps + guard) * ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(30, 300), st.floats(-3, 2, exclude_min=True, exclude_max=True),
+       st.floats(0.1, 200, exclude_min=True, exclude_max=True))
+def test_upper_gamma_against_mpmath_random(dps, s, x):
+    # away from the poles of Gamma(s) at 0, -1, -2, where both sides cancel
+    assume(min(abs(s + n) for n in range(3)) > 1e-3)
+    _assert_upper_gamma_matches(dps, mp.mpf(s), mp.mpf(x))
 
 
 @pytest.mark.parametrize("form", [QuadForm(1, 1, 2), QuadForm(2, 1, 3)])

@@ -127,6 +127,13 @@ def test_stirling_table_kept_per_precision():
                 assert abs(log_gamma(Fraction(a, 7), ctx) - ref) < mp.mpf(10) ** -target
 
 
+@pytest.mark.parametrize("x, ratio", [(mp.mpf(-2.5), (-5, 2)), (-3, (-3, 1)),
+                                      (Fraction(-5, 2), (-5, 2)), (mp.mpf(2.5), (5, 2))])
+def test_exact_ratio_keeps_the_sign(x, ratio):
+    # mpmath stores an mpf mantissa without its sign; n/m must carry it, m > 0
+    assert numkernel._exact_ratio(x, x) == ratio
+
+
 def test_log_gamma_against_mpmath(ctx):
     with mp.workdps(200):
         refs = {x: mpmath.loggamma(to_mpf(x)) for x in
