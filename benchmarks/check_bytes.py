@@ -20,9 +20,27 @@ the same requests, in one fresh interpreter with that directory first on
 
 For each request the exit code, stdout and stderr are hashed.  The script
 prints one sha256 per tree over all requests, and the first request whose
-bytes or exit code differ from the first tree's.  It exits 0 when every
-tree matches the first, 1 otherwise.  The script is not under ``tests/``
-and tier-1 does not collect it.
+bytes or exit code differ from the first tree's.
+
+Each request whose bytes differ is then held to the re-record rule, its
+``--json`` rows compared field by field with the first tree's.  A
+difference is within the rule when
+
+- the exit code, stderr, the row count and every row's ``check``,
+  ``inputs`` and ``pass`` are equal;
+- ``lhs_log`` and ``rhs_log`` are equal, or both decimal numbers that
+  differ by at most one unit in the last printed digit (of the finer
+  of the two);
+- ``digits_agreed`` differs by at most 2;
+
+and a request without ``--json`` is within it only when byte-identical.
+For every tree the script prints a histogram of the ``digits_agreed``
+change per check family (the check name up to its first space) over the
+rows that differ, and the first request that breaks the rule.
+
+Exit status: 0 when every tree matches the first byte for byte, 2 when
+every difference is within the rule, 1 when some difference breaks it.
+The script is not under ``tests/`` and tier-1 does not collect it.
 """
 
 from __future__ import annotations
@@ -33,11 +51,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter, defaultdict
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PRECS = (30, 60, 120)
 KRONECKER_DS = (3, 4, 7, 8, 23, 47, 71, 163)
+MAX_DIGITS_DELTA = 2  # the re-record rule's bound on |change in digits_agreed|
 
 WORKER = """
 import contextlib, hashlib, io, json, sys
@@ -48,7 +69,7 @@ for argv in json.loads(sys.stdin.read()):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     digest = hashlib.sha256(f"{code}\\0{out.getvalue()}\\0{err.getvalue()}".encode())
-    print(digest.hexdigest(), flush=True)
+    print(json.dumps([digest.hexdigest(), code, out.getvalue(), err.getvalue()]), flush=True)
 """
 
 
@@ -84,13 +105,64 @@ def requests() -> list[list[str]]:
     return out + _golden_requests()
 
 
-def run_tree(src: str, reqs: list[list[str]]) -> list[str]:
+def run_tree(src: str, reqs: list[list[str]]) -> list[list]:
+    """[digest, exit code, stdout, stderr] of every request, in order."""
     out = subprocess.run([sys.executable, "-c", WORKER, os.path.abspath(src)],
                          input=json.dumps(reqs), capture_output=True, text=True, check=True)
-    digests = out.stdout.split()
-    if len(digests) != len(reqs):
-        raise RuntimeError(f"{src}: {len(digests)} outputs for {len(reqs)} requests")
-    return digests
+    results = [json.loads(line) for line in out.stdout.splitlines()]
+    if len(results) != len(reqs):
+        raise RuntimeError(f"{src}: {len(results)} outputs for {len(reqs)} requests")
+    return results
+
+
+def _within_last_digit(a: str, b: str) -> bool:
+    """Equal, or decimal numbers at most one unit apart in the finer last printed digit."""
+    if a == b:
+        return True
+    try:
+        x, y = Decimal(a), Decimal(b)
+    except InvalidOperation:
+        return False
+    if not (x.is_finite() and y.is_finite()):
+        return False
+    unit = Decimal(1).scaleb(min(x.as_tuple().exponent, y.as_tuple().exponent))
+    return abs(x - y) <= unit
+
+
+def rule_break(argv, old, new):
+    """Hold one request's two results to the re-record rule.
+
+    Returns (reason, deltas): reason is None when the difference is within
+    the rule, else the first field that breaks it; deltas lists
+    (family, change in digits_agreed) for every row that differs.
+    """
+    (_, old_code, old_out, old_err), (_, new_code, new_out, new_err) = old, new
+    if "--json" not in argv:
+        return "output of a request without --json differs", []
+    if old_code != new_code:
+        return f"exit code {old_code} -> {new_code}", []
+    if old_err != new_err:
+        return "stderr differs", []
+    old_rows, new_rows = json.loads(old_out), json.loads(new_out)
+    if len(old_rows) != len(new_rows):
+        return f"{len(old_rows)} -> {len(new_rows)} rows", []
+    deltas = []
+    for i, (a, b) in enumerate(zip(old_rows, new_rows)):
+        if a == b:
+            continue
+        if set(a) != set(b):
+            return f"row {i}: keys differ", deltas
+        for key in ("check", "inputs", "pass"):
+            if a[key] != b[key]:
+                return f"row {i}: {key} differs", deltas
+        for key in ("lhs_log", "rhs_log"):
+            if not _within_last_digit(a[key], b[key]):
+                return f"row {i}: {key} {a[key]} -> {b[key]}", deltas
+        change = b["digits_agreed"] - a["digits_agreed"]
+        if abs(change) > MAX_DIGITS_DELTA:
+            return f"row {i}: digits_agreed {change:+d}", deltas
+        deltas.append((a["check"].split(" ")[0], change))
+    return None, deltas
 
 
 def main(argv=None) -> int:
@@ -101,19 +173,38 @@ def main(argv=None) -> int:
     trees = dict(t.split("=", 1) for t in args.tree) or {"current": "src"}
     reqs = requests()
     print(f"{len(reqs)} requests per tree", file=sys.stderr)
-    digests = {label: run_tree(src, reqs) for label, src in trees.items()}
+    results = {label: run_tree(src, reqs) for label, src in trees.items()}
     first, *others = trees
-    same = True
-    for label, per in digests.items():
-        total = hashlib.sha256("".join(per).encode()).hexdigest()
+    for label, per in results.items():
+        total = hashlib.sha256("".join(r[0] for r in per).encode()).hexdigest()
         print(f"{label:>8} {total}")
+    status = 0
     for label in others:
-        diff = next((i for i, (a, b) in enumerate(zip(digests[first], digests[label]))
-                     if a != b), None)
-        if diff is not None:
-            same = False
-            print(f"{label} differs from {first} first at: {' '.join(reqs[diff])}")
-    return 0 if same else 1
+        differ = [i for i, (a, b) in enumerate(zip(results[first], results[label]))
+                  if a[0] != b[0]]
+        if not differ:
+            continue
+        print(f"{label} differs from {first} in {len(differ)} requests, "
+              f"first at: {' '.join(reqs[differ[0]])}")
+        hist = defaultdict(Counter)
+        broken = None
+        for i in differ:
+            reason, deltas = rule_break(reqs[i], results[first][i], results[label][i])
+            for family, change in deltas:
+                hist[family][change] += 1
+            if reason is not None and broken is None:
+                broken = (i, reason)
+        for family in sorted(hist):
+            counts = "  ".join(f"{change:+d}: {n}" for change, n in sorted(hist[family].items()))
+            print(f"  {family:<20} {sum(hist[family].values()):>4} rows   {counts}")
+        if broken is None:
+            print(f"{label}: every difference is within the re-record rule")
+            status = status or 2
+        else:
+            i, reason = broken
+            print(f"{label} breaks the re-record rule at: {' '.join(reqs[i])} ({reason})")
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -15,21 +15,20 @@ import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from mpmath import mp
 
 from .csperiods import (IdentityReport, cs_verify, exact_report, faltings_height_L,
-                        faltings_height_periods, m_invariant, make_report,
-                        period_integral, unrecognized_report)
+                        faltings_height_periods, log_delta_pair, m_invariant,
+                        make_report, period_integral, unrecognized_report)
 from .epstein import epstein_jet
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .fermat import cm_type, epsilon_rst, tate_twist_certificate
 from .heckechar import psi_M
-from .numkernel import PrecisionContext, delta_lattice, log_gamma
+from .lseries import character_gamma_sum
+from .numkernel import PrecisionContext
 from .quadforms import (Discriminant, QuadForm, class_number, class_number_dirichlet,
-                        form_to_lattice, inverse_ideal_lattice, is_fundamental,
-                        reduced_forms)
+                        is_fundamental, reduced_forms)
 from .relint import recognize_rational, recognize_sqrtp
 
 _RECOGNIZE_MAX_DEN = 10 ** 12
@@ -65,9 +64,7 @@ def _cmd_verify_cs(args, ctx):
 def _kronecker_class(disc, i, f, ctx):
     jet = epstein_jet(f, ctx)
     with ctx.workprec():
-        z = (delta_lattice(form_to_lattice(f, ctx), ctx)
-             * delta_lattice(inverse_ideal_lattice(f, ctx), ctx))
-        rhs = -mp.log(mp.re(z)) / 12
+        rhs = -log_delta_pair(f, ctx) / 12
     return make_report(f"kronecker-limit d={disc.d} class={i}",
                        {"d": disc.d, "class": i, "form": list(f.tuple())},
                        jet.deriv, rhs, ctx)
@@ -95,9 +92,7 @@ def _periods(p, ctx):
             val = period_integral(f, disc, ctx)
             lines.append(f"  class {f.tuple()}: {mp.nstr(val, 30)}")
             total += mp.log(val)
-        gsum = mp.fsum(disc.epsilon(a) * log_gamma(Fraction(a, disc.d), ctx)
-                       for a in range(1, disc.d))
-        rhs = group.h * mp.log(2 * mp.pi / disc.d) + gsum
+        rhs = group.h * mp.log(2 * mp.pi / disc.d) + character_gamma_sum(disc, ctx)
     rep = make_report(f"period-product p={disc.d}", {"p": disc.d}, total, rhs, ctx)
     return [rep], lines
 

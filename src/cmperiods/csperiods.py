@@ -18,8 +18,8 @@ from typing import Any
 from mpmath import mp
 
 from .errors import ConsistencyError, DomainError
-from .lseries import dirichlet_jet
-from .numkernel import PrecisionContext, delta_lattice, error_digits, log_gamma
+from .lseries import character_gamma_sum, dirichlet_jet
+from .numkernel import PrecisionContext, delta_lattice, error_digits
 from .quadforms import (Discriminant, QuadForm, class_number_dirichlet,
                         form_to_lattice, inverse_ideal_lattice, reduced_forms)
 
@@ -76,27 +76,29 @@ def unrecognized_report(name: str, inputs: dict, lhs) -> IdentityReport:
     return IdentityReport(name, inputs, lhs, "unrecognized", 0, False)
 
 
+def log_delta_pair(f: QuadForm, ctx: PrecisionContext):
+    """log(Delta(a) Delta(a^-1)) for the class a of f; ConsistencyError unless positive real."""
+    with ctx.workprec():
+        z = (delta_lattice(form_to_lattice(f, ctx), ctx)
+             * delta_lattice(inverse_ideal_lattice(f, ctx), ctx))
+        im_tol = mp.mpf(10) ** (5 - ctx.target_digits)
+        if not (abs(mp.im(z)) <= im_tol * abs(z) and mp.re(z) > 0):
+            raise ConsistencyError(
+                f"Delta(a) Delta(a^-1) is not positive real for {f.tuple()}")
+        return mp.log(mp.re(z))
+
+
 def cs_verify(d, ctx: PrecisionContext) -> IdentityReport:
     """Check the Chowla-Selberg identity at fundamental discriminant -d."""
     disc = Discriminant.of(d)
     d = disc.d
     group = reduced_forms(disc)
     with ctx.workprec():
-        im_tol = mp.mpf(10) ** (5 - ctx.target_digits)
         lhs = mp.mpf(0)
         for f in group:
-            z = (delta_lattice(form_to_lattice(f, ctx), ctx)
-                 * delta_lattice(inverse_ideal_lattice(f, ctx), ctx))
-            if not (abs(mp.im(z)) <= im_tol * abs(z) and mp.re(z) > 0):
-                raise ConsistencyError(
-                    f"Delta(a) Delta(a^-1) is not positive real for {f.tuple()}")
-            lhs += mp.log(mp.re(z))
-        gsum = mp.mpf(0)
-        for a in range(1, d):
-            e = disc.epsilon(a)
-            if e:
-                gsum += e * log_gamma(Fraction(a, d), ctx)
-        rhs = 12 * group.h * mp.log(2 * mp.pi / d) + 6 * disc.w * gsum
+            lhs += log_delta_pair(f, ctx)
+        rhs = (12 * group.h * mp.log(2 * mp.pi / d)
+               + 6 * disc.w * character_gamma_sum(disc, ctx))
     return make_report(f"chowla-selberg d={d}", {"d": d}, lhs, rhs, ctx)
 
 

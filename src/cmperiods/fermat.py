@@ -21,6 +21,7 @@ from mpmath import mp
 
 from .csperiods import IdentityReport, m_invariant, make_report, unrecognized_report
 from .errors import ConsistencyError, DomainError
+from .lseries import character_gamma_sum
 from .numkernel import PrecisionContext, log_gamma, to_mpf
 from .quadforms import Discriminant, class_number_dirichlet
 from .relint import recognize_rational, recognize_sqrtp
@@ -135,14 +136,6 @@ def gamma_period(p, r, s, t, ctx: PrecisionContext):
         return total
 
 
-def _qr_gamma_log(p, disc, ctx):
-    total = mp.mpf(0)
-    for a in range(1, p):
-        if disc.epsilon(a) == 1:
-            total += log_gamma(Fraction(a, p), ctx)
-    return total
-
-
 def _certify(name, inputs, log_ratio, kind, p, m, ctx) -> RatioCertificate:
     with ctx.workprec():
         ratio = mp.exp(log_ratio)
@@ -178,7 +171,7 @@ def residue_twist_certificate(p, r, ctx: PrecisionContext) -> RatioCertificate:
         for a in range(1, p):
             if disc.epsilon(a) == 1:
                 num += log_gamma(frac(Fraction(a * r, p)), ctx)
-        qr = _qr_gamma_log(p, disc, ctx)
+        qr = character_gamma_sum(disc, ctx, residues_only=True)
         if disc.epsilon(r) == 1:
             return _certify(name, inputs, num - qr, "rational", p, None, ctx)
         log_ratio = num + qr - mp.mpf(p - 1) / 2 * mp.log(2 * mp.pi)
@@ -201,7 +194,7 @@ def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificat
     name, inputs = f"tate-twist p={p} rst={r},{s},{t}", {"p": p, "rst": [r, s, t]}
     with ctx.workprec():
         logb = beta_period(disc, r, s, t, ctx)
-        qr = _qr_gamma_log(p, disc, ctx)
+        qr = character_gamma_sum(disc, ctx, residues_only=True)
         if e == 1:
             return _certify(name, inputs, logb - qr, "rational", p, m, ctx)
         log_ratio = logb + qr - mp.mpf(p - 1) / 2 * mp.log(2 * mp.pi)

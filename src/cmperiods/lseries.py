@@ -2,6 +2,8 @@
 
 Values come from Lerch's constant term H(x, 0) = 1/2 - x, exactly in
 rational arithmetic; derivatives from H_s'(x, 0) = log(Gamma(x)/sqrt(2*pi)).
+``character_gamma_sum``, sum eps(a) log Gamma(a/d), is the Gamma side
+of every Chowla-Selberg-type identity in the package.
 """
 
 from __future__ import annotations
@@ -32,6 +34,22 @@ class SZeroJet:
         return self.deriv / self.value
 
 
+def character_gamma_sum(d, ctx: PrecisionContext, residues_only: bool = False):
+    """sum over 0 < a < d of eps(a) log Gamma(a/d), added in order at working precision.
+
+    With residues_only, the sum of log Gamma(a/d) over eps(a) = 1 alone.
+    """
+    disc = Discriminant.of(d)
+    d = disc.d
+    with ctx.workprec():
+        total = mp.mpf(0)
+        for a in range(1, d):
+            e = disc.epsilon(a)
+            if e == 1 or (e and not residues_only):
+                total += e * log_gamma(Fraction(a, d), ctx)
+        return total
+
+
 def riemann_jet(ctx: PrecisionContext) -> SZeroJet:
     """zeta(0) = -1/2, zeta'(0) = -(1/2) log(2 pi)."""
     with ctx.workprec():
@@ -46,15 +64,8 @@ def dirichlet_jet(d, ctx: PrecisionContext) -> SZeroJet:
     # L(eps, 0) = -sum eps(a) a / d = 2h/w
     value = Fraction(2 * class_number_dirichlet(disc), disc.w)
     with ctx.workprec():
-        # the log sqrt(2*pi) terms cancel over the character sum; keeping
-        # them exercises sum(epsilon) = 0 numerically
-        log_sqrt_2pi = mp.log(2 * mp.pi) / 2
-        gsum = mp.mpf(0)
-        for a in range(1, d):
-            e = disc.epsilon(a)
-            if e:
-                gsum += e * (log_gamma(Fraction(a, d), ctx) - log_sqrt_2pi)
-        deriv = -mp.log(d) * to_mpf(value) + gsum
+        # the log sqrt(2*pi) of each H_s'(a/d, 0) cancels: sum eps(a) = 0
+        deriv = -mp.log(d) * to_mpf(value) + character_gamma_sum(disc, ctx)
         return SZeroJet(value=to_mpf(value), deriv=deriv, value_exact=value)
 
 
@@ -78,9 +89,5 @@ def zetak_dlog0(d, ctx: PrecisionContext):
     d = disc.d
     h = class_number_dirichlet(disc)
     with ctx.workprec():
-        gsum = mp.mpf(0)
-        for a in range(1, d):
-            e = disc.epsilon(a)
-            if e:
-                gsum += e * log_gamma(Fraction(a, d), ctx)
+        gsum = character_gamma_sum(disc, ctx)
         return mp.log(2 * mp.pi) - mp.log(d) + mp.mpf(disc.w) / (2 * h) * gsum

@@ -75,7 +75,7 @@ class Discriminant:
 
     def __post_init__(self) -> None:
         if not is_fundamental(self.d):
-            raise DomainError(f"-{self.d} is not a fundamental discriminant")
+            raise DomainError(f"-d is not a fundamental discriminant for d = {self.d}")
 
     @classmethod
     def of(cls, d) -> "Discriminant":

@@ -3,9 +3,10 @@
 Rational recognition is sound and complete inside its window: a best
 rational approximation with denominator <= max_den lying within
 1/(2*max_den^2) of x is the only such candidate, so a hit is a proof
-sketch and a miss is a certificate of absence at that height.  Integer
-relations use the PSLQ algorithm with the standard norm bound for
-negative certificates.
+sketch and a miss is a certificate of absence at that height.  Both
+need x known to within that window, so a larger |x| raises
+PrecisionError.  Integer relations use the PSLQ algorithm with the
+standard norm bound for negative certificates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from mpmath import mp
 
 from .arith import is_prime
 from .errors import DomainError, PrecisionError
-from .numkernel import PrecisionContext, to_mpf
+from .numkernel import PrecisionContext, error_digits, to_mpf
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,13 @@ def recognize_rational(x, max_den: int, ctx: PrecisionContext):
         xv = to_mpf(x)
         q = _mpf_to_fraction(xv).limit_denominator(max_den)
         window = mp.mpf(1) / (2 * max_den * max_den)
+        # x carries working digits relative to its size; a hit is a proof
+        # only when its absolute error is below the window
+        ulp = mp.mpf(10) ** -ctx.working_digits
+        if abs(xv) * ulp >= window:
+            raise PrecisionError(
+                f"rational recognition at max_den={max_den} needs |x| below "
+                f"{mp.nstr(window / ulp, 3)}", achieved_digits=error_digits(abs(xv) * ulp))
         if abs(xv - mp.mpf(q.numerator) / q.denominator) < window:
             return q
         return None

@@ -109,6 +109,17 @@ def test_kronecker_precision_failure_reports_digits(capsys, monkeypatch):
     assert re.search(r"continued fraction stalled \(achieved \d+ digits\)", err)
 
 
+@pytest.mark.parametrize("command", ["kronecker", "verify-cs"])
+def test_delta_pair_must_be_positive_real(capsys, monkeypatch, command):
+    # Delta(a) Delta(a^-1) is positive real; turning each factor by i
+    # makes it negative real, which both identities must refuse
+    real = csperiods.delta_lattice
+    monkeypatch.setattr(csperiods, "delta_lattice", lambda lat, ctx: 1j * real(lat, ctx))
+    code, out, err = run(capsys, command, "--d", "7", "--prec", "60")
+    assert (code, out) == (1, "")
+    assert err.startswith("identity violation: Delta(a) Delta(a^-1) is not positive real")
+
+
 def test_kronecker_class_out_of_range(capsys):
     code, _, err = run(capsys, "kronecker", "--d", "23", "--class", "9")
     assert code == 2
@@ -198,6 +209,17 @@ def test_recognize_sqrtp(capsys):
     assert code == 2  # 21 is not prime
 
 
+def test_recognize_needs_absolute_accuracy(capsys):
+    big = "123456789012345678901234567890123456789012345678901234567890.25"
+    code, out, err = run(capsys, "recognize", "--value", big, "--prec", "30", "--json")
+    assert (code, out) == (3, "")
+    assert err.startswith("precision failure: rational recognition")
+    assert err.endswith("(achieved 0 digits)\n")
+    code, out, _ = run(capsys, "recognize", "--value", "1e20", "--prec", "30", "--json")
+    [row] = json.loads(out)
+    assert code == 0 and row["pass"] and row["rhs_log"] == str(10 ** 20)
+
+
 def test_recognize_unrecognized_is_failure(capsys):
     code, out, _ = run(capsys, "recognize", "--value", "0.5000000000001")
     assert code == 1
@@ -230,6 +252,13 @@ def test_exit_code_domain_errors(capsys):
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("d", ["-7", "0", "5"])
+def test_class_error_names_the_d_given(capsys, d):
+    code, out, err = run(capsys, "class", "--d", d)
+    assert (code, out) == (2, "")
+    assert err == f"error: -d is not a fundamental discriminant for d = {d}\n"
 
 
 def test_argparse_failures(capsys):

@@ -4,8 +4,8 @@ import pytest
 from mpmath import mp
 
 from cmperiods.errors import DomainError
-from cmperiods.lseries import (SZeroJet, dirichlet_L, dirichlet_jet, riemann_jet,
-                               zetak_dlog0)
+from cmperiods.lseries import (SZeroJet, character_gamma_sum, dirichlet_L, dirichlet_jet,
+                               riemann_jet, zetak_dlog0)
 from cmperiods.numkernel import PrecisionContext, log_gamma, to_mpf
 from cmperiods.quadforms import (Discriminant, class_number, is_fundamental,
                                  reduced_forms)
@@ -120,3 +120,35 @@ def test_zetak_factorization_at_two(ctx):
             lhs = mp.fsum(epstein_continued(f, mp.mpf(2), ctx) for f in group) / disc.w
             rhs = mp.pi ** 2 / 6 * dirichlet_L(disc, mp.mpf(2), ctx)
             assert abs(lhs - rhs) < ctx.eps(10)
+
+
+RESIDUE_PRIMES = (7, 11, 19, 23, 163)
+
+
+@pytest.mark.parametrize("prec", [30, 300])
+def test_character_gamma_sum_against_mpmath(prec):
+    # oracle: mpmath's loggamma, summed by fsum at working + 20 digits
+    ctx = PrecisionContext(prec)
+    cases = [(d, False) for d in (3, 4, 7, 8, 15, 20, 23, 163)]
+    cases += [(p, True) for p in RESIDUE_PRIMES]
+    for d, residues_only in cases:
+        disc = Discriminant(d)
+        got = character_gamma_sum(disc, ctx, residues_only=residues_only)
+        weights = [(a, disc.epsilon(a)) for a in range(1, d)]
+        with mp.workdps(ctx.working_digits + 20):
+            ref = mp.fsum(e * mp.loggamma(mp.mpf(a) / d) for a, e in weights
+                          if e == 1 or (e and not residues_only))
+            assert abs(got - ref) < mp.mpf(10) ** -(prec + 10), (d, residues_only)
+
+
+@pytest.mark.parametrize("prec", [30, 300])
+def test_character_gamma_sum_halves_obey_gauss_multiplication(prec):
+    # with R the residue sum and chi the character sum, R + (R - chi) is
+    # sum over all a < p of log Gamma(a/p) = ((p-1)/2) log(2 pi) - (1/2) log p
+    ctx = PrecisionContext(prec)
+    for p in RESIDUE_PRIMES:
+        r = character_gamma_sum(p, ctx, residues_only=True)
+        chi = character_gamma_sum(p, ctx)
+        with ctx.workprec():
+            gauss = mp.mpf(p - 1) / 2 * mp.log(2 * mp.pi) - mp.log(p) / 2
+            assert abs(2 * r - chi - gauss) < mp.mpf(10) ** -(prec + 10), p

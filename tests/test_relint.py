@@ -32,6 +32,22 @@ def test_recognize_rational_needs_precision():
     assert exc.value.achieved_digits == ctx.working_digits
 
 
+def test_recognize_rational_needs_absolute_accuracy():
+    # at 30 digits (50 working) x is known to |x| 10^-50, and a hit needs
+    # that below the window 1/(2 * 10^24): |x| < 5 * 10^25
+    ctx = PrecisionContext(30)
+    with ctx.workprec():
+        big = mp.mpf("123456789012345678901234567890123456789012345678901234567890.25")
+        with pytest.raises(PrecisionError) as exc:
+            recognize_rational(big, 10 ** 12, ctx)
+        assert exc.value.achieved_digits == 0
+        with pytest.raises(PrecisionError) as exc:
+            recognize_rational(mp.mpf(10) ** 26, 10 ** 12, ctx)
+        assert exc.value.achieved_digits == 24
+        assert recognize_rational(mp.mpf(10) ** 20, 10 ** 12, ctx) == 10 ** 20
+        assert recognize_rational(mp.mpf(10) ** 25, 10 ** 12, ctx) == 10 ** 25
+
+
 def test_recognize_rational_bad_args(ctx):
     with pytest.raises(DomainError):
         recognize_rational(mp.mpf("0.5"), 0, ctx)
