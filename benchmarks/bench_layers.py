@@ -23,6 +23,10 @@ The kernels and their arguments:
 - ``delta_lattice`` over the lattices of Delta(a) and Delta(a^-1) for
   every reduced form a of discriminant -d, d in 23, 71, 163 and 199
   (40 lattices, built before timing); the cold call is the first of them;
+- ``lseries.character_gamma_sum`` per sum, sum eps(a) log Gamma(a/d)
+  over 0 < a < d, at d in 123, 139, 163 and 199, the log Gamma memo
+  cleared as for ``log_gamma``, so that every sum computes its terms;
+  the cold call is the sum at d = 123;
 - ``epstein._upper_gamma(s, x, e^-x)``, the incomplete gamma of the
   Epstein theta sums, at target + 10 digits, one entry per regime: the
   continued fraction (s = 0, x = 40.5 and 90), the series (s = 0,
@@ -32,8 +36,9 @@ The kernels and their arguments:
 The JSON written to ``--out`` holds, per kernel, tree and precision, the
 median of the samples and their quartiles, plus the machine.  Only public
 names are used (``log_gamma`` and its ``cache_clear``, ``delta_lattice``,
-``PrecisionContext``, and ``reduced_forms``, ``form_to_lattice`` and
-``inverse_ideal_lattice`` from ``quadforms``), and ``epstein._upper_gamma``,
+``PrecisionContext``, ``character_gamma_sum`` from ``lseries``, and
+``reduced_forms``, ``form_to_lattice`` and ``inverse_ideal_lattice`` from
+``quadforms``), and ``epstein._upper_gamma``,
 whose signature has not changed since the closed-form jet, so any two
 versions of the kernels compare.  The script is not under ``tests/`` and tier-1 does not
 collect it.
@@ -53,6 +58,7 @@ from pathlib import Path
 TARGETS = (60, 120, 300)
 DEN = 199
 DISCS = (23, 71, 163, 199)
+SUM_DISCS = (123, 139, 163, 199)
 
 PRELUDE = """
 import json, sys, time
@@ -90,6 +96,12 @@ kernel, fresh = delta_lattice, lambda: None
 args = [lat(f, ctx) for d in %r for f in reduced_forms(d)
         for lat in (form_to_lattice, inverse_ideal_lattice)]
 """ % (DISCS,)),
+    "character_gamma_sum": ("lseries.character_gamma_sum per sum, d in %s, ms"
+                            % ", ".join(map(str, SUM_DISCS)), """
+from cmperiods.lseries import character_gamma_sum
+kernel, fresh = character_gamma_sum, log_gamma.cache_clear
+args = %r
+""" % (SUM_DISCS,)),
 }
 
 # epstein._upper_gamma(s, x, e^-x) at target + 10 digits, e^-x formed

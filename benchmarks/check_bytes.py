@@ -13,10 +13,13 @@ the same requests, in one fresh interpreter with that directory first on
   from 7 to 199, at 30, 60 and 120 digits;
 - ``kronecker --json`` over every class of d = 3, 4, 7, 8, 23, 47, 71
   and 163 at 30, 60 and 120 digits, and of d = 7 and 23 at 300;
+- ``verify-cs --json`` for every fundamental d <= 200 (62 values) at 30
+  and 120 digits, and for d = 23, 163 and 199 at 300;
 - ``suite --max-d 200 --prec 60 --json``;
 - every golden request of ``tests/test_cli.py`` (``GOLDEN_RUNS``);
 
-1,064 requests in all, 26 of them from the ``kronecker`` list.
+1,191 requests in all, 26 of them from the ``kronecker`` list and 127
+from the ``verify-cs`` list.
 
 For each request the exit code, stdout and stderr are hashed.  The script
 prints one sha256 per tree over all requests, and the first request whose
@@ -58,6 +61,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PRECS = (30, 60, 120)
 KRONECKER_DS = (3, 4, 7, 8, 23, 47, 71, 163)
+VERIFY_CS_PRECS = (30, 120)
+VERIFY_CS_300 = (23, 163, 199)
 MAX_DIGITS_DELTA = 2  # the re-record rule's bound on |change in digits_agreed|
 
 WORKER = """
@@ -76,6 +81,13 @@ for argv in json.loads(sys.stdin.read()):
 def _primes_3mod4(lo: int, hi: int) -> list[int]:
     return [p for p in range(lo, hi + 1)
             if p % 4 == 3 and all(p % q for q in range(2, int(p ** 0.5) + 1))]
+
+
+def _fundamental(hi: int) -> list[int]:
+    """d <= hi with -d a fundamental discriminant, by this checkout's ``quadforms``."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from cmperiods.quadforms import is_fundamental
+    return [d for d in range(3, hi + 1) if is_fundamental(d)]
 
 
 def _mixed_triples(p: int) -> list[tuple[int, int, int]]:
@@ -101,6 +113,9 @@ def requests() -> list[list[str]]:
     out += [["kronecker", "--d", str(d), "--prec", str(prec), "--json"]
             for prec in PRECS for d in KRONECKER_DS]
     out += [["kronecker", "--d", str(d), "--prec", "300", "--json"] for d in (7, 23)]
+    out += [["verify-cs", "--d", str(d), "--prec", str(prec), "--json"]
+            for prec in VERIFY_CS_PRECS for d in _fundamental(200)]
+    out += [["verify-cs", "--d", str(d), "--prec", "300", "--json"] for d in VERIFY_CS_300]
     out.append(["suite", "--max-d", "200", "--prec", "60", "--json"])
     return out + _golden_requests()
 

@@ -3,7 +3,10 @@
 Values come from Lerch's constant term H(x, 0) = 1/2 - x, exactly in
 rational arithmetic; derivatives from H_s'(x, 0) = log(Gamma(x)/sqrt(2*pi)).
 ``character_gamma_sum``, sum eps(a) log Gamma(a/d), is the Gamma side
-of every Chowla-Selberg-type identity in the package.
+of every Chowla-Selberg-type identity in the package.  eps is odd, so
+Euler's reflection formula pairs a with d - a: the full sum takes
+phi(d)/2 log-Gamma values at a/d < 1/2, plus the sines sin(pi a/d) read
+off the powers of one root of unity, summed with 10 guard digits.
 """
 
 from __future__ import annotations
@@ -35,19 +38,52 @@ class SZeroJet:
 
 
 def character_gamma_sum(d, ctx: PrecisionContext, residues_only: bool = False):
-    """sum over 0 < a < d of eps(a) log Gamma(a/d), added in order at working precision.
+    """sum over 0 < a < d of eps(a) log Gamma(a/d), at working precision.
 
-    With residues_only, the sum of log Gamma(a/d) over eps(a) = 1 alone.
+    eps is odd, so Euler's reflection Gamma(x) Gamma(1 - x) = pi / sin(pi x)
+    folds the term at d - a into the one at a:
+
+        sum_{a<d/2} eps(a) [2 log Gamma(a/d) + log sin(pi a/d)] - c log pi,
+
+    with c = sum_{a<d/2} eps(a) an exact integer: phi(d)/2 log-Gamma calls,
+    all at arguments below 1/2.  sin(pi a/d) is Im zeta^a, zeta = e^(i pi/d)
+    stepped by one multiplication per a, and the sines enter through one
+    log of (product over eps = 1) / (product over eps = -1).
+
+    With residues_only, the sum of log Gamma(a/d) over eps(a) = 1 alone,
+    added term by term in order of a at working precision.
     """
     disc = Discriminant.of(d)
     d = disc.d
     with ctx.workprec():
-        total = mp.mpf(0)
-        for a in range(1, d):
-            e = disc.epsilon(a)
-            if e == 1 or (e and not residues_only):
-                total += e * log_gamma(Fraction(a, d), ctx)
-        return total
+        if residues_only:
+            total = mp.mpf(0)
+            for a in range(1, d):
+                e = disc.epsilon(a)
+                if e == 1:
+                    # e * rounds each working + 10 digit value before the
+                    # sum; the Tate certificates' recorded digits keep it
+                    total += e * log_gamma(Fraction(a, d), ctx)
+            return total
+        # 10 guard digits: the chain of d/2 powers of zeta loses about
+        # log10(d) of them, and doubling the log-Gamma terms doubles
+        # their rounding; summed at working precision, periods --p 23
+        # lost a printed digit
+        with mp.extradps(10):
+            zeta = mp.expjpi(mp.mpf(1) / d)
+            power = mp.mpc(1)
+            acc = mp.mpf(0)
+            sines = {1: mp.mpf(1), -1: mp.mpf(1)}
+            c = 0
+            for a in range(1, (d + 1) // 2):
+                power *= zeta
+                e = disc.epsilon(a)
+                if e:
+                    acc += e * log_gamma(Fraction(a, d), ctx)
+                    sines[e] *= power.imag
+                    c += e
+            acc = 2 * acc + mp.log(sines[1] / sines[-1]) - c * mp.log(mp.pi)
+        return +acc
 
 
 def riemann_jet(ctx: PrecisionContext) -> SZeroJet:

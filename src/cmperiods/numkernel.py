@@ -132,6 +132,12 @@ def _stirling_coefficients(prec):
     return {}
 
 
+@lru_cache(maxsize=_STIRLING_TABLES)
+def _half_log_two_pi(prec):
+    """log(2 pi) / 2, the constant of Stirling's series, at binary precision prec."""
+    return mp.log(2 * mp.pi) / 2
+
+
 def _stirling_ratio(k, wp):
     """c_k / c_(k-1) as an integer scaled by 2^wp.
 
@@ -151,7 +157,7 @@ def _stirling_log_gamma(z, budget):
     # carried from the last: term_k = term_(k-1) * (c_k / c_(k-1)) / z^2.
     # Forming c_k / z^(2k-1) instead would let the powers of 1/z underflow
     # the scale while c_k grows.
-    acc = (z - mp.mpf(1) / 2) * mp.log(z) - z + mp.log(2 * mp.pi) / 2
+    acc = (z - mp.mpf(1) / 2) * mp.log(z) - z + _half_log_two_pi(mp.prec)
     wp = mp.prec + _GUARD_BITS
     ratios = _stirling_coefficients(mp.prec)
     n, m = _exact_ratio(z, z)

@@ -102,6 +102,22 @@ def test_kronecker_precision_sweep(capsys, d, k, prec):
     assert row["digits_agreed"] == prec + 20
 
 
+ENVELOPE_RUNS = [
+    *(("verify-cs", "--d", d) for d in (3, 4, 7, 8, 23, 56, 163, 199)),
+    *((cmd, "--p", p) for cmd in ("periods", "faltings") for p in (7, 23, 163)),
+]
+
+
+@pytest.mark.parametrize("prec", [30, 300])
+@pytest.mark.parametrize("cmd, flag, n", ENVELOPE_RUNS,
+                         ids=[f"{cmd}-{n}" for cmd, _, n in ENVELOPE_RUNS])
+def test_character_sum_precision_envelope(capsys, cmd, flag, n, prec):
+    code, out, _ = run(capsys, cmd, flag, str(n), "--prec", str(prec), "--json")
+    rows = json.loads(out)
+    assert code == 0 and rows
+    assert all(row["pass"] for row in rows)
+
+
 def test_kronecker_precision_failure_reports_digits(capsys, monkeypatch):
     monkeypatch.setattr(epstein, "_CF_CAP", 2)
     code, _, err = run(capsys, "kronecker", "--d", "7", "--prec", "60")

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from mpmath import mp
 
+from cmperiods import lseries
 from cmperiods.errors import DomainError
 from cmperiods.lseries import (SZeroJet, character_gamma_sum, dirichlet_L, dirichlet_jet,
                                riemann_jet, zetak_dlog0)
@@ -152,3 +154,36 @@ def test_character_gamma_sum_halves_obey_gauss_multiplication(prec):
         with ctx.workprec():
             gauss = mp.mpf(p - 1) / 2 * mp.log(2 * mp.pi) - mp.log(p) / 2
             assert abs(2 * r - chi - gauss) < mp.mpf(10) ** -(prec + 10), p
+
+
+@pytest.mark.parametrize("prec, ds", [(1000, (3, 4, 23, 56)), (30, (9995,))],
+                         ids=["1000", "30-d9995"])
+def test_reflected_character_gamma_sum_against_mpmath(prec, ds):
+    # the reflected sum against every term of the unreflected one, by
+    # mpmath's loggamma at working + 20 digits; d = 9995 has the longest
+    # chain of powers of e^(i pi/d) that the tests reach
+    ctx = PrecisionContext(prec)
+    for d in ds:
+        disc = Discriminant(d)
+        got = character_gamma_sum(disc, ctx)
+        weights = [(a, disc.epsilon(a)) for a in range(1, d)]
+        with mp.workdps(ctx.working_digits + 20):
+            ref = mp.fsum(e * mp.loggamma(mp.mpf(a) / d) for a, e in weights if e)
+            assert abs(got - ref) < mp.mpf(10) ** -(prec + 10), d
+
+
+@pytest.mark.parametrize("d", [7, 56, 163])
+def test_reflected_character_gamma_sum_halves_log_gamma_calls(monkeypatch, d):
+    keys = []
+
+    def recording(x, ctx):
+        keys.append(x)
+        return log_gamma(x, ctx)
+
+    monkeypatch.setattr(lseries, "log_gamma", recording)
+    ctx = PrecisionContext(60)
+    log_gamma.cache_clear()
+    character_gamma_sum(Discriminant(d), ctx)
+    half_phi = sum(1 for a in range(1, d) if gcd(a, d) == 1) // 2
+    assert log_gamma.cache_info().misses == half_phi
+    assert len(keys) == half_phi and all(x < Fraction(1, 2) for x in keys)
