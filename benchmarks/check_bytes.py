@@ -15,11 +15,14 @@ the same requests, in one fresh interpreter with that directory first on
   and 163 at 30, 60 and 120 digits, and of d = 7 and 23 at 300;
 - ``verify-cs --json`` for every fundamental d <= 200 (62 values) at 30
   and 120 digits, and for d = 23, 163 and 199 at 300;
+- ``hecke --prec 60 --json`` on every reduced form (a, b, c) of every
+  prime p = 3 mod 4 from 7 to 199 and on its translate
+  (a, b + 2a, a + b + c), which is the same class but not reduced;
 - ``suite --max-d 200 --prec 60 --json``;
 - every golden request of ``tests/test_cli.py`` (``GOLDEN_RUNS``);
 
-1,191 requests in all, 26 of them from the ``kronecker`` list and 127
-from the ``verify-cs`` list.
+1,393 requests in all, 26 of them from the ``kronecker`` list, 127
+from the ``verify-cs`` list and 202 from the ``hecke`` list.
 
 For each request the exit code, stdout and stderr are hashed.  The script
 prints one sha256 per tree over all requests, and the first request whose
@@ -98,6 +101,21 @@ def _mixed_triples(p: int) -> list[tuple[int, int, int]]:
             if (-r - s) % p and abs(leg(r) + leg(s) + leg((-r - s) % p)) == 1]
 
 
+def _reduced_forms(p: int) -> list[tuple[int, int, int]]:
+    """Reduced forms (a, b, c) of discriminant -p: |b| <= a <= c, b >= 0 if |b| = a or a = c.
+
+    p is prime, so every form of discriminant -p is primitive.
+    """
+    out = []
+    for a in range(1, int((p / 3) ** 0.5) + 1):
+        for b in range(-a + 1, a + 1):
+            if (b * b + p) % (4 * a) == 0:
+                c = (b * b + p) // (4 * a)
+                if a <= c and not (b < 0 and a == c):
+                    out.append((a, b, c))
+    return out
+
+
 def _golden_requests() -> list[list[str]]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from test_cli import GOLDEN_RUNS
@@ -116,6 +134,9 @@ def requests() -> list[list[str]]:
     out += [["verify-cs", "--d", str(d), "--prec", str(prec), "--json"]
             for prec in VERIFY_CS_PRECS for d in _fundamental(200)]
     out += [["verify-cs", "--d", str(d), "--prec", "300", "--json"] for d in VERIFY_CS_300]
+    out += [["hecke", "--p", str(p), "--form", f"{a},{b},{c}", "--prec", "60", "--json"]
+            for p in _primes_3mod4(7, 199) for f in _reduced_forms(p)
+            for a, b, c in (f, (f[0], f[1] + 2 * f[0], f[0] + f[1] + f[2]))]
     out.append(["suite", "--max-d", "200", "--prec", "60", "--json"])
     return out + _golden_requests()
 

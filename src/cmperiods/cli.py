@@ -135,8 +135,9 @@ def _cert_text(cert):
 def _cmd_hecke(args, ctx):
     a, b, c = _parse_ints(args.form, 3, "--form")
     f = QuadForm(a, b, c)
-    beta = psi_M(f, args.p)
-    h = class_number_dirichlet(args.p)
+    disc = Discriminant.prime(args.p)
+    beta = psi_M(f, disc)
+    h = class_number_dirichlet(disc)
     lines = [f"beta = ({beta.x}, {beta.y})   meaning ({beta.x} + {beta.y}*sqrt(-{args.p}))/2",
              f"N(beta) = {beta.norm} = {a}^{h}"]
     rep = exact_report(

@@ -14,7 +14,8 @@ from math import gcd, isqrt
 
 from mpmath import mp
 
-from .arith import divisors, factorize, is_prime, is_square, solve_linmod, sqrt_mod
+from .arith import (divisors, factorize, is_prime, is_square, is_squarefree, solve_linmod,
+                    sqrt_mod)
 from .errors import ConsistencyError, DomainError
 from .numkernel import Lattice, PrecisionContext
 
@@ -60,10 +61,10 @@ def is_fundamental(d: int) -> bool:
     if d <= 0:
         return False
     if d % 4 == 3:
-        return all(e == 1 for e in factorize(d).values())
+        return is_squarefree(d)
     if d % 4 == 0:
         m = d // 4
-        return m % 4 in (1, 2) and all(e == 1 for e in factorize(m).values())
+        return m % 4 in (1, 2) and is_squarefree(m)
     return False
 
 
@@ -172,8 +173,13 @@ def reduce_form(f: QuadForm) -> QuadForm:
         return QuadForm(a, b, c)
 
 
-def compose(f: QuadForm, g: QuadForm) -> QuadForm:
-    """Gauss composition of classes; the result is reduced."""
+def ideal_product(f: QuadForm, g: QuadForm) -> QuadForm:
+    """The composite of f and g, before reduction.
+
+    The result is the ideal product itself, not only its class, when
+    gcd(a1, a2, (b1 + b2)/2) = 1: then it is (a1*a2, B, C) with
+    B = b1 mod 2*a1 and B = b2 mod 2*a2.
+    """
     if f.disc != g.disc:
         raise DomainError("cannot compose forms of different discriminants")
     a1, b1, c1 = f.tuple()
@@ -187,24 +193,16 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     k = k0 + step * n
     l = (t * k - h) // s
     m = (t * u * k - h * u - s * c1) // (s * t)
-    return reduce_form(QuadForm(s * t, w * u - (k * t + l * s), k * l - w * m))
+    return QuadForm(s * t, w * u - (k * t + l * s), k * l - w * m)
+
+
+def compose(f: QuadForm, g: QuadForm) -> QuadForm:
+    """Gauss composition of classes; the result is reduced."""
+    return reduce_form(ideal_product(f, g))
 
 
 def inverse(f: QuadForm) -> QuadForm:
     return reduce_form(QuadForm(f.a, -f.b, f.c))
-
-
-def form_pow(f: QuadForm, n: int) -> QuadForm:
-    if n < 0:
-        return form_pow(inverse(f), -n)
-    acc = principal_form(-f.disc)
-    base = reduce_form(f)
-    while n:
-        if n & 1:
-            acc = compose(acc, base)
-        base = compose(base, base)
-        n >>= 1
-    return acc
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,26 @@ def test_hecke(capsys):
     assert "[pass]" in out
 
 
+def test_hecke_request_validates_p_once(capsys, monkeypatch):
+    # cli builds Discriminant.prime(p) once and passes it to psi_M and
+    # class_number_dirichlet
+    from cmperiods import arith, quadforms
+    calls = [0]
+    real = arith.is_prime
+    def counting(n):
+        calls[0] += 1
+        return real(n)
+    for mod in (arith, quadforms):
+        monkeypatch.setattr(mod, "is_prime", counting)
+    Discriminant.prime(23)
+    one_validation = calls[0]
+    assert one_validation > 0
+    calls[0] = 0
+    code, out, _ = run(capsys, "--json", "hecke", "--p", "23", "--form", "2,1,3")
+    assert code == 0 and json.loads(out)[0]["pass"]
+    assert calls[0] == one_validation
+
+
 def test_recognize_rational(capsys):
     code, out, _ = run(capsys, "recognize", "--value", "0.75")
     assert code == 0

@@ -1,10 +1,14 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from cmperiods.errors import DomainError
 from cmperiods.heckechar import psi_M, psi_multiplicativity_check
 from cmperiods.quadforms import (QuadForm, QuadInteger, compose, reduced_forms)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_psi_frozen_values():
@@ -36,8 +40,19 @@ def test_psi_sign_normalization(p):
 @pytest.mark.parametrize("p", [23, 31])
 def test_psi_class_invariance(p):
     for f in reduced_forms(p):
-        shifted = QuadForm(f.a, f.b + 2 * f.a, f.a + f.b + f.c)
-        assert psi_M(shifted, p) == psi_M(f, p)
+        # (a, b + 2ka, ak^2 + bk + c); a huge k enters the membership congruence
+        for k in (1, -3, 7, 10 ** 6):
+            shifted = QuadForm(f.a, f.b + 2 * k * f.a, f.a * k * k + f.b * k + f.c)
+            assert psi_M(shifted, p) == psi_M(f, p)
+
+
+def test_psi_golden_table():
+    # every reduced form of every prime p = 3 mod 4, 7 <= p < 500
+    table = json.loads((GOLDEN / "psi_M_p_lt_500.json").read_text())
+    assert table["columns"] == ["p", "a", "b", "c", "x", "y"]
+    assert len(table["rows"]) == 351 and len({row[0] for row in table["rows"]}) == 49
+    for p, a, b, c, x, y in table["rows"]:
+        assert psi_M(QuadForm(a, b, c), p) == QuadInteger(x, y, p)
 
 
 def test_psi_principal_is_one():

@@ -10,7 +10,7 @@ from cmperiods.errors import ConsistencyError, DomainError
 from cmperiods.numkernel import PrecisionContext
 from cmperiods.quadforms import (ClassGroup, Discriminant, QuadForm, QuadInteger,
                                  class_number, class_number_dirichlet, compose,
-                                 cornacchia, cornacchia_all, form_pow, form_to_lattice,
+                                 cornacchia, cornacchia_all, form_to_lattice, ideal_product,
                                  inverse, inverse_ideal_lattice, is_fundamental,
                                  kronecker, principal_form,
                                  reduce_form, reduced_forms)
@@ -157,12 +157,30 @@ def test_compose_domain():
         compose(QuadForm(1, 1, 2), QuadForm(1, 1, 6))
 
 
-def test_form_pow():
-    f = QuadForm(2, 1, 3)
-    assert form_pow(f, 0) == principal_form(23)
-    assert form_pow(f, 1) == f
-    assert form_pow(f, 3) == principal_form(23)
-    assert form_pow(f, 2) == compose(f, f)
+@pytest.mark.parametrize("d", [23, 47, 71, 199])
+def test_ideal_product(d):
+    forms = list(reduced_forms(Discriminant(d)))
+    for f in forms:
+        for g in forms:
+            fg = ideal_product(f, g)
+            assert fg.disc == -d
+            assert reduce_form(fg) == compose(f, g)
+            if math.gcd(f.a, g.a, (f.b + g.b) // 2) == 1:
+                assert fg.a == f.a * g.a
+                assert (fg.b - f.b) % (2 * f.a) == 0
+                assert (fg.b - g.b) % (2 * g.a) == 0
+
+
+@pytest.mark.parametrize("d", [7, 23, 47, 71, 199])
+def test_ideal_power_is_principal(d):
+    # the h-th power of every class, as h - 1 ideal products of the form itself
+    group = reduced_forms(Discriminant(d))
+    for f in group:
+        power = f
+        for _ in range(group.h - 1):
+            power = ideal_product(power, f)
+        assert power.a == f.a ** group.h
+        assert reduce_form(power) == principal_form(d)
 
 
 def test_cornacchia_examples():
