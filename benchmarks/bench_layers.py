@@ -5,28 +5,30 @@
 
 Each ``--tree LABEL=DIR`` names a source directory holding the
 ``cmperiods`` package; the default is ``current=src``.  Every sample runs
-in a fresh interpreter with that directory first on ``sys.path``, and the
-trees take turns round by round, so a machine that speeds up or slows down
-meets them alike.  At 60, 120 and 300 target digits a sample records, for
-each kernel,
+in a fresh interpreter with that directory first on ``sys.path``.  Within
+a round the trees take turns on each (kernel, precision), and the order
+of the trees flips from round to round, so a machine that speeds up or
+slows down meets them alike.  At 60, 120 and 300 target digits a sample
+records, for each kernel,
 
 - ``cold_ms``: the first call at that precision, which also pays for
   mpmath's constants and whatever tables the kernel builds;
 - ``warm_ms``: the mean per call over all its arguments, after one
-  untimed pass.
+  untimed pass, in the fastest of PASSES timed passes: a pass that the
+  machine slowed down does not set the sample.
 
 The kernels and their arguments:
 
 - ``log_gamma`` over a/199, 0 < a < 199, the memo cleared before the
-  untimed pass and again before the timed pass, so that every call
+  untimed pass and again before each timed pass, so that every call
   computes; the cold call is log Gamma(1/199);
 - ``delta_lattice`` over the lattices of Delta(a) and Delta(a^-1) for
   every reduced form a of discriminant -d, d in 23, 71, 163 and 199
   (40 lattices, built before timing); the cold call is the first of them;
 - ``lseries.character_gamma_sum`` per sum, sum eps(a) log Gamma(a/d)
   over 0 < a < d, at d in 123, 139, 163 and 199, the log Gamma memo
-  cleared as for ``log_gamma``, so that every sum computes its terms;
-  the cold call is the sum at d = 123;
+  cleared as for ``log_gamma``, so that a sum that reads it computes its
+  terms; the cold call is the sum at d = 123;
 - ``epstein._upper_gamma(s, x, e^-x)``, the incomplete gamma of the
   Epstein theta sums, at target + 10 digits, one entry per regime: the
   continued fraction (s = 0, x = 40.5 and 90), the series (s = 0,
@@ -34,14 +36,22 @@ The kernels and their arguments:
   (s = -3/2, x = 10); the cold call is the first (s, x).
 
 The JSON written to ``--out`` holds, per kernel, tree and precision, the
-median of the samples and their quartiles, plus the machine.  Only public
-names are used (``log_gamma`` and its ``cache_clear``, ``delta_lattice``,
-``PrecisionContext``, ``character_gamma_sum`` from ``lseries``, and
-``reduced_forms``, ``form_to_lattice`` and ``inverse_ideal_lattice`` from
-``quadforms``), and ``epstein._upper_gamma``,
-whose signature has not changed since the closed-form jet, so any two
-versions of the kernels compare.  The script is not under ``tests/`` and tier-1 does not
-collect it.
+median of the samples, their quartiles and their spread (q3 - q1) /
+median, plus the machine; the spread is printed with each median.  Under
+``ratios`` it holds, for every tree after the first, the same summary of
+its sample over the first tree's sample of the same round: the two ran
+seconds apart, so the ratio is steadier than either median when the
+machine's speed drifts from round to round.  On a 2-core x86-64 machine,
+five rounds put the median ratio of every unchanged kernel within
+0.95-1.04 (``BENCH_layers.json``): a change of about 10% per call is the
+least this bench resolves there.
+Only public names are used (``log_gamma`` and its ``cache_clear``,
+``delta_lattice``, ``PrecisionContext``, ``character_gamma_sum`` from
+``lseries``, and ``reduced_forms``, ``form_to_lattice`` and
+``inverse_ideal_lattice`` from ``quadforms``), and
+``epstein._upper_gamma``, whose signature has not changed since the
+closed-form jet, so any two versions of the kernels compare.  The script
+is not under ``tests/`` and tier-1 does not collect it.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ TARGETS = (60, 120, 300)
 DEN = 199
 DISCS = (23, 71, 163, 199)
 SUM_DISCS = (123, 139, 163, 199)
+PASSES = 5  # timed warm passes per sample; the fastest is kept
 
 PRELUDE = """
 import json, sys, time
@@ -77,13 +88,15 @@ cold = time.perf_counter() - t
 fresh()
 for x in args:
     kernel(x, ctx)
-fresh()
-t = time.perf_counter()
-for x in args:
-    kernel(x, ctx)
-warm = (time.perf_counter() - t) / len(args)
-print(json.dumps({"cold_ms": cold * 1e3, "warm_ms": warm * 1e3}))
-"""
+warm = []
+for _ in range(%d):
+    fresh()
+    t = time.perf_counter()
+    for x in args:
+        kernel(x, ctx)
+    warm.append((time.perf_counter() - t) / len(args))
+print(json.dumps({"cold_ms": cold * 1e3, "warm_ms": min(warm) * 1e3}))
+""" % PASSES
 
 WORKERS = {
     "log_gamma": ("numkernel.log_gamma per call over a/%d, ms" % DEN, """
@@ -135,7 +148,7 @@ def sample(src: str, kernel: str, target: int) -> dict:
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
-            "samples": len(values)}
+            "spread": round((q3 - q1) / median, 3), "samples": len(values)}
 
 
 def main(argv=None) -> int:
@@ -146,13 +159,14 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args(argv)
     trees = dict(t.split("=", 1) for t in args.tree) or {"current": "src"}
+    first = next(iter(trees))
     raw = {k: {label: {t: {"cold_ms": [], "warm_ms": []} for t in TARGETS} for label in trees}
            for k in WORKERS}
     for rnd in range(args.rounds):
         order = list(trees) if rnd % 2 == 0 else list(reversed(trees))
-        for label in order:
-            for kernel in WORKERS:
-                for target in TARGETS:
+        for kernel in WORKERS:
+            for target in TARGETS:
+                for label in order:
                     got = sample(os.path.abspath(trees[label]), kernel, target)
                     for key, val in got.items():
                         raw[kernel][label][target][key].append(val)
@@ -167,15 +181,26 @@ def main(argv=None) -> int:
         "kernels": {kernel: {"bench": WORKERS[kernel][0],
                              "trees": {label: {str(t): {k: summary(v) for k, v in per.items()}
                                                for t, per in raw[kernel][label].items()}
-                                       for label in trees}}
+                                       for label in trees},
+                             "ratios": {label: {str(t): {k: summary(
+                                 [x / y for x, y in zip(v, raw[kernel][first][t][k])])
+                                 for k, v in per.items()}
+                                 for t, per in raw[kernel][label].items()}
+                                 for label in trees if label != first}}
                     for kernel in WORKERS},
     }
     for kernel, body in result["kernels"].items():
         for label, per in body["trees"].items():
             for t, row in per.items():
+                cold, warm = row["cold_ms"], row["warm_ms"]
                 print(f"{kernel:>22} {label:>8} {t:>4} digits"
-                      f"  cold {row['cold_ms']['median']:8.3f} ms"
-                      f"  warm {row['warm_ms']['median']:7.3f} ms")
+                      f"  cold {cold['median']:8.3f} ms (spread {cold['spread']:.2f})"
+                      f"  warm {warm['median']:7.3f} ms (spread {warm['spread']:.2f})")
+        for label, per in body["ratios"].items():
+            for t, row in per.items():
+                warm = row["warm_ms"]
+                print(f"{kernel:>22} {label:>8} {t:>4} digits  warm / {first}"
+                      f" {warm['median']:.3f} (q1 {warm['q1']:.3f}, q3 {warm['q3']:.3f})")
     if args.out:
         args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0

@@ -14,14 +14,16 @@ the same requests, in one fresh interpreter with that directory first on
 - ``kronecker --json`` over every class of d = 3, 4, 7, 8, 23, 47, 71
   and 163 at 30, 60 and 120 digits, and of d = 7 and 23 at 300;
 - ``verify-cs --json`` for every fundamental d <= 200 (62 values) at 30
-  and 120 digits, and for d = 23, 163 and 199 at 300;
+  and 120 digits, for d = 23, 163 and 199 at 300, and for d = 23 and 163
+  at 600;
+- ``faltings --json`` at p = 163 at 600 digits;
 - ``hecke --prec 60 --json`` on every reduced form (a, b, c) of every
   prime p = 3 mod 4 from 7 to 199 and on its translate
   (a, b + 2a, a + b + c), which is the same class but not reduced;
 - ``suite --max-d 200 --prec 60 --json``;
 - every golden request of ``tests/test_cli.py`` (``GOLDEN_RUNS``);
 
-1,393 requests in all, 26 of them from the ``kronecker`` list, 127
+1,396 requests in all, 26 of them from the ``kronecker`` list, 129
 from the ``verify-cs`` list and 202 from the ``hecke`` list.
 
 For each request the exit code, stdout and stderr are hashed.  The script
@@ -66,6 +68,7 @@ PRECS = (30, 60, 120)
 KRONECKER_DS = (3, 4, 7, 8, 23, 47, 71, 163)
 VERIFY_CS_PRECS = (30, 120)
 VERIFY_CS_300 = (23, 163, 199)
+VERIFY_CS_600 = (23, 163)
 MAX_DIGITS_DELTA = 2  # the re-record rule's bound on |change in digits_agreed|
 
 WORKER = """
@@ -134,6 +137,8 @@ def requests() -> list[list[str]]:
     out += [["verify-cs", "--d", str(d), "--prec", str(prec), "--json"]
             for prec in VERIFY_CS_PRECS for d in _fundamental(200)]
     out += [["verify-cs", "--d", str(d), "--prec", "300", "--json"] for d in VERIFY_CS_300]
+    out += [["verify-cs", "--d", str(d), "--prec", "600", "--json"] for d in VERIFY_CS_600]
+    out.append(["faltings", "--p", "163", "--prec", "600", "--json"])
     out += [["hecke", "--p", str(p), "--form", f"{a},{b},{c}", "--prec", "60", "--json"]
             for p in _primes_3mod4(7, 199) for f in _reduced_forms(p)
             for a, b, c in (f, (f[0], f[1] + 2 * f[0], f[0] + f[1] + f[2]))]

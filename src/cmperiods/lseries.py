@@ -6,19 +6,25 @@ rational arithmetic; derivatives from H_s'(x, 0) = log(Gamma(x)/sqrt(2*pi)).
 of every Chowla-Selberg-type identity in the package.  eps is odd, so
 Euler's reflection formula pairs a with d - a: the full sum takes
 phi(d)/2 log-Gamma values at a/d < 1/2, plus the sines sin(pi a/d) read
-off the powers of one root of unity, summed with 10 guard digits.
+off the powers of one root of unity.  Those values come from one pass
+with one Stirling shift N for every a: Stirling's tail and the
+log1p(a/(N d)) corrections in one fixed-point integer, the exact shift
+products and the sines in one mpf per sign, and three mpf logs per sum,
+at working + 10 digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Any
 
 from mpmath import mp
 
 from .errors import DomainError
-from .numkernel import PrecisionContext, hurwitz_zeta, log_gamma, to_mpf
+from .numkernel import (_GUARD_BITS, PrecisionContext, _log1p_fixed, _stirling_tail,
+                        hurwitz_zeta, log_gamma, to_mpf)
 from .quadforms import Discriminant, class_number_dirichlet
 
 
@@ -45,10 +51,33 @@ def character_gamma_sum(d, ctx: PrecisionContext, residues_only: bool = False):
 
         sum_{a<d/2} eps(a) [2 log Gamma(a/d) + log sin(pi a/d)] - c log pi,
 
-    with c = sum_{a<d/2} eps(a) an exact integer: phi(d)/2 log-Gamma calls,
-    all at arguments below 1/2.  sin(pi a/d) is Im zeta^a, zeta = e^(i pi/d)
-    stepped by one multiplication per a, and the sines enter through one
-    log of (product over eps = 1) / (product over eps = -1).
+    with c = sum_{a<d/2} eps(a) an exact integer.  sin(pi a/d) is
+    Im zeta^a, zeta = e^(i pi/d) stepped by one multiplication per a.
+
+    The log-Gamma values come from one pass with one shift N = ceil(1.2 dps)
+    for every a, as in ``log_gamma`` but without its per-call mpf work.
+    With z = (a + N d)/d and P_a = prod_{j<N} (a + j d), an exact integer,
+
+        sum eps log Gamma(a/d) = sum eps [(z - 1/2)(log N + log1p(a/(N d)))
+                                          - z + log(2 pi)/2 + T(z)]
+                                 - log prod_eps P_a^eps + c N log d,
+
+    T the tail of Stirling's series.  sum eps (z - 1/2) and sum eps z are
+    exact rationals, so log N and log d are each taken once, and the
+    constants c log(2 pi) - c log pi leave c log 2; T(z) and
+    (z - 1/2) log1p(a/(N d)) add up in one fixed-point integer at
+    2^(prec + 20); and each sine goes into the mpf product of its sign,
+    each P_a^2 into that of the other, so the sines and shift products
+    enter through one log.  That is three mpf logs per sum, whatever
+    phi(d), and no ``log_gamma`` call.
+
+    The fold is summed at working + 10 digits.  The heads (z - 1/2) log z
+    and log P_a, of size about N log(N d) times c, cancel down to the sum
+    and cost about log10 N of those guard digits and more as c grows; the
+    per-a roundings and Stirling remainders cost about log10 phi(d); the
+    power chain of zeta costs about log10 d.  The unrounded sum was within
+    10^-(working + 5) of mpmath's loggamma at every d the tests reach,
+    d = 9995 and 1000 digits included.
 
     With residues_only, the sum of log Gamma(a/d) over eps(a) = 1 alone,
     added term by term in order of a at working precision.
@@ -65,24 +94,34 @@ def character_gamma_sum(d, ctx: PrecisionContext, residues_only: bool = False):
                     # sum; the Tate certificates' recorded digits keep it
                     total += e * log_gamma(Fraction(a, d), ctx)
             return total
-        # 10 guard digits: the chain of d/2 powers of zeta loses about
-        # log10(d) of them, and doubling the log-Gamma terms doubles
-        # their rounding; summed at working precision, periods --p 23
-        # lost a printed digit
         with mp.extradps(10):
+            wp = mp.prec + _GUARD_BITS
+            shift = -(-6 * mp.dps // 5)  # N = ceil(1.2 dps), log_gamma's shift point
+            nd = shift * d
+            # log_gamma's Stirling budget, per a
+            limit = max(1, int(mp.ldexp(mp.mpf(10) ** -(ctx.working_digits + 5), wp)))
             zeta = mp.expjpi(mp.mpf(1) / d)
             power = mp.mpc(1)
-            acc = mp.mpf(0)
-            sines = {1: mp.mpf(1), -1: mp.mpf(1)}
-            c = 0
+            parts = {1: mp.mpf(1), -1: mp.mpf(1)}
+            c = weight = tail = log1p = 0
             for a in range(1, (d + 1) // 2):
                 power *= zeta
                 e = disc.epsilon(a)
                 if e:
-                    acc += e * log_gamma(Fraction(a, d), ctx)
-                    sines[e] *= power.imag
+                    n = a + nd  # z = n/d
+                    parts[e] *= power.imag
+                    parts[-e] *= prod(range(a, n, d)) ** 2
+                    tail += e * _stirling_tail(n, d, limit)
+                    # 2 d (z - 1/2) log1p(a/(N d))
+                    log1p += e * (2 * n - d) * _log1p_fixed(a, nd)
                     c += e
-            acc = 2 * acc + mp.log(sines[1] / sines[-1]) - c * mp.log(mp.pi)
+                    weight += e * a
+            # twice sum eps (z - 1/2) = 2 weight/d + c (2N - 1), twice sum eps z
+            # = 2 weight/d + 2 c N; 2 c log(2 pi)/2 - c log pi = c log 2
+            acc = (to_mpf(Fraction(2 * weight, d) + c * (2 * shift - 1)) * mp.log(shift)
+                   - to_mpf(Fraction(2 * weight, d) + 2 * c * shift)
+                   + mp.mpf((2 * tail + log1p // d, -wp)) + c * mp.ln2
+                   + 2 * c * shift * mp.log(d) + mp.log(parts[1] / parts[-1]))
         return +acc
 
 

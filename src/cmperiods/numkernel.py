@@ -11,10 +11,15 @@ are implemented here: Stirling's series with argument shifting for
 log-gamma, Euler-Maclaurin for Hurwitz zeta, and the q-product for the
 modular discriminant.  Every function is pure, so callers may fan work out
 across processes freely.  ``log_gamma`` is also memoized for the life of
-the process, per (argument type, argument value, PrecisionContext): every
-identity sums log Gamma over the same rationals a/d, and a hit returns the
-very mpf the kernel computed.  The memo holds 8,192 values, enough for
-one ``suite --max-d 200`` tier (4,342 distinct arguments).
+the process, per (argument type, argument value, PrecisionContext): the
+Fermat certificates sum log Gamma over the same rationals a/p again and
+again, and a hit returns the very mpf the kernel computed.  The folded
+character sum of ``lseries`` does not call it, so neither ``verify-cs``,
+``periods``, ``faltings`` nor ``suite`` fills the memo.  Every mixed
+``fermat`` triple at p = 7, 11 and 19 at one precision leaves 62 distinct
+arguments, and a tate-sweep campaign of perfbench, at three precisions,
+168; the arguments of one request are fractions k/p, so the 8,192 values
+the memo holds leave room for many primes and precisions.
 
 A log-gamma call that misses the memo shifts x = n/m up by N ~ 1.2*dps
 (Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 4): the shift
@@ -27,7 +32,9 @@ last by a ratio c_k / c_(k-1) of its coefficients B_2k / (2k (2k-1)),
 read from a table kept per working precision, and 1/z^2, so a term
 costs two integer multiplications; the q-product of the discriminant
 multiplies Gaussian integers and becomes an mpc once, before its 24th
-power.
+power.  ``_stirling_tail``, the Stirling loop, and ``_log1p_fixed``, an
+atanh series on the same scale, also serve the folded character sum of
+``lseries``.
 """
 
 from __future__ import annotations
@@ -53,8 +60,8 @@ __all__ = [
 
 _LN10 = 2.302585092994046
 _EM_TERM_CAP = 100000  # the Euler-Maclaurin series turns and grows long before
-# one suite --max-d 200 tier asks for 4,342 distinct log-Gamma arguments; the
-# next power of two holds them all, at a few hundred bytes a value
+# log-Gamma values kept, at a few hundred bytes each; only the fermat
+# requests fill it (see the module docstring)
 _LOG_GAMMA_MEMO = 8192
 # Stirling coefficient tables kept, one per binary working precision
 _STIRLING_TABLES = 16
@@ -124,7 +131,7 @@ def _stirling_coefficients(prec):
     """Ratios c_k / c_(k-1) of c_k = B_2k / (2k (2k-1)), keyed by k >= 2.
 
     Each is an integer scaled by 2^(prec + _GUARD_BITS), the scale of
-    ``_stirling_log_gamma`` at binary precision prec.  Filled lazily up
+    ``_stirling_tail`` at binary precision prec.  Filled lazily up
     to the largest k used so far: the series stops far below its 4*dps
     cap, and building that many Bernoulli numbers up front takes seconds
     at 300 digits.
@@ -151,25 +158,35 @@ def _stirling_ratio(k, wp):
 
 
 def _stirling_log_gamma(z, budget):
-    # Asymptotic series at large real z; remainder after the k-th Bernoulli
-    # term is bounded by the next term for z > 0, so stop once below budget.
-    # With z = n/m read exactly, the terms are integers scaled by 2^wp, each
-    # carried from the last: term_k = term_(k-1) * (c_k / c_(k-1)) / z^2.
-    # Forming c_k / z^(2k-1) instead would let the powers of 1/z underflow
-    # the scale while c_k grows.
+    # Asymptotic series at large real z: the head in mpf, the tail in
+    # fixed point, its remainder below budget
     acc = (z - mp.mpf(1) / 2) * mp.log(z) - z + _half_log_two_pi(mp.prec)
     wp = mp.prec + _GUARD_BITS
-    ratios = _stirling_coefficients(mp.prec)
     n, m = _exact_ratio(z, z)
-    inv_z2 = ((m * m) << wp) // (n * n)
     limit = max(1, int(mp.ldexp(budget, wp)))
+    return acc + mp.mpf((_stirling_tail(n, m, limit), -wp))
+
+
+def _stirling_tail(n, m, limit):
+    """sum_k c_k / z^(2k-1) at z = n/m, Stirling's series past its head.
+
+    The head is (z - 1/2) log z - z + log(2 pi)/2.  The sum is an integer
+    scaled by 2^wp, wp = prec + _GUARD_BITS, and stops at the first term
+    below limit on that scale; for z > 0 the remainder after a term is
+    bounded by the next one.  Each term is carried from the last:
+    term_k = term_(k-1) * (c_k / c_(k-1)) / z^2.  Forming c_k / z^(2k-1)
+    instead would let the powers of 1/z underflow the scale while c_k grows.
+    """
+    wp = mp.prec + _GUARD_BITS
+    ratios = _stirling_coefficients(mp.prec)
+    inv_z2 = ((m * m) << wp) // (n * n)
     term = (m << wp) // (12 * n)
     total = 0
     for k in range(2, 4 * mp.dps + 1):
         total += term
-        if abs(term) < limit:
-            return acc + mp.mpf((total, -wp))
         smallest = abs(term)
+        if smallest < limit:
+            return total
         r = ratios.get(k)
         if r is None:
             r = ratios[k] = _stirling_ratio(k, wp)
@@ -179,6 +196,26 @@ def _stirling_log_gamma(z, budget):
     # the smallest term bounds the best this series can do at z
     raise PrecisionError("Stirling series did not reach the error budget",
                          achieved_digits=error_digits(mp.mpf((smallest, -wp))))
+
+
+def _log1p_fixed(p, q):
+    """log(1 + p/q) for integers 0 <= p < q, as an integer scaled by 2^wp.
+
+    wp = prec + _GUARD_BITS, the scale of ``_stirling_tail``.
+    log(1 + u) = 2 atanh(t) with t = p/(2q + p) <= 1/3, summed as
+    2 sum_k t^(2k+1)/(2k+1) until a power of t falls below one unit;
+    each power is floored, so the error is at most a unit per term.
+    """
+    wp = mp.prec + _GUARD_BITS
+    den = 2 * q + p
+    p2, den2 = p * p, den * den
+    power = (p << (wp + 1)) // den
+    total, k = 0, 1
+    while power:
+        total += power // k
+        power = power * p2 // den2
+        k += 2
+    return total
 
 
 def _exact_ratio(x, xv):

@@ -105,6 +105,7 @@ def test_kronecker_precision_sweep(capsys, d, k, prec):
 ENVELOPE_RUNS = [
     *(("verify-cs", "--d", d) for d in (3, 4, 7, 8, 23, 56, 163, 199)),
     *((cmd, "--p", p) for cmd in ("periods", "faltings") for p in (7, 23, 163)),
+    ("suite", "--max-d", 60),  # every cs_verify, periods and faltings row to 60
 ]
 
 
@@ -380,12 +381,11 @@ assert cli._cs_worker is tracing.traced_cs_worker
 assert cli.ProcessPoolExecutor is tracing.TracedPool
 requests = [
     (["verify-cs", "--d", "7"], {"csperiods.cs_verify", "csperiods.make_report",
-                                 "numkernel.log_gamma", "numkernel.delta_lattice",
-                                 "quadforms.reduced_forms"}),
+                                 "numkernel.delta_lattice", "quadforms.reduced_forms"}),
     (["fermat", "--p", "7", "--rst", "1,1,5"], {
         "fermat.cm_type", "fermat.tate_twist_certificate", "fermat.beta_period",
         "csperiods.m_invariant", "csperiods.make_report", "relint.recognize_rational",
-        "quadforms.class_number_dirichlet"}),
+        "quadforms.class_number_dirichlet", "numkernel.log_gamma"}),
 ]
 for i, (argv, expected) in enumerate(requests):
     tracing.start_request(i)

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from mpmath import mp
@@ -156,12 +155,17 @@ def test_character_gamma_sum_halves_obey_gauss_multiplication(prec):
             assert abs(2 * r - chi - gauss) < mp.mpf(10) ** -(prec + 10), p
 
 
-@pytest.mark.parametrize("prec, ds", [(1000, (3, 4, 23, 56)), (30, (9995,))],
-                         ids=["1000", "30-d9995"])
+FUNDAMENTAL_200 = tuple(d for d in range(3, 201) if is_fundamental(d))
+
+
+@pytest.mark.parametrize("prec, ds", [(1000, (3, 4, 23, 56)), (30, (9995,)),
+                                      (60, FUNDAMENTAL_200), (120, FUNDAMENTAL_200)],
+                         ids=["1000", "30-d9995", "60-every-d", "120-every-d"])
 def test_reflected_character_gamma_sum_against_mpmath(prec, ds):
     # the reflected sum against every term of the unreflected one, by
     # mpmath's loggamma at working + 20 digits; d = 9995 has the longest
-    # chain of powers of e^(i pi/d) that the tests reach
+    # chain of powers of e^(i pi/d) that the tests reach, and every
+    # fundamental d <= 200 is what cs-sweep, the suite and the goldens draw
     ctx = PrecisionContext(prec)
     for d in ds:
         disc = Discriminant(d)
@@ -172,18 +176,26 @@ def test_reflected_character_gamma_sum_against_mpmath(prec, ds):
             assert abs(got - ref) < mp.mpf(10) ** -(prec + 10), d
 
 
-@pytest.mark.parametrize("d", [7, 56, 163])
-def test_reflected_character_gamma_sum_halves_log_gamma_calls(monkeypatch, d):
-    keys = []
+def test_folded_character_gamma_sum_calls_no_log_gamma(monkeypatch):
+    # the fold shares one shift, one Stirling loop and a few logs over
+    # every a: no log_gamma call, and as many mp.log calls at d = 7 as at
+    # d = 9995, where phi(d)/2 = 3,996
+    def refuse(x, ctx):
+        raise AssertionError(f"log_gamma({x}) called")
 
-    def recording(x, ctx):
-        keys.append(x)
-        return log_gamma(x, ctx)
+    calls = []
+    real_log = mp.log
 
-    monkeypatch.setattr(lseries, "log_gamma", recording)
-    ctx = PrecisionContext(60)
-    log_gamma.cache_clear()
-    character_gamma_sum(Discriminant(d), ctx)
-    half_phi = sum(1 for a in range(1, d) if gcd(a, d) == 1) // 2
-    assert log_gamma.cache_info().misses == half_phi
-    assert len(keys) == half_phi and all(x < Fraction(1, 2) for x in keys)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_log(*args, **kwargs)
+
+    monkeypatch.setattr(lseries, "log_gamma", refuse)
+    monkeypatch.setattr(mp, "log", counting)
+    ctx = PrecisionContext(30)
+    counts = {}
+    for d in (7, 56, 163, 9995):
+        calls.clear()
+        character_gamma_sum(Discriminant(d), ctx)
+        counts[d] = len(calls)
+    assert len(set(counts.values())) == 1 and counts[7] <= 6, counts

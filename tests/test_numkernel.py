@@ -233,6 +233,41 @@ def test_stirling_shortfall_reports_smallest_term():
     assert err.value.achieved_digits == 14
 
 
+# the shift N = ceil(1.2 dps) of the folded character sum at 1000 digits
+_N1000 = 1200
+
+
+@pytest.mark.parametrize("p, q", [(1, 3 * _N1000), (97, 199 * _N1000),
+                                  (4997, 9995 * _N1000), (1, 2), (2, 3)])
+def test_log1p_fixed_keeps_guard_digits(p, q):
+    # the atanh series of the folded character sum, at its arguments
+    # a/(N d) and at the slowest, p/q near 1: one floored unit of
+    # 2^-(prec + 20) per term leaves 4 digits past 1000
+    dps = 1000
+    with mp.workdps(dps):
+        wp = mp.prec + numkernel._GUARD_BITS
+        val = numkernel._log1p_fixed(p, q)
+    with mp.workdps(dps + 40):
+        assert abs(mp.mpf((val, -wp)) - mp.log1p(mp.mpf(p) / q)) < mp.mpf(10) ** -(dps + 4)
+
+
+@pytest.mark.parametrize("n, m", [(1 + 3 * _N1000, 3), (97 + 199 * _N1000, 199),
+                                  (_N1000, 1), (5 * _N1000, 1)])
+def test_stirling_tail_keeps_guard_digits(n, m):
+    # the tail that log_gamma and the folded character sum share, at
+    # z = n/m, against log Gamma(z) less the head of Stirling's series;
+    # stopped at 10^-(dps+5), its roundings leave 4 digits past 1000
+    dps = 1000
+    with mp.workdps(dps):
+        wp = mp.prec + numkernel._GUARD_BITS
+        limit = int(mp.ldexp(mp.mpf(10) ** -(dps + 5), wp))
+        val = numkernel._stirling_tail(n, m, limit)
+    with mp.workdps(dps + 40):
+        z = mp.mpf(n) / m
+        ref = mp.loggamma(z) - ((z - mp.mpf(1) / 2) * mp.log(z) - z + mp.log(2 * mp.pi) / 2)
+        assert abs(mp.mpf((val, -wp)) - ref) < mp.mpf(10) ** -(dps + 4)
+
+
 @pytest.mark.parametrize("target", [30, 60, 120])
 def test_hurwitz_zeta_negative_s_against_zeta(target):
     # H(1/2, s) = (2^s - 1) zeta(s); below s = -11 the direct block grows
