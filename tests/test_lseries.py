@@ -176,13 +176,7 @@ def test_reflected_character_gamma_sum_against_mpmath(prec, ds):
             assert abs(got - ref) < mp.mpf(10) ** -(prec + 10), d
 
 
-def test_folded_character_gamma_sum_calls_no_log_gamma(monkeypatch):
-    # the fold shares one shift, one Stirling loop and a few logs over
-    # every a: no log_gamma call, and as many mp.log calls at d = 7 as at
-    # d = 9995, where phi(d)/2 = 3,996
-    def refuse(x, ctx):
-        raise AssertionError(f"log_gamma({x}) called")
-
+def _mp_log_calls(monkeypatch, d, ctx):
     calls = []
     real_log = mp.log
 
@@ -190,12 +184,24 @@ def test_folded_character_gamma_sum_calls_no_log_gamma(monkeypatch):
         calls.append(args)
         return real_log(*args, **kwargs)
 
-    monkeypatch.setattr(lseries, "log_gamma", refuse)
-    monkeypatch.setattr(mp, "log", counting)
-    ctx = PrecisionContext(30)
-    counts = {}
-    for d in (7, 56, 163, 9995):
-        calls.clear()
+    with monkeypatch.context() as m:
+        m.setattr(mp, "log", counting)
         character_gamma_sum(Discriminant(d), ctx)
-        counts[d] = len(calls)
-    assert len(set(counts.values())) == 1 and counts[7] <= 6, counts
+    return len(calls)
+
+
+@pytest.mark.parametrize("d", [7, 56, 163])
+def test_reflected_character_gamma_sum_halves_log_gamma_calls(monkeypatch, d):
+    # the reflection halves the phi(d) log-Gamma terms, and the fold then
+    # shares one shift, one Stirling loop and a few logs over every a: no
+    # log_gamma call at all, and as many mp.log calls at d as at d = 9995,
+    # where phi(d)/2 = 3,996
+    def refuse(x, ctx):
+        raise AssertionError(f"log_gamma({x}) called")
+
+    monkeypatch.setattr(lseries, "log_gamma", refuse)
+    ctx = PrecisionContext(30)
+    log_gamma.cache_clear()
+    count = _mp_log_calls(monkeypatch, d, ctx)
+    assert log_gamma.cache_info().misses == 0
+    assert count == _mp_log_calls(monkeypatch, 9995, ctx) and count <= 6, count
