@@ -9,6 +9,9 @@ the same requests, in one fresh interpreter with that directory first on
 
 - ``fermat --json`` on every mixed triple at p = 7, 11 and 19 (294
   triples), at 30, 60 and 120 digits: 882 runs;
+- ``fermat --json`` on every mixed triple at p = 19 at 300 digits (216),
+  and on twelve evenly spaced mixed triples each at p = 43 and 163 at 60
+  digits: the log-Gamma shift products of ``fermat`` are longest there;
 - ``periods --json`` and ``faltings --json`` at every prime p = 3 mod 4
   from 7 to 199, at 30, 60 and 120 digits;
 - ``kronecker --json`` over every class of d = 3, 4, 7, 8, 23, 47, 71
@@ -23,7 +26,7 @@ the same requests, in one fresh interpreter with that directory first on
 - ``suite --max-d 200 --prec 60 --json``;
 - every golden request of ``tests/test_cli.py`` (``GOLDEN_RUNS``);
 
-1,396 requests in all, 26 of them from the ``kronecker`` list, 129
+1,636 requests in all, 26 of them from the ``kronecker`` list, 129
 from the ``verify-cs`` list and 202 from the ``hecke`` list.
 
 For each request the exit code, stdout and stderr are hashed.  The script
@@ -69,6 +72,7 @@ KRONECKER_DS = (3, 4, 7, 8, 23, 47, 71, 163)
 VERIFY_CS_PRECS = (30, 120)
 VERIFY_CS_300 = (23, 163, 199)
 VERIFY_CS_600 = (23, 163)
+FERMAT_SPREAD = (43, 163)  # twelve mixed triples each, at 60 digits
 MAX_DIGITS_DELTA = 2  # the re-record rule's bound on |change in digits_agreed|
 
 WORKER = """
@@ -128,6 +132,12 @@ def _golden_requests() -> list[list[str]]:
 def requests() -> list[list[str]]:
     out = [["fermat", "--p", str(p), "--rst", f"{r},{s},{t}", "--prec", str(prec), "--json"]
            for prec in PRECS for p in (7, 11, 19) for r, s, t in _mixed_triples(p)]
+    out += [["fermat", "--p", "19", "--rst", f"{r},{s},{t}", "--prec", "300", "--json"]
+            for r, s, t in _mixed_triples(19)]
+    for p in FERMAT_SPREAD:
+        triples = _mixed_triples(p)
+        out += [["fermat", "--p", str(p), "--rst", f"{r},{s},{t}", "--prec", "60", "--json"]
+                for r, s, t in triples[::len(triples) // 12][:12]]
     out += [[cmd, "--p", str(p), "--prec", str(prec), "--json"]
             for prec in PRECS for cmd in ("periods", "faltings")
             for p in _primes_3mod4(7, 199)]

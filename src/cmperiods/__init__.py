@@ -9,36 +9,31 @@ quadratic form arithmetic.
 
 from .csperiods import (IdentityReport, cs_verify, faltings_height_L,
                         faltings_height_periods, m_invariant, period_integral)
-from .epstein import epstein_continued, epstein_direct, epstein_jet
+from .epstein import epstein_jet
 from .errors import ConsistencyError, DomainError, PoleError, PrecisionError
 from .fermat import (CMTypeRecord, RatioCertificate, beta_period, cm_type,
-                     epsilon_rst, gamma_period, residue_twist_certificate,
-                     tate_twist_certificate)
+                     epsilon_rst, tate_twist_certificate)
 from .heckechar import psi_M, psi_multiplicativity_check
-from .lseries import SZeroJet, dirichlet_L, dirichlet_jet, riemann_jet, zetak_dlog0
-from .numkernel import (Lattice, PrecisionContext, beta, delta_lattice,
-                        gamma_rational, hurwitz_zeta, log_gamma)
+from .lseries import SZeroJet, dirichlet_jet
+from .numkernel import Lattice, PrecisionContext, delta_lattice, hurwitz_zeta, log_gamma
 from .quadforms import (ClassGroup, Discriminant, QuadForm, QuadInteger,
-                        class_number, class_number_dirichlet, compose, cornacchia,
+                        class_number, class_number_dirichlet, compose,
                         cornacchia_all, form_to_lattice, inverse_ideal_lattice,
                         is_fundamental, kronecker, principal_form, reduce_form,
                         reduced_forms)
-from .relint import Relation, pslq, recognize_rational, recognize_sqrtp
+from .relint import recognize_rational, recognize_sqrtp
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CMTypeRecord", "ClassGroup", "ConsistencyError", "Discriminant",
     "DomainError", "IdentityReport", "Lattice", "PoleError", "PrecisionContext",
-    "PrecisionError", "QuadForm", "QuadInteger", "RatioCertificate", "Relation",
-    "SZeroJet", "beta", "beta_period", "class_number", "class_number_dirichlet",
-    "cm_type", "compose", "cornacchia", "cornacchia_all", "cs_verify",
-    "delta_lattice", "dirichlet_L", "dirichlet_jet", "epsilon_rst",
-    "epstein_continued", "epstein_direct", "epstein_jet", "faltings_height_L",
-    "faltings_height_periods", "form_to_lattice", "gamma_period",
-    "gamma_rational", "hurwitz_zeta", "inverse_ideal_lattice", "is_fundamental",
-    "kronecker", "log_gamma", "m_invariant", "period_integral", "principal_form",
-    "pslq", "psi_M", "psi_multiplicativity_check", "recognize_rational",
-    "recognize_sqrtp", "reduce_form", "reduced_forms", "residue_twist_certificate",
-    "riemann_jet", "tate_twist_certificate", "zetak_dlog0",
+    "PrecisionError", "QuadForm", "QuadInteger", "RatioCertificate", "SZeroJet",
+    "beta_period", "class_number", "class_number_dirichlet", "cm_type", "compose",
+    "cornacchia_all", "cs_verify", "delta_lattice", "dirichlet_jet", "epsilon_rst",
+    "epstein_jet", "faltings_height_L", "faltings_height_periods", "form_to_lattice",
+    "hurwitz_zeta", "inverse_ideal_lattice", "is_fundamental", "kronecker",
+    "log_gamma", "m_invariant", "period_integral", "principal_form", "psi_M",
+    "psi_multiplicativity_check", "recognize_rational", "recognize_sqrtp",
+    "reduce_form", "reduced_forms", "tate_twist_certificate",
 ]

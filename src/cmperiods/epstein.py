@@ -2,8 +2,10 @@
 
 Z_Q(s) = sum over nonzero (x, y) in Z^2 of Q(x, y)^(-s).
 
-The continuation comes from splitting the Mellin integral of the theta
-series at the Poisson-symmetric point t0 = 2*pi/sqrt(d):
+Only the jet at s = 0 is computed, the value and derivative that
+Kronecker's limit formula ties to the discriminant.  It comes from
+splitting the Mellin integral of the theta series at the
+Poisson-symmetric point t0 = 2*pi/sqrt(d):
 
     Gamma(s) Z_Q(s) = sum_{n>=1} r(n) [ n^(-s) G(s, n*t0)
                       + t0^(2s-1) n^(s-1) G(1-s, n*t0) ]
@@ -12,13 +14,11 @@ series at the Poisson-symmetric point t0 = 2*pi/sqrt(d):
 where r(n) = #{(x, y) != 0 : Q(x, y) = n} and G is the upper incomplete
 gamma function.  The dual form (c, -b, a) produced by the modular flip
 represents the same integers as Q via (x, y) -> (y, -x), so one count
-array serves both sums.  Everything decays like e^(-n*t0), giving any
-real s off the poles at full working precision.
+array serves both sums.  At s = 0 the split gives Z_Q(0) = -1, and
+Z_Q'(0) is one series in E1(n*t0) = G(0, n*t0) plus elementary terms,
+decaying like e^(-n*t0).
 
-At s = 0 the same split gives the jet in closed form: Z_Q(0) = -1, and
-Z_Q'(0) is one series in E1(n*t0) = G(0, n*t0) plus elementary terms.
-
-Nearly all the time goes into G, by the power series below x = 40 and
+Nearly all the time goes into E1, by the power series below x = 40 and
 the Legendre continued fraction (modified Lentz) above.  Both loops run
 in fixed point, on Python integers scaled by 2^(prec + 20) as in
 ``numkernel``, with no mpf normalization per step; the result becomes an
@@ -28,20 +28,19 @@ mpf once, where the loop ends.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, log, log10
+from math import isqrt
 
 from mpmath import mp
 
-from .errors import DomainError, PrecisionError
+from .errors import PrecisionError
 from .lseries import SZeroJet
-from .numkernel import _GUARD_BITS, PrecisionContext, error_digits, log_gamma, to_mpf
+from .numkernel import _GUARD_BITS, PrecisionContext, error_digits
 from .quadforms import QuadForm
 
 _LOG10E = 0.4342944819032518
 _CF_MIN_X = 40.0
 _SERIES_CAP = 300000
 _CF_CAP = 300000
-_DIRECT_RADIUS_CAP = 3_000_000
 
 
 def theta_counts(f: QuadForm, limit: int) -> list[int]:
@@ -66,122 +65,79 @@ def theta_counts(f: QuadForm, limit: int) -> list[int]:
     return counts
 
 
-def _gamma_at(s):
-    """Gamma(s) at ambient precision, real s not a nonpositive integer."""
-    ctx = PrecisionContext(target_digits=mp.dps, guard_digits=10)
-    if s > 0.5:
-        return mp.exp(log_gamma(s, ctx))
-    k = int(mp.ceil(mp.mpf(3) / 2 - s))
-    den = mp.mpf(1)
-    for j in range(k):
-        den *= s + j
-    return mp.exp(log_gamma(s + k, ctx)) / den
-
-
-def _upper_gamma_cf(s, x, expmx):
-    """Lentz evaluation of the Legendre continued fraction, large x.
+def _e1_cf(x, expmx):
+    """Lentz evaluation of the Legendre continued fraction of E1, large x.
 
     The loop runs on integers scaled by 2^wp, wp = prec + _GUARD_BITS:
-    the partial numerators a_j = -j (j - s) and denominators
-    b_j = x + 2j + 1 - s, the Lentz pair (c, d) and the product f.
+    the partial numerators a_j = -j^2 and denominators b_j = x + 2j + 1,
+    the Lentz pair (c, d) and the product f.
     """
     dps = mp.dps
     with mp.workdps(dps + 10):
         wp = mp.prec + _GUARD_BITS
         one = 1 << wp
-        sf, xf = int(mp.ldexp(s, wp)), int(mp.ldexp(x, wp))
+        xf = int(mp.ldexp(x, wp))
         tol = int(mp.ldexp(mp.mpf(10) ** (-(dps + 6)), wp))
         # a zero divisor becomes the smallest nonzero value, one unit
-        f = xf + one - sf or 1
+        f = xf + one or 1
         c = f
         d = 0
         for j in range(1, _CF_CAP):
-            aj = -j * (j * one - sf)
-            bj = xf + (2 * j + 1) * one - sf
+            aj = -j * j * one
+            bj = xf + (2 * j + 1) * one
             d = (one * one) // (bj + (aj * d >> wp) or 1)
             c = bj + (aj << wp) // c or 1
             delta = c * d >> wp
             f = f * delta >> wp
             if abs(delta - one) < tol:
-                return mp.exp(s * mp.log(x)) * expmx / mp.mpf((f, -wp))
+                return +expmx / mp.mpf((f, -wp))
         achieved = error_digits(mp.mpf((abs(delta - one), -wp)))
     raise PrecisionError("incomplete gamma continued fraction stalled",
                          achieved_digits=achieved)
 
 
-def _upper_gamma_series(s, x):
-    """Gamma(s, x) = [Gamma(s) - x^s/s] - x^s sum_{k>=1} (-x)^k/(k! (s+k)).
+def _e1_series(x):
+    """E1(x) = -gamma - log x - sum_{k>=1} (-x)^k/(k k!).
 
     The partial sums swing up to e^x while the result is ~e^(-x), so the
-    sum runs with about 2*x*log10(e) extra digits; a further guard covers
-    the head cancellation when s is close to 0.  The term and the sum are
-    integers scaled by 2^wp, wp = prec + _GUARD_BITS.
+    sum runs with about 2*x*log10(e) extra digits.  The term and the sum
+    are integers scaled by 2^wp, wp = prec + _GUARD_BITS.
     """
     dps = mp.dps
     cancel = int(2 * float(x) * _LOG10E) + 12
-    small_s = s != 0 and abs(s) < mp.mpf(3) / 4
-    if small_s:
-        cancel += max(0, int(-mp.log10(abs(s)))) + 5
     with mp.workdps(dps + cancel):
-        if s == 0:
-            head = -mp.euler - mp.log(x)
-        elif small_s:
-            ctx = PrecisionContext(target_digits=mp.dps, guard_digits=10)
-            head = (mp.exp(log_gamma(s + 1, ctx)) - mp.exp(s * mp.log(x))) / s
-        else:
-            head = _gamma_at(s) - mp.exp(s * mp.log(x)) / s
+        head = -mp.euler - mp.log(x)
         wp = mp.prec + _GUARD_BITS
         floor = int(mp.ldexp(mp.mpf(10) ** (-(dps + cancel)), wp))
-        sf, xf = int(mp.ldexp(s, wp)), int(mp.ldexp(x, wp))
+        xf = int(mp.ldexp(x, wp))
         term = 1 << wp
         total = 0
         xlim = float(x)
         for k in range(1, _SERIES_CAP):
             term = -(term * xf >> wp) // k
-            total += term // k if s == 0 else (term << wp) // (sf + (k << wp))
+            total += term // k
             if k > xlim and abs(term) * k < floor:
-                return head - mp.exp(s * mp.log(x)) * mp.mpf((total, -wp))
+                return head - mp.mpf((total, -wp))
         # floor sits cancel digits below the dps the result is due
         achieved = max(0, error_digits(mp.mpf((abs(term) * k, -wp))) - cancel)
     raise PrecisionError("incomplete gamma series did not converge",
                          achieved_digits=achieved)
 
 
-def _upper_gamma(s, x, expmx):
-    """Upper incomplete Gamma(s, x) for real s and x > 0 at ambient precision."""
-    if x >= _CF_MIN_X and x >= 2 * abs(s):
-        return _upper_gamma_cf(s, x, expmx)
-    if s <= mp.mpf(-1) / 2:
-        if mp.isint(s):
-            k, top = int(-s), mp.mpf(0)
-        else:
-            k = int(mp.ceil(mp.mpf(1) / 2 - s))
-            top = s + k
-        # each step cancels ~log10(x / |t - 1|) digits when x dominates t
-        lost = sum(max(0.0, log10(float(x) / abs(float(top) - 1 - j)))
-                   for j in range(k))
-        with mp.workdps(mp.dps + 12 + int(lost)):
-            em = mp.exp(-x)
-            g = _upper_gamma(top, x, em)
-            lx = mp.log(x)
-            for j in range(k):
-                t = top - j
-                g = (g - mp.exp((t - 1) * lx) * em) / (t - 1)
-        return +g
-    return _upper_gamma_series(s, x)
+def _e1(x, expmx):
+    """Exponential integral E1(x) = Gamma(0, x) for x > 0 at ambient precision."""
+    return _e1_cf(x, expmx) if x >= _CF_MIN_X else _e1_series(x)
 
 
-def _theta_sum(f: QuadForm, t0, term, slack=0.0):
-    """sum_{n>=1} r(n) * term(n, n*t0, e^(-n*t0)) at ambient precision.
+def _theta_sum(f: QuadForm, t0):
+    """sum_{n>=1} r(n) [E1(n*t0) + e^(-n*t0)/(n*t0)] at ambient precision.
 
     Each term runs at a precision reduced by its e^(-n*t0) weight.  The
-    sum stops once that weight is below 10^-(dps+12), plus
-    slack*log(n)/t0 further terms for summands growing like n^slack.
+    sum stops once that weight is below 10^-(dps+12).
     """
     wp = mp.dps
     t0f = float(t0)
-    limit = int((wp + 12) * 2.302586 / t0f) + 2
-    limit += int(slack * log(limit + 1) / t0f) + 2
+    limit = int((wp + 12) * 2.302586 / t0f) + 4
     counts = theta_counts(f, limit)
     e1 = mp.exp(-t0)
     expmx = mp.mpf(1)
@@ -190,41 +146,10 @@ def _theta_sum(f: QuadForm, t0, term, slack=0.0):
         expmx *= e1
         if counts[n]:
             with mp.workdps(max(25, wp + 12 - int(n * t0f * _LOG10E))):
-                t = counts[n] * term(n, n * t0, expmx)
+                x = n * t0
+                t = counts[n] * (_e1(x, expmx) + expmx / x)
             total += t
     return total
-
-
-def _z_value(f: QuadForm, s):
-    """Z_Q(s) at ambient precision, s off 1 and the nonpositive integers."""
-    t0 = 2 * mp.pi / mp.sqrt(-f.disc)
-    spow = mp.exp((2 * s - 1) * mp.log(t0))
-
-    def term(n, x, expmx):
-        # Gamma(1-s, x) = -s Gamma(-s, x) + x^(-s) e^(-x)
-        g1ms = -s * _upper_gamma(-s, x, expmx) + mp.exp(-s * mp.log(x)) * expmx
-        ln = mp.log(n)
-        return (mp.exp(-s * ln) * _upper_gamma(s, x, expmx)
-                + spow * mp.exp((s - 1) * ln) * g1ms)
-
-    total = _theta_sum(f, t0, term, slack=abs(float(s) - 1))
-    pole = mp.exp(s * mp.log(t0)) * (1 / (s - 1) - 1 / s)
-    return (total + pole) / _gamma_at(s)
-
-
-def epstein_continued(f: QuadForm, s, ctx: PrecisionContext):
-    """Z_Q(s) for real s != 0, 1 by the incomplete-gamma continuation."""
-    with mp.workdps(ctx.working_digits + 10):
-        sv = to_mpf(s)
-        if sv == 1:
-            raise DomainError("Z_Q has a pole at s = 1")
-        if sv == 0:
-            raise DomainError("use epstein_jet for the value at s = 0")
-        if mp.isint(sv) and sv < 0:
-            return mp.mpf(0)
-        val = _z_value(f, sv)
-    with ctx.workprec():
-        return +val
 
 
 def epstein_jet(f: QuadForm, ctx: PrecisionContext) -> SZeroJet:
@@ -241,54 +166,7 @@ def epstein_jet(f: QuadForm, ctx: PrecisionContext) -> SZeroJet:
     """
     with mp.workdps(ctx.working_digits + 10):
         t0 = 2 * mp.pi / mp.sqrt(-f.disc)
-        total = _theta_sum(
-            f, t0, lambda n, x, expmx: _upper_gamma(0, x, expmx) + expmx / x)
+        total = _theta_sum(f, t0)
         deriv = total - 1 - mp.log(t0) - mp.euler
     with ctx.workprec():
         return SZeroJet(value=mp.mpf(-1), deriv=+deriv, value_exact=Fraction(-1))
-
-
-def direct_tail_bound(f: QuadForm, s, radius):
-    """Conservative truncation-error estimate for epstein_direct at this radius.
-
-    Twice the main term (2*pi/sqrt(d)) * R^(1-s) / (s-1) of the tail, the
-    doubling absorbing the boundary fluctuation for radii above ~100.
-    """
-    with mp.extradps(10):
-        sv = to_mpf(s)
-        return 4 * mp.pi / mp.sqrt(-f.disc) * mp.power(radius, 1 - sv) / (sv - 1)
-
-
-def epstein_direct(f: QuadForm, s, ctx: PrecisionContext, radius=None):
-    """Z_Q(s) by bucketed lattice summation over Q(x, y) <= radius.
-
-    Only sensible well right of the abscissa: s > 1.1 is required, and
-    with radius=None a radius meeting the target accuracy is derived from
-    the tail bound.  PrecisionError (reporting the digits a capped radius
-    would certify) when the target is out of reach; pass an explicit
-    radius to sum anyway and judge the error with direct_tail_bound.
-    """
-    with ctx.workprec(10):
-        sv = to_mpf(s)
-        if sv <= mp.mpf('1.1'):
-            raise DomainError("direct summation needs s > 1.1; use the continuation")
-        if radius is None:
-            eps = mp.mpf(10) ** (-ctx.target_digits)
-            need = mp.power(4 * mp.pi / (mp.sqrt(-f.disc) * (sv - 1) * eps),
-                            1 / (sv - 1))
-            if need > _DIRECT_RADIUS_CAP:
-                raise PrecisionError(
-                    "direct summation hits the radius cap before "
-                    f"{ctx.target_digits} digits",
-                    achieved_digits=error_digits(
-                        direct_tail_bound(f, sv, _DIRECT_RADIUS_CAP)))
-            radius = int(need) + 1
-        radius = int(radius)
-        if radius < 1:
-            raise DomainError("radius must be a positive integer")
-        counts = theta_counts(f, radius)
-        total = mp.mpf(0)
-        for n in range(1, radius + 1):
-            if counts[n]:
-                total += counts[n] * mp.power(n, -sv)
-        return +total

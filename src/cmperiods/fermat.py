@@ -3,8 +3,9 @@
 For a prime p = 3 mod 4 and a triple (r, s, t) with r + s + t = 0 mod p,
 the exponents a with <ar/p> + <as/p> + <at/p> = 1 form a CM type.  The
 associated period products are Euler beta values; their comparison with
-products of Gamma(a/p) yields ratios that are exactly rational, or
-rational multiples of sqrt(p), and the certificates here pin those down.
+the product of Gamma(a/p) over the residues a yields ratios that are
+exactly rational, or rational multiples of sqrt(p), and the Tate-twist
+certificate here pins those down.
 
 Each public function takes p as an int or as the Discriminant that
 ``Discriminant.prime`` returned, and checks the triple once; a caller
@@ -122,20 +123,6 @@ def beta_period(p, r, s, t, ctx: PrecisionContext):
         return total
 
 
-def gamma_period(p, r, s, t, ctx: PrecisionContext):
-    """log of (2 pi)^(-(p-1)/2) prod over QRs a of Gamma(<ar/p>)Gamma(<as/p>)Gamma(<at/p>)."""
-    disc, r, s, t = _check_triple(p, r, s, t)
-    p = disc.d
-    with ctx.workprec():
-        total = -mp.mpf(p - 1) / 2 * mp.log(2 * mp.pi)
-        for a in range(1, p):
-            if disc.epsilon(a) != 1:
-                continue
-            for m in (r, s, t):
-                total += log_gamma(frac(Fraction(a * m, p)), ctx)
-        return total
-
-
 def _certify(name, inputs, log_ratio, kind, p, m, ctx) -> RatioCertificate:
     with ctx.workprec():
         ratio = mp.exp(log_ratio)
@@ -151,31 +138,6 @@ def _certify(name, inputs, log_ratio, kind, p, m, ctx) -> RatioCertificate:
             exact, text = exact * mp.sqrt(p), f"{text}*sqrt({p})"
         rep = replace(make_report(name, inputs, ratio, exact, ctx), rhs=text)
         return RatioCertificate(rep, kind, rec, max(abs(rec.numerator), rec.denominator), m)
-
-
-def residue_twist_certificate(p, r, ctx: PrecisionContext) -> RatioCertificate:
-    """Certify prod Gamma(<ar/p>) over QRs a against the untwisted product.
-
-    For eps(r) = +1 the twist permutes the residues, so the plain ratio
-    is 1.  For eps(r) = -1 it lands on the non-residues, and by the
-    Gamma multiplication formula the certified combination is sqrt(p)/p.
-    """
-    disc = Discriminant.prime(p)
-    p = disc.d
-    r = r % p
-    if r == 0:
-        raise DomainError("r must be nonzero mod p")
-    name, inputs = f"residue-twist p={p} r={r}", {"p": p, "r": r}
-    with ctx.workprec():
-        num = mp.mpf(0)
-        for a in range(1, p):
-            if disc.epsilon(a) == 1:
-                num += log_gamma(frac(Fraction(a * r, p)), ctx)
-        qr = character_gamma_sum(disc, ctx, residues_only=True)
-        if disc.epsilon(r) == 1:
-            return _certify(name, inputs, num - qr, "rational", p, None, ctx)
-        log_ratio = num + qr - mp.mpf(p - 1) / 2 * mp.log(2 * mp.pi)
-        return _certify(name, inputs, log_ratio, "sqrtp", p, None, ctx)
 
 
 def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificate:

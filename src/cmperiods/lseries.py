@@ -1,4 +1,4 @@
-"""Jets at s = 0 of zeta(s), L(epsilon, s) and their product zeta_k(s).
+"""The jet at s = 0 of L(epsilon, s), and the sum of eps(a) log Gamma(a/d) it rests on.
 
 Values come from Lerch's constant term H(x, 0) = 1/2 - x, exactly in
 rational arithmetic; derivatives from H_s'(x, 0) = log(Gamma(x)/sqrt(2*pi)).
@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Any
 
 from mpmath import mp
 
 from .errors import DomainError
-from .numkernel import (_GUARD_BITS, PrecisionContext, _log1p_fixed, _stirling_tail,
-                        hurwitz_zeta, log_gamma, to_mpf)
+from .numkernel import (_GUARD_BITS, PrecisionContext, _log1p_fixed, _shift_product,
+                        _stirling_tail, log_gamma, to_mpf)
 from .quadforms import Discriminant, class_number_dirichlet
 
 
@@ -110,7 +109,7 @@ def character_gamma_sum(d, ctx: PrecisionContext, residues_only: bool = False):
                 if e:
                     n = a + nd  # z = n/d
                     parts[e] *= power.imag
-                    parts[-e] *= prod(range(a, n, d)) ** 2
+                    parts[-e] *= _shift_product(a, d, 0, shift) ** 2
                     tail += e * _stirling_tail(n, d, limit)
                     # 2 d (z - 1/2) log1p(a/(N d))
                     log1p += e * (2 * n - d) * _log1p_fixed(a, nd)
@@ -125,13 +124,6 @@ def character_gamma_sum(d, ctx: PrecisionContext, residues_only: bool = False):
         return +acc
 
 
-def riemann_jet(ctx: PrecisionContext) -> SZeroJet:
-    """zeta(0) = -1/2, zeta'(0) = -(1/2) log(2 pi)."""
-    with ctx.workprec():
-        return SZeroJet(value=mp.mpf(-1) / 2, deriv=-mp.log(2 * mp.pi) / 2,
-                        value_exact=Fraction(-1, 2))
-
-
 def dirichlet_jet(d, ctx: PrecisionContext) -> SZeroJet:
     """Jet of L(epsilon, s) = d^(-s) * sum_a epsilon(a) H(a/d, s) at s = 0."""
     disc = Discriminant.of(d)
@@ -142,27 +134,3 @@ def dirichlet_jet(d, ctx: PrecisionContext) -> SZeroJet:
         # the log sqrt(2*pi) of each H_s'(a/d, 0) cancels: sum eps(a) = 0
         deriv = -mp.log(d) * to_mpf(value) + character_gamma_sum(disc, ctx)
         return SZeroJet(value=to_mpf(value), deriv=deriv, value_exact=value)
-
-
-def dirichlet_L(d, s, ctx: PrecisionContext):
-    """L(epsilon, s) for real s != 1, by the finite Hurwitz expansion."""
-    disc = Discriminant.of(d)
-    d = disc.d
-    with ctx.workprec():
-        sv = to_mpf(s)
-        total = mp.mpf(0)
-        for a in range(1, d):
-            e = disc.epsilon(a)
-            if e:
-                total += e * hurwitz_zeta(Fraction(a, d), sv, ctx)
-        return mp.power(d, -sv) * total
-
-
-def zetak_dlog0(d, ctx: PrecisionContext):
-    """dlog zeta_k(s) at s = 0: log(2 pi) - log d + (w/2h) sum eps(a) log Gamma(a/d)."""
-    disc = Discriminant.of(d)
-    d = disc.d
-    h = class_number_dirichlet(disc)
-    with ctx.workprec():
-        gsum = character_gamma_sum(disc, ctx)
-        return mp.log(2 * mp.pi) - mp.log(d) + mp.mpf(disc.w) / (2 * h) * gsum

@@ -1,19 +1,20 @@
 """Arbitrary-precision numeric kernel.
 
 Everything downstream funnels through the handful of special functions
-defined here: log-gamma, gamma at rationals, the beta function, the Hurwitz
-zeta function, and the discriminant cusp form on complex lattices.  All of
-them take an explicit :class:`PrecisionContext` and guarantee an absolute
-error below ``10**-target_digits``.
+defined here: log-gamma at rationals, the Hurwitz zeta function, and the
+discriminant cusp form on complex lattices.  All of them take an explicit
+:class:`PrecisionContext` and guarantee an absolute error below
+``10**-target_digits``.
 
 Arithmetic is backed by mpmath (mpf/mpc); the special functions themselves
 are implemented here: Stirling's series with argument shifting for
 log-gamma, Euler-Maclaurin for Hurwitz zeta, and the q-product for the
 modular discriminant.  Every function is pure, so callers may fan work out
-across processes freely.  ``log_gamma`` is also memoized for the life of
-the process, per (argument type, argument value, PrecisionContext): the
-Fermat certificates sum log Gamma over the same rationals a/p again and
-again, and a hit returns the very mpf the kernel computed.  The folded
+across processes freely.  ``log_gamma`` takes an int or a Fraction, as
+every caller passes, and is memoized for the life of the process, per
+(argument type, argument value, PrecisionContext): the Fermat
+certificates sum log Gamma over the same rationals a/p again and again,
+and a hit returns the very mpf the kernel computed.  The folded
 character sum of ``lseries`` does not call it, so neither ``verify-cs``,
 ``periods``, ``faltings`` nor ``suite`` fills the memo.  Every mixed
 ``fermat`` triple at p = 7, 11 and 19 at one precision leaves 62 distinct
@@ -23,18 +24,18 @@ the memo holds leave room for many primes and precisions.
 
 A log-gamma call that misses the memo shifts x = n/m up by N ~ 1.2*dps
 (Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 4): the shift
-product prod_{j<N} (n + j*m) is formed in Python integers by binary
-splitting, exactly for every rational the checks use, and folded back in
-with one quotient by m^N and one log.  The two hot inner loops run in
-fixed point, on Python integers scaled by 2^(prec + 20), with no mpf
-normalization per step: Stirling's series carries each term from the
-last by a ratio c_k / c_(k-1) of its coefficients B_2k / (2k (2k-1)),
-read from a table kept per working precision, and 1/z^2, so a term
-costs two integer multiplications; the q-product of the discriminant
-multiplies Gaussian integers and becomes an mpc once, before its 24th
-power.  ``_stirling_tail``, the Stirling loop, and ``_log1p_fixed``, an
-atanh series on the same scale, also serve the folded character sum of
-``lseries``.
+product prod_{j<N} (n + j*m) is formed exactly, in Python integers, by
+binary splitting, and folded back in with one quotient by m^N and one
+log.  The two hot inner loops run in fixed point, on Python integers
+scaled by 2^(prec + 20), with no mpf normalization per step: Stirling's
+series carries each term from the last by a ratio c_k / c_(k-1) of its
+coefficients B_2k / (2k (2k-1)), read from a table kept per working
+precision, and 1/z^2, so a term costs two integer multiplications; the
+q-product of the discriminant multiplies Gaussian integers and becomes
+an mpc once, before its 24th power.  The shift product
+(``_shift_product``), the Stirling loop (``_stirling_tail``) and
+``_log1p_fixed``, an atanh series on the same scale, also serve the
+folded character sum of ``lseries``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, log10
+from math import ceil, log10, prod
 
 from mpmath import mp
 
@@ -52,8 +53,6 @@ __all__ = [
     "PrecisionContext",
     "Lattice",
     "log_gamma",
-    "gamma_rational",
-    "beta",
     "hurwitz_zeta",
     "delta_lattice",
 ]
@@ -69,6 +68,8 @@ _STIRLING_TABLES = 16
 # Stirling's series, the q-product and epstein's incomplete gamma, for the
 # rounding of each step
 _GUARD_BITS = 20
+# factors per leaf of the binary-split shift product
+_SHIFT_LEAF = 64
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,9 @@ def _stirling_log_gamma(z, budget):
     # fixed point, its remainder below budget
     acc = (z - mp.mpf(1) / 2) * mp.log(z) - z + _half_log_two_pi(mp.prec)
     wp = mp.prec + _GUARD_BITS
-    n, m = _exact_ratio(z, z)
+    # z = man * 2^exp > 0 is n/m exactly
+    man, exp = int(z.man), int(z.exp)
+    n, m = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
     limit = max(1, int(mp.ldexp(budget, wp)))
     return acc + mp.mpf((_stirling_tail(n, m, limit), -wp))
 
@@ -218,88 +221,40 @@ def _log1p_fixed(p, q):
     return total
 
 
-def _exact_ratio(x, xv):
-    """Integers (n, m), m > 0, with x = n/m exactly.
-
-    A Fraction or int gives its own numerator and denominator; anything
-    else is read from its working-precision mpf xv = man * 2^exp; mpmath
-    keeps man without its sign, which is put back here.
-    """
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, x.denominator
-    man, exp = int(xv.man), int(xv.exp)
-    if xv < 0:
-        man = -man
-    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-
-
 def _shift_product(n, m, lo, hi):
-    """prod_{lo <= j < hi} (n + j*m) by binary splitting.
+    """prod_{lo <= j < hi} (n + j*m), exactly, by binary splitting.
 
-    Exact in integers while a partial product fits in a few times the
-    working precision, which holds for every a/d the checks use; past
-    that it is carried as an mpf, so an mpf argument with a full-length
-    mantissa costs what its precision costs, not what N times its length
-    would.
+    A leaf of at most _SHIFT_LEAF factors is one ``math.prod`` over a
+    range; above that the two halves are multiplied, so the long
+    multiplications pair integers of about equal length.
     """
-    limit = 4 * mp.prec
-    if hi - lo > 16:
-        mid = (lo + hi) // 2
-        p = _shift_product(n, m, lo, mid) * _shift_product(n, m, mid, hi)
-        return mp.mpf(p) if isinstance(p, int) and p.bit_length() > limit else p
-    p = 1
-    for j in range(lo, hi):
-        p *= n + j * m
-        if isinstance(p, int) and p.bit_length() > limit:
-            p = mp.mpf(p)
-    return p
+    if hi - lo <= _SHIFT_LEAF:
+        return prod(range(n + lo * m, n + hi * m, m))
+    mid = (lo + hi) // 2
+    return _shift_product(n, m, lo, mid) * _shift_product(n, m, mid, hi)
 
 
 @lru_cache(maxsize=_LOG_GAMMA_MEMO, typed=True)
 def log_gamma(x, ctx: PrecisionContext):
-    """log Gamma(x) for real x > 0, absolute error < 10**-target_digits.
+    """log Gamma(x) for an int or Fraction x > 0, absolute error < 10**-target_digits.
 
     Memoized per (type of x, x, ctx); errors are raised again on every call.
     """
+    if not isinstance(x, (int, Fraction)):
+        raise DomainError("log_gamma takes an int or a Fraction")
+    if x <= 0:
+        raise DomainError("log_gamma requires x > 0")
     with ctx.workprec(10):
         xv = to_mpf(x)
-        if not xv > 0:
-            raise DomainError("log_gamma requires x > 0")
         budget = mp.mpf(10) ** (-(ctx.working_digits + 5))
         # Shift the argument up past ~1.2*working digits, then apply
         # Stirling.  With x = n/m, prod_{j<N} (x + j) is the integer
         # product prod (n + j*m) over m^N, folded back in with one
         # quotient and one log; log P - N log m would cancel digits.
         shift = int(ceil(1.2 * mp.dps - xv)) if xv < 1.2 * mp.dps else 0
-        n, m = _exact_ratio(x, xv)
-        prod = mp.mpf(_shift_product(n, m, 0, shift)) / mp.mpf(m) ** shift
-        return _stirling_log_gamma(xv + shift, budget) - mp.log(prod)
-
-
-def gamma_rational(a: int, d: int, ctx: PrecisionContext):
-    """Gamma(a/d) for integers 0 < a < d with gcd(a, d) = 1."""
-    from math import gcd
-
-    if not (0 < a < d):
-        raise DomainError("gamma_rational requires 0 < a < d")
-    if gcd(a, d) != 1:
-        raise DomainError("gamma_rational requires gcd(a, d) = 1")
-    with ctx.workprec(10):
-        return mp.exp(log_gamma(Fraction(a, d), ctx))
-
-
-def beta(u, v, ctx: PrecisionContext):
-    """Euler beta B(u, v) = Gamma(u)Gamma(v)/Gamma(u+v) for u, v > 0.
-
-    Fraction and int arguments reach ``log_gamma`` exact, so they share its
-    memo entries and its exact shift product; anything else goes as mpf.
-    """
-    with ctx.workprec(10):
-        if not all(isinstance(a, (int, Fraction)) for a in (u, v)):
-            u, v = to_mpf(u), to_mpf(v)
-        if not (u > 0 and v > 0):
-            raise DomainError("beta requires positive arguments")
-        return mp.exp(log_gamma(u, ctx) + log_gamma(v, ctx) - log_gamma(u + v, ctx))
+        m = x.denominator
+        shifted = mp.mpf(_shift_product(x.numerator, m, 0, shift)) / mp.mpf(m) ** shift
+        return _stirling_log_gamma(xv + shift, budget) - mp.log(shifted)
 
 
 def hurwitz_zeta(x, s, ctx: PrecisionContext):

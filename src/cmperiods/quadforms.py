@@ -374,9 +374,3 @@ def cornacchia_all(d: int, n: int) -> list[QuadInteger]:
             sols.add((g * x, g * y))
     ordered = sorted(sols, key=lambda s: (0 if gcd(s[0], s[1]) == 1 else 1, s[0]))
     return [QuadInteger(x, y, d) for (x, y) in ordered]
-
-
-def cornacchia(d: int, n: int) -> QuadInteger | None:
-    """An element of norm n (first of cornacchia_all), or None."""
-    sols = cornacchia_all(d, n)
-    return sols[0] if sols else None

@@ -5,29 +5,20 @@ rational approximation with denominator <= max_den lying within
 1/(2*max_den^2) of x is the only such candidate, so a hit is a proof
 sketch and a miss is a certificate of absence at that height.  Both
 need x known to within that window, so a larger |x| raises
-PrecisionError.  Integer relations use the PSLQ algorithm with the
-standard norm bound for negative certificates.
+PrecisionError.  A value of the form q*sqrt(p) is divided by sqrt(p)
+and recognized the same way.  No integer-relation search (PSLQ) is
+shipped: every check knows the exact shape of the value it expects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
 from mpmath import mp
 
 from .arith import is_prime
 from .errors import DomainError, PrecisionError
 from .numkernel import PrecisionContext, error_digits, to_mpf
-
-
-@dataclass(frozen=True)
-class Relation:
-    """Integer coefficients with sum(c_i * x_i) = residual ~ 0."""
-
-    coeffs: tuple
-    residual: Any
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -72,94 +63,3 @@ def recognize_sqrtp(x, p: int, max_den: int, ctx: PrecisionContext):
         raise DomainError("p must be prime")
     with ctx.workprec():
         return recognize_rational(to_mpf(x) / mp.sqrt(p), max_den, ctx)
-
-
-def pslq(xs, max_coeff: int, ctx: PrecisionContext):
-    """Search for integers c with sum(c_i xs_i) = 0 and max |c_i| <= max_coeff.
-
-    Returns a Relation, or None once the PSLQ norm bound 1/max|H_jj|
-    exceeds max_coeff (no relation that small exists).  PrecisionError if
-    the iteration budget runs out first.
-    """
-    n = len(xs)
-    if n < 2:
-        raise DomainError("pslq needs at least two values")
-    max_coeff = int(max_coeff)
-    if max_coeff < 1:
-        raise DomainError("max_coeff must be a positive integer")
-    wd = ctx.working_digits
-    with ctx.workprec():
-        x = [to_mpf(v) for v in xs]
-        for i, v in enumerate(x):
-            if v == 0:
-                coeffs = [0] * n
-                coeffs[i] = 1
-                return Relation(tuple(coeffs), mp.mpf(0))
-        mx = max(abs(v) for v in x)
-        gamma = mp.sqrt(mp.mpf(4) / 3) * (1 + mp.mpf(1) / 100)
-        eps = mp.mpf(10) ** (-(wd - 12))
-
-        s = [mp.mpf(0)] * n
-        acc = mp.mpf(0)
-        for k in range(n - 1, -1, -1):
-            acc += x[k] * x[k]
-            s[k] = mp.sqrt(acc)
-        norm = s[0]
-        y = [v / norm for v in x]
-        s = [v / norm for v in s]
-        H = [[mp.mpf(0)] * (n - 1) for _ in range(n)]
-        for j in range(n - 1):
-            H[j][j] = s[j + 1] / s[j]
-            for i in range(j + 1, n):
-                H[i][j] = -y[i] * y[j] / (s[j] * s[j + 1])
-        B = [[int(i == j) for j in range(n)] for i in range(n)]
-
-        def reduce_rows(start):
-            for i in range(start, n):
-                for j in range(min(i - 1, n - 2), -1, -1):
-                    if H[j][j] == 0:
-                        continue
-                    q = int(mp.nint(H[i][j] / H[j][j]))
-                    if q == 0:
-                        continue
-                    y[j] += q * y[i]
-                    for k in range(j + 1):
-                        H[i][k] -= q * H[j][k]
-                    for k in range(n):
-                        B[k][j] += q * B[k][i]
-
-        def found(idx):
-            coeffs = tuple(B[k][idx] for k in range(n))
-            if not any(coeffs):
-                return None
-            if max(abs(c) for c in coeffs) > max_coeff:
-                return None
-            residual = mp.fsum(c * v for c, v in zip(coeffs, x))
-            return Relation(coeffs, residual)
-
-        reduce_rows(1)
-        cap = 300 * n * n + 40 * n * wd
-        for _ in range(cap):
-            ymin, imin = min((abs(v), i) for i, v in enumerate(y))
-            if ymin < eps:
-                return found(imin)
-            hmax = max(abs(H[j][j]) for j in range(n - 1))
-            if hmax > 0 and 1 / hmax > max_coeff:
-                return None
-            m = max(range(n - 1), key=lambda j: gamma ** j * abs(H[j][j]))
-            y[m], y[m + 1] = y[m + 1], y[m]
-            H[m], H[m + 1] = H[m + 1], H[m]
-            for k in range(n):
-                B[k][m], B[k][m + 1] = B[k][m + 1], B[k][m]
-            if m < n - 2:
-                h0, h1 = H[m][m], H[m][m + 1]
-                hyp = mp.sqrt(h0 * h0 + h1 * h1)
-                if hyp != 0:
-                    c, r = h0 / hyp, h1 / hyp
-                    for i in range(m, n):
-                        a0, a1 = H[i][m], H[i][m + 1]
-                        H[i][m] = c * a0 + r * a1
-                        H[i][m + 1] = c * a1 - r * a0
-            reduce_rows(m + 1)
-    raise PrecisionError("pslq exhausted its iteration budget",
-                         achieved_digits=wd)

@@ -108,12 +108,15 @@ def test_faltings_two_ways(ctx):
             assert abs(hp - hl) < ctx.eps(20)
 
 
-def test_faltings_zetak_form(ctx):
-    # -(1/2) zetak_dlog0 - (1/4) log p is the same height
-    from cmperiods.lseries import zetak_dlog0
+def test_faltings_zetak_form(ctx, mp_zeta_l_jet):
+    # -(1/2) dlog zeta_k(0) - (1/4) log p is the same height, with
+    # dlog zeta_k(0) from mpmath's zeta'(0) and zeta'(0, a/p)
     p = 7
+    with mp.workdps(ctx.working_digits + 20):
+        value, deriv = mp_zeta_l_jet(p)
+        dlog = deriv / value
     with ctx.workprec():
-        alt = -zetak_dlog0(Discriminant(p), ctx) / 2 - mp.log(p) / 4
+        alt = -dlog / 2 - mp.log(p) / 4
         hl = faltings_height_L(Discriminant(p), ctx)
         assert abs(alt - hl) < ctx.eps(10)
 

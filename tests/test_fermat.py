@@ -7,7 +7,6 @@ from mpmath import mp
 
 from cmperiods.errors import DomainError
 from cmperiods.fermat import (CMTypeRecord, beta_period, cm_type, epsilon_rst, frac,
-                              gamma_period, residue_twist_certificate,
                               tate_twist_certificate)
 from cmperiods.numkernel import PrecisionContext
 from cmperiods.quadforms import Discriminant, class_number_dirichlet
@@ -74,35 +73,24 @@ def test_beta_period_direct(ctx):
         assert abs(mp.exp(logb) - direct) < mp.mpf(10) ** -100 * direct
 
 
-def test_gamma_period_direct(ctx):
-    logg = gamma_period(7, 1, 1, 5, ctx)
-    with mp.workdps(200):
-        g = mp.gamma
-        seventh = mp.mpf(1) / 7
-        direct = (g(seventh) ** 2 * g(5 * seventh)
-                  * g(2 * seventh) ** 2 * g(3 * seventh)
-                  * g(4 * seventh) ** 2 * g(6 * seventh)) / (2 * mp.pi) ** 3
-        assert abs(mp.exp(logg) - direct) < mp.mpf(10) ** -100 * direct
+def mp_gamma_period(p, rst, dps):
+    """log of (2 pi)^(-(p-1)/2) prod over QRs a of prod_m Gamma(<am/p>), by mpmath."""
+    disc = Discriminant(p)
+    with mp.workdps(dps):
+        return (-mp.mpf(p - 1) / 2 * mp.log(2 * mp.pi)
+                + mp.fsum(mp.loggamma(mp.mpf(a * m % p) / p) for a in range(1, p)
+                          if disc.epsilon(a) == 1 for m in rst))
 
 
 def test_beta_gamma_ratio_recognized(ctx):
+    # the beta period over the Gamma period of the same CM type is a
+    # rational multiple of sqrt(7); the Gamma period is mpmath's
+    hi = ctx.working_digits + 20
     with ctx.workprec():
-        r157 = mp.exp(beta_period(7, 1, 1, 5, ctx) - gamma_period(7, 1, 1, 5, ctx))
+        r157 = mp.exp(beta_period(7, 1, 1, 5, ctx) - mp_gamma_period(7, (1, 1, 5), hi))
         assert recognize_sqrtp(r157, 7, 10 ** 8, ctx) == Fraction(7)
-        r133 = mp.exp(beta_period(7, 1, 3, 3, ctx) - gamma_period(7, 1, 3, 3, ctx))
+        r133 = mp.exp(beta_period(7, 1, 3, 3, ctx) - mp_gamma_period(7, (1, 3, 3), hi))
         assert recognize_sqrtp(r133, 7, 10 ** 8, ctx) == Fraction(49, 2)
-
-
-def test_residue_twist_certificates(ctx):
-    for p in (7, 11, 19):
-        cert = residue_twist_certificate(p, 1, ctx)
-        assert cert.passed and cert.kind == "rational"
-        assert cert.recognized == 1
-    qr = residue_twist_certificate(7, 2, ctx)
-    assert qr.passed and qr.kind == "rational" and qr.recognized == 1
-    nr = residue_twist_certificate(7, 3, ctx)
-    assert nr.passed and nr.kind == "sqrtp"
-    assert nr.recognized == Fraction(1, 7)
 
 
 def test_tate_certificates_frozen(ctx):
@@ -149,7 +137,5 @@ def test_domain_errors(ctx):
         cm_type(3, 1, 1, 1)
     with pytest.raises(DomainError):
         beta_period(13, 1, 1, 11, ctx)
-    with pytest.raises(DomainError):
-        residue_twist_certificate(7, 7, ctx)
     with pytest.raises(DomainError):
         tate_twist_certificate(7, 1, 2, 4, ctx)

@@ -5,8 +5,7 @@ from mpmath import mp
 
 from cmperiods import lseries
 from cmperiods.errors import DomainError
-from cmperiods.lseries import (SZeroJet, character_gamma_sum, dirichlet_L, dirichlet_jet,
-                               riemann_jet, zetak_dlog0)
+from cmperiods.lseries import SZeroJet, character_gamma_sum, dirichlet_jet
 from cmperiods.numkernel import PrecisionContext, log_gamma, to_mpf
 from cmperiods.quadforms import (Discriminant, class_number, is_fundamental,
                                  reduced_forms)
@@ -19,23 +18,14 @@ def test_szero_jet_dlog(ctx):
         SZeroJet(value=mp.mpf(0), deriv=mp.mpf(1)).dlog
 
 
-def test_riemann_jet(ctx):
-    jet = riemann_jet(ctx)
-    with ctx.workprec():
-        assert jet.value_exact == Fraction(-1, 2)
-        assert jet.value == mp.mpf(-1) / 2
-        assert abs(jet.deriv + mp.log(2 * mp.pi) / 2) < ctx.eps()
-        assert abs(jet.dlog - mp.log(2 * mp.pi)) < ctx.eps()
-
-
 def test_riemann_deriv_finite_difference(ctx):
+    # zeta'(0) = -(1/2) log(2 pi), by a central difference of hurwitz_zeta
     from cmperiods.numkernel import hurwitz_zeta
     hi = PrecisionContext(260)
     with hi.workprec():
         h = mp.mpf(10) ** -65
         diff = (hurwitz_zeta(Fraction(1), h, hi) - hurwitz_zeta(Fraction(1), -h, hi)) / (2 * h)
-    jet = riemann_jet(ctx)
-    assert abs(jet.deriv - diff) < mp.mpf(10) ** -(ctx.target_digits // 2)
+        assert abs(diff + mp.log(2 * mp.pi) / 2) < mp.mpf(10) ** -(ctx.target_digits // 2)
 
 
 def test_dirichlet_jet_exact_values(ctx):
@@ -68,59 +58,45 @@ def test_dirichlet_jet_dlog_form(ctx):
             assert abs(jet.dlog - expect) < ctx.eps(10)
 
 
-def test_dirichlet_L_values(ctx):
-    # independent oracle: mpmath's Hurwitz zeta at 200 digits
-    for d, s in ((7, 2), (23, 2), (15, 3)):
-        disc = Discriminant(d)
-        with mp.workdps(200):
-            ref = mp.mpf(d) ** -s * mp.fsum(
-                disc.epsilon(a) * mp.zeta(s, mp.mpf(a) / d) for a in range(1, d))
-        with ctx.workprec():
-            val = dirichlet_L(disc, mp.mpf(s), ctx)
-            assert abs(val - ref) < ctx.eps()
-        assert val > 0
+def zetak_dlog0(d, ctx):
+    """dlog zeta_k(0) = dlog zeta(0) + dlog L(eps, 0) = log(2 pi) + dirichlet_jet(d).dlog."""
+    with ctx.workprec():
+        return mp.log(2 * mp.pi) + dirichlet_jet(Discriminant(d), ctx).dlog
 
 
-def test_zetak_dlog_additivity(ctx):
+def test_zetak_dlog_additivity(ctx, mp_zeta_l_jet):
+    # zeta_k = zeta L(eps, .): the dlog of the product from mpmath's
+    # Hurwitz zeta against the sum of the factors' dlogs
     for d in (7, 15, 23):
-        disc = Discriminant(d)
+        with mp.workdps(ctx.working_digits + 20):
+            value, deriv = mp_zeta_l_jet(d)
+            total = deriv / value
         with ctx.workprec():
-            total = zetak_dlog0(disc, ctx)
-            parts = riemann_jet(ctx).dlog + dirichlet_jet(disc, ctx).dlog
-            assert abs(total - parts) < ctx.eps(5)
+            assert abs(total - zetak_dlog0(d, ctx)) < ctx.eps(5)
 
 
 def test_zetak_dlog_two_precision():
     lo, hi = PrecisionContext(120), PrecisionContext(240)
     for d in (7, 15):
-        a = zetak_dlog0(Discriminant(d), lo)
-        b = zetak_dlog0(Discriminant(d), hi)
+        a = zetak_dlog0(d, lo)
+        b = zetak_dlog0(d, hi)
         assert abs(a - b) < mp.mpf(10) ** -110
 
 
-def test_zetak_dlog_matches_delta_side(ctx):
-    # (1/12h) sum log(Delta(a) Delta(a^-1)) is the same number: the
-    # Chowla-Selberg identity in dlog form.
+def test_zetak_dlog_matches_delta_side(ctx, mp_zeta_l_jet):
+    # (1/12h) sum log(Delta(a) Delta(a^-1)) is dlog zeta_k(0): the
+    # Chowla-Selberg identity in dlog form, against mpmath's zeta'(0, a/d)
     from cmperiods.csperiods import cs_verify
     for d in (7, 23):
         disc = Discriminant(d)
         h = reduced_forms(disc).h
         rep = cs_verify(disc, ctx)
+        with mp.workdps(ctx.working_digits + 20):
+            value, deriv = mp_zeta_l_jet(d)
+            expect = deriv / value
         with ctx.workprec():
             delta_side = rep.lhs / (12 * h)
-            assert abs(delta_side - zetak_dlog0(disc, ctx)) < ctx.eps(15)
-
-
-def test_zetak_factorization_at_two(ctx):
-    # zeta_k(2) over reduced forms equals zeta(2) L(eps,2).
-    from cmperiods.epstein import epstein_continued
-    for d in (7, 23):
-        disc = Discriminant(d)
-        group = reduced_forms(disc)
-        with ctx.workprec():
-            lhs = mp.fsum(epstein_continued(f, mp.mpf(2), ctx) for f in group) / disc.w
-            rhs = mp.pi ** 2 / 6 * dirichlet_L(disc, mp.mpf(2), ctx)
-            assert abs(lhs - rhs) < ctx.eps(10)
+            assert abs(delta_side - expect) < ctx.eps(15)
 
 
 RESIDUE_PRIMES = (7, 11, 19, 23, 163)

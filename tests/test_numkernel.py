@@ -8,9 +8,9 @@ from mpmath import mp
 
 from cmperiods import numkernel
 from cmperiods.errors import DomainError, PoleError, PrecisionError
-from cmperiods.numkernel import (Lattice, PrecisionContext, _stirling_log_gamma, beta,
-                                 delta_lattice, delta_q_terms, gamma_rational,
-                                 hurwitz_zeta, log_gamma, to_mpf)
+from cmperiods.numkernel import (Lattice, PrecisionContext, _stirling_log_gamma,
+                                 delta_lattice, delta_q_terms, hurwitz_zeta, log_gamma,
+                                 to_mpf)
 
 
 def test_context_floors():
@@ -33,7 +33,7 @@ def test_log_gamma_exact_points(ctx):
     with ctx.workprec():
         assert abs(log_gamma(Fraction(1), ctx)) < ctx.eps()
         assert abs(log_gamma(Fraction(1, 2), ctx) - mp.log(mp.pi) / 2) < ctx.eps()
-        assert abs(log_gamma(mp.mpf(2), ctx)) < ctx.eps()
+        assert abs(log_gamma(2, ctx)) < ctx.eps()
 
 
 def test_log_gamma_domain(ctx):
@@ -43,9 +43,18 @@ def test_log_gamma_domain(ctx):
             log_gamma(x, ctx)
 
 
+def test_log_gamma_refuses_an_mpf(ctx):
+    # the argument is an exact rational: an mpf, even an integral one, is
+    # refused, and so is a float; no call in the package passes either
+    with ctx.workprec():
+        for x in (mp.mpf(2), mp.mpf(1) / 7, mp.mpf("0.5"), 0.5):
+            with pytest.raises(DomainError):
+                log_gamma(x, ctx)
+
+
 def test_log_gamma_memo_hit_is_fresh_value(ctx):
     with ctx.workprec():
-        args = (Fraction(2, 7), 3, mp.mpf(1) / 7)
+        args = (Fraction(2, 7), 3, Fraction(3, 2 ** 74))
     for x in args:
         hit = log_gamma(x, ctx)
         assert log_gamma(x, ctx) is hit
@@ -76,21 +85,23 @@ def test_log_gamma_against_mpmath_random_precision(target, d, data):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(30, 400), st.sampled_from(("int", "mpf", "shift0", "tiny")), st.data())
 def test_log_gamma_argument_kinds_against_mpmath(target, kind, data):
-    # each way the shift product is formed: an int (m = 1), an mpf with a
-    # full random mantissa (m = 2^k), an argument past the shift point
-    # (no shift), and x < 10^-3, where log Gamma ~ -log x
+    # each way the shift product is formed: an int (m = 1), a Fraction
+    # with a denominator 2^k up to 2^74 (the longest factors n + j*m), an
+    # argument past the shift point (no shift), and x < 10^-3, where
+    # log Gamma ~ -log x
     ctx = PrecisionContext(target)
     with ctx.workprec(10):
-        bits = mp.prec
         shift_point = 1.2 * mp.dps
         if kind == "int":
             x = data.draw(st.integers(1, 3 * target))
         elif kind == "mpf":
-            x = mp.mpf(data.draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))) / 2 ** (bits - 6)
+            k = data.draw(st.integers(1, 74))
+            x = Fraction(data.draw(st.integers(2 ** k, 2 ** (k + 6) - 1)), 2 ** k)
         elif kind == "shift0":
             x = Fraction(data.draw(st.integers(int(7 * shift_point) + 1, 10 ** 5)), 7)
         else:
-            x = mp.mpf(data.draw(st.integers(1, 2 ** bits - 1))) / 2 ** (bits + 10)
+            k = data.draw(st.integers(10, 74))
+            x = Fraction(data.draw(st.integers(1, 2 ** (k - 10))), 2 ** k)
     with mp.workdps(target + 40):
         ref = mpmath.loggamma(to_mpf(x))
         assert abs(log_gamma(x, ctx) - ref) < mp.mpf(10) ** -target, (kind, x)
@@ -101,13 +112,12 @@ def test_log_gamma_argument_kinds_against_mpmath(target, kind, data):
 def test_log_gamma_high_precision_against_mpmath(target, kind):
     # the fixed-point Stirling loop where carrying c_k / z^(2k-1) from
     # powers of 1/z would underflow the scale while c_k grows: 10 digits
-    # lost at 60 digits, about 400 at 1000
+    # lost at 60 digits, about 400 at 1000; "mpf" is a 74-bit odd
+    # numerator over 2^71, the longest shift-product factors the kinds test
     ctx = PrecisionContext(target)
     with ctx.workprec(10):
-        bits = mp.prec
         x = {"1/199": Fraction(1, 199), "97/199": Fraction(97, 199),
-             "mpf": mp.mpf(random.Random(target).getrandbits(bits) | 1 << (bits - 1))
-             / 2 ** (bits - 3),
+             "mpf": Fraction(random.Random(target).getrandbits(74) | 1 << 73 | 1, 2 ** 71),
              "shift0": Fraction(int(1.2 * mp.dps) * 7 + 3, 7)}[kind]
     with mp.workdps(target + 40):
         ref = mpmath.loggamma(to_mpf(x))
@@ -125,13 +135,6 @@ def test_stirling_table_kept_per_precision():
             for a in range(1, 7):
                 ref = mpmath.loggamma(mp.mpf(a) / 7)
                 assert abs(log_gamma(Fraction(a, 7), ctx) - ref) < mp.mpf(10) ** -target
-
-
-@pytest.mark.parametrize("x, ratio", [(mp.mpf(-2.5), (-5, 2)), (-3, (-3, 1)),
-                                      (Fraction(-5, 2), (-5, 2)), (mp.mpf(2.5), (5, 2))])
-def test_exact_ratio_keeps_the_sign(x, ratio):
-    # mpmath stores an mpf mantissa without its sign; n/m must carry it, m > 0
-    assert numkernel._exact_ratio(x, x) == ratio
 
 
 def test_log_gamma_against_mpmath(ctx):
@@ -153,57 +156,20 @@ def test_log_gamma_one_seventh_product_oracle():
         assert abs(log_gamma(Fraction(1, 7), ctx) - oracle) < ctx.eps()
 
 
-def test_gamma_rational_values(ctx):
-    with ctx.workprec():
-        assert abs(gamma_rational(1, 2, ctx) - mp.sqrt(mp.pi)) < ctx.eps()
-        prod = gamma_rational(1, 4, ctx) * gamma_rational(3, 4, ctx)
-        assert abs(prod - mp.pi * mp.sqrt(2)) < ctx.eps(3)
-        full = mp.fsum(log_gamma(Fraction(a, 7), ctx) for a in range(1, 7))
-        target = 3 * mp.log(2 * mp.pi) - mp.log(7) / 2
-        assert abs(full - target) < ctx.eps(3)
-
-
-def test_gamma_rational_domain(ctx):
-    with pytest.raises(DomainError):
-        gamma_rational(7, 7, ctx)
-    with pytest.raises(DomainError):
-        gamma_rational(2, 4, ctx)
-    with pytest.raises(DomainError):
-        gamma_rational(0, 5, ctx)
-
-
-def test_beta_values(ctx):
-    with ctx.workprec():
-        assert abs(beta(mp.mpf(1), mp.mpf(1), ctx) - 1) < ctx.eps()
-        assert abs(beta(Fraction(1, 2), Fraction(1, 2), ctx) - mp.pi) < ctx.eps()
-        assert abs(beta(Fraction(2, 7), Fraction(3, 7), ctx)
-                   - beta(Fraction(3, 7), Fraction(2, 7), ctx)) < ctx.eps()
-    with pytest.raises(DomainError):
-        beta(mp.mpf(0), mp.mpf(1), ctx)
-
-
-def test_beta_quadrature_oracle(ctx):
-    # Substituting x = u^7 removes the endpoint singularity; by symmetry
-    # the integral is twice the half-range piece.
-    with mp.workdps(60):
-        oracle = 2 * mp.quad(lambda u: 7 * (1 - u ** 7) ** (-mp.mpf(6) / 7),
-                             [0, mp.mpf(2) ** (-mp.mpf(1) / 7)])
-    with ctx.workprec():
-        val = beta(Fraction(1, 7), Fraction(1, 7), ctx)
-        assert abs(val - oracle) < mp.mpf(10) ** -30 * val
-
-
 def test_beta_on_fractions_reuses_the_log_gamma_memo(ctx):
-    # fermat fills the memo with Fraction keys; beta on the same rationals
-    # finds them, and a second call is all hits
+    # the beta period of fermat sums log Gamma(u) + log Gamma(v)
+    # - log Gamma(u + v) over Fraction arguments; a second call on the same
+    # triple finds every one of them in the memo
+    from cmperiods.fermat import beta_period
     log_gamma.cache_clear()
-    for a in (2, 3, 5):
-        log_gamma(Fraction(a, 7), ctx)
-    for _ in range(2):
-        before = log_gamma.cache_info()
-        beta(Fraction(2, 7), Fraction(3, 7), ctx)
-        after = log_gamma.cache_info()
-        assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+    beta_period(7, 1, 1, 5, ctx)
+    first = log_gamma.cache_info()
+    # u = v = a/7 and u + v = 2a/7 over the residues a = 1, 2, 4: nine
+    # calls on four arguments, 1/7, 2/7, 4/7 and 8/7
+    assert (first.hits, first.misses) == (5, 4)
+    beta_period(7, 1, 1, 5, ctx)
+    after = log_gamma.cache_info()
+    assert (after.hits - first.hits, after.misses - first.misses) == (9, 0)
 
 
 def test_hurwitz_zeta_values(ctx):

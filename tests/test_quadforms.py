@@ -10,7 +10,7 @@ from cmperiods.errors import ConsistencyError, DomainError
 from cmperiods.numkernel import PrecisionContext
 from cmperiods.quadforms import (ClassGroup, Discriminant, QuadForm, QuadInteger,
                                  class_number, class_number_dirichlet, compose,
-                                 cornacchia, cornacchia_all, form_to_lattice, ideal_product,
+                                 cornacchia_all, form_to_lattice, ideal_product,
                                  inverse, inverse_ideal_lattice, is_fundamental,
                                  kronecker, principal_form,
                                  reduce_form, reduced_forms)
@@ -184,10 +184,11 @@ def test_ideal_power_is_principal(d):
 
 
 def test_cornacchia_examples():
-    assert (cornacchia(7, 2).x, abs(cornacchia(7, 2).y)) == (1, 1)
-    sol = cornacchia(7, 8)
+    sol = cornacchia_all(7, 2)[0]
+    assert (sol.x, abs(sol.y)) == (1, 1)
+    sol = cornacchia_all(7, 8)[0]
     assert (sol.x, abs(sol.y)) == (5, 1)
-    assert cornacchia(23, 5) is None
+    assert cornacchia_all(23, 5) == []
 
 
 def test_cornacchia_exhaustive():

@@ -1,12 +1,11 @@
 from fractions import Fraction
 
-import mpmath
 import pytest
 from mpmath import mp
 
 from cmperiods.errors import DomainError, PrecisionError
 from cmperiods.numkernel import PrecisionContext, to_mpf
-from cmperiods.relint import pslq, recognize_rational, recognize_sqrtp
+from cmperiods.relint import recognize_rational, recognize_sqrtp
 
 
 def test_recognize_rational_examples(ctx):
@@ -62,62 +61,3 @@ def test_recognize_sqrtp(ctx):
         assert recognize_sqrtp(mp.sqrt(2), 7, 10 ** 6, ctx) is None
     with pytest.raises(DomainError):
         recognize_sqrtp(mp.mpf(1), 15, 10 ** 6, ctx)
-
-
-def test_pslq_sqrt2(ctx):
-    with ctx.workprec():
-        rel = pslq([mp.mpf(1), mp.sqrt(2), mp.mpf(2)], 10 ** 3, ctx)
-    assert rel is not None
-    c0, c1, c2 = rel.coeffs
-    assert c1 == 0 and c0 == -2 * c2 and c2 != 0
-
-
-def test_pslq_golden_ratio(ctx):
-    with ctx.workprec():
-        phi = (1 + mp.sqrt(5)) / 2
-        rel = pslq([mp.mpf(1), phi, phi ** 2], 10 ** 3, ctx)
-    assert rel is not None
-    c = rel.coeffs
-    assert c in ((1, 1, -1), (-1, -1, 1))
-
-
-def test_pslq_no_relation(ctx):
-    with ctx.workprec():
-        assert pslq([mp.mpf(1), +mp.pi], 10 ** 3, ctx) is None
-
-
-def test_pslq_short_input(ctx):
-    with pytest.raises(DomainError):
-        pslq([mp.mpf(1)], 10, ctx)
-
-
-def test_pslq_matches_mpmath(ctx):
-    with ctx.workprec():
-        xs = [mp.mpf(1), mp.log(2), mp.log(3), mp.log(6)]
-        rel = pslq(xs, 10 ** 3, ctx)
-        ref = mpmath.pslq(xs, maxcoeff=10 ** 3)
-    assert rel is not None and ref is not None
-    c = list(rel.coeffs)
-    assert c == ref or [-v for v in c] == ref
-
-
-def test_pslq_planted_relations(ctx, rng):
-    found = 0
-    with ctx.workprec():
-        basis = [mp.mpf(1), mp.sqrt(2), mp.sqrt(3), +mp.pi]
-        for _ in range(100):
-            coeffs = [rng.randint(-10 ** 3, 10 ** 3) for _ in range(3)]
-            if not any(coeffs):
-                coeffs[0] = 1
-            planted = basis[:3] + [mp.fsum(c * b for c, b in zip(coeffs, basis[:3]))]
-            rel = pslq(planted, 10 ** 3, ctx)
-            assert rel is not None
-            found += 1
-            # soundness: re-evaluate the claimed relation at higher precision
-            with mp.workdps(280):
-                hi = [mp.mpf(1), mp.sqrt(2), mp.sqrt(3)]
-                hi.append(mp.fsum(c * b for c, b in zip(coeffs, hi)))
-                resid = abs(mp.fsum(c * x for c, x in zip(rel.coeffs, hi)))
-            scale = max(abs(x) for x in planted) * max(abs(c) for c in rel.coeffs)
-            assert resid < mp.mpf(10) ** -60 * scale
-    assert found == 100
