@@ -29,10 +29,11 @@ The kernels and their arguments:
   over 0 < a < d, at d in 123, 139, 163 and 199, the log Gamma memo
   cleared as for ``log_gamma``, so that a sum that reads it computes its
   terms; the cold call is the sum at d = 123;
-- ``epstein._e1(x, e^-x)``, the exponential integral E1 = Gamma(0, x)
-  of the Epstein theta sums, at target + 10 digits, one entry per
-  regime: the continued fraction (x = 40.5 and 90) and the series
-  (x = 10 and 39.5); the cold call is the first x.
+- ``epstein._upper_gamma(s, x, e^-x)``, the incomplete gamma of the
+  Epstein theta sums, at target + 10 digits, one entry per regime: the
+  continued fraction (s = 0, x = 40.5 and 90), the series (s = 0,
+  x = 10 and 39.5) and the downward recurrence for negative s
+  (s = -3/2, x = 10); the cold call is the first (s, x).
 
 The JSON written to ``--out`` holds, per kernel, tree and precision, the
 median of the samples, their quartiles and their spread (q3 - q1) /
@@ -41,17 +42,16 @@ median, plus the machine; the spread is printed with each median.  Under
 its sample over the first tree's sample of the same round: the two ran
 seconds apart, so the ratio is steadier than either median when the
 machine's speed drifts from round to round.  On a 2-core x86-64 machine,
-eleven rounds put the median ratio of ``delta_lattice``, whose code did
-not change, within 0.95-0.99 (``BENCH_layers.json``), and the quartiles
-of some ratios 0.6 apart: a change of about 10% per call is the least
-this bench resolves there.
+eleven rounds put the median ratio of every unchanged kernel within
+0.96-1.03 (``BENCH_layers.json``): a change of about 10% per call is the
+least this bench resolves there.
 Only public names are used (``log_gamma`` and its ``cache_clear``,
 ``delta_lattice``, ``PrecisionContext``, ``character_gamma_sum`` from
 ``lseries``, and ``reduced_forms``, ``form_to_lattice`` and
-``inverse_ideal_lattice`` from ``quadforms``), and ``epstein._e1``; a
-tree older than ``_e1`` is timed on ``epstein._upper_gamma(0, x, e^-x)``,
-the same arithmetic, so any two versions of the kernels compare.  The
-script is not under ``tests/`` and tier-1 does not collect it.
+``inverse_ideal_lattice`` from ``quadforms``), and
+``epstein._upper_gamma``, whose signature has not changed since the
+closed-form jet, so any two versions of the kernels compare.  The script
+is not under ``tests/`` and tier-1 does not collect it.
 """
 
 from __future__ import annotations
@@ -117,23 +117,25 @@ args = %r
 """ % (SUM_DISCS,)),
 }
 
-# epstein._e1(x, e^-x) at target + 10 digits, e^-x formed before timing
-# as the theta sum forms it; no memo to clear
-E1 = """
+# epstein._upper_gamma(s, x, e^-x) at target + 10 digits, e^-x formed
+# before timing as the theta sum forms it; no memo to clear
+UPPER_GAMMA = """
 from mpmath import mp
-from cmperiods import epstein
-e1 = getattr(epstein, "_e1", None) or (lambda x, em: epstein._upper_gamma(0, x, em))
+from cmperiods.epstein import _upper_gamma
 def kernel(arg, ctx):
     with mp.workdps(ctx.target_digits + 10):
-        return e1(*arg)
+        return _upper_gamma(*arg)
 fresh = lambda: None
 with mp.workdps(ctx.target_digits + 10):
-    args = [(mp.mpf(x), mp.exp(-mp.mpf(x))) for x in %r]
+    args = [(mp.mpf(s), mp.mpf(x), mp.exp(-mp.mpf(x))) for s, x in %r]
 """
-for name, regime, points in (("upper_gamma_cf", "continued fraction", ("40.5", "90")),
-                             ("upper_gamma_series", "series", ("10", "39.5"))):
-    WORKERS[name] = ("epstein._e1 per call, %s, x in %s, at target + 10 digits, ms"
-                     % (regime, ", ".join(points)), E1 % (points,))
+for name, regime, points in (
+        ("upper_gamma_cf", "continued fraction", (("0", "40.5"), ("0", "90"))),
+        ("upper_gamma_series", "series", (("0", "10"), ("0", "39.5"))),
+        ("upper_gamma_recurrence", "recurrence for negative s", (("-1.5", "10"),))):
+    WORKERS[name] = ("epstein._upper_gamma per call, %s, (s, x) in %s, at target + 10 "
+                     "digits, ms" % (regime, ", ".join("(%s, %s)" % p for p in points)),
+                     UPPER_GAMMA % (points,))
 
 
 def sample(src: str, kernel: str, target: int) -> dict:

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from cmperiods import epstein
-from cmperiods.epstein import _e1, _e1_cf, _e1_series, epstein_jet, theta_counts
+from cmperiods.epstein import (_upper_gamma, _upper_gamma_cf, _upper_gamma_series,
+                               epstein_jet, theta_counts)
 from cmperiods.errors import PrecisionError
 from cmperiods.numkernel import PrecisionContext, delta_lattice, log_gamma
 from cmperiods.quadforms import (Discriminant, QuadForm, form_to_lattice,
@@ -41,48 +42,57 @@ def test_cf_stall_reports_digits(monkeypatch):
     monkeypatch.setattr(epstein, "_CF_CAP", 5)
     with mp.workdps(30):
         with pytest.raises(PrecisionError) as err:
-            _e1_cf(mp.mpf(50), mp.exp(-50))
+            _upper_gamma_cf(mp.mpf(0), mp.mpf(50), mp.exp(-50))
     assert err.value.achieved_digits == 11
 
 
 def test_series_cap_reports_digits(monkeypatch):
-    # the last of 79 terms at x = 10 gives |term|*k = 10^79/78! ~ 9e-37,
-    # 36 digits, against a floor 20 cancellation-guard digits
-    # (2*10*log10(e) + 12) below the 10^-30 the result is due: 16 left
+    # the last of 79 terms at x = 10 gives |term|*k ~ 1e-36, against a floor
+    # 25 cancellation-guard digits below the 10^-30 the result is due at
+    # s = 0.5, and 20 at s = 0 (2*10*log10(e) + 12, no small-s head)
     monkeypatch.setattr(epstein, "_SERIES_CAP", 80)
-    with mp.workdps(30):
-        with pytest.raises(PrecisionError) as err:
-            _e1_series(mp.mpf(10))
-    assert err.value.achieved_digits == 16
+    for s, achieved in (("0.5", 11), ("0", 16)):
+        with mp.workdps(30):
+            with pytest.raises(PrecisionError) as err:
+                _upper_gamma_series(mp.mpf(s), mp.mpf(10))
+        assert err.value.achieved_digits == achieved, s
 
 
-def _assert_e1_matches(dps, x):
-    # the result is due to a few units in the last place of dps digits
-    with mp.workdps(dps):
-        xv = mp.mpf(x)
-        val = _e1(xv, mp.exp(-xv))
-    with mp.workdps(dps + 40):
-        ref = mp.e1(xv)
-        assert abs(val - ref) < mp.mpf(10) ** -(dps - 3) * ref, (dps, x)
-
-
-# Gamma(s, x) is taken at s = 0 only, where it is E1(x): the one
-# incomplete gamma the jet needs
 @pytest.mark.parametrize("dps", [60, 300])
-@pytest.mark.parametrize("s", ["0"])
+@pytest.mark.parametrize("s", ["0", "1e-8", "-1e-8", "-1", "-2", "-3", "-0.5", "-1.5", "-2.5"])
 def test_upper_gamma_against_mpmath(dps, s):
-    # x runs across the switch to the continued fraction at _CF_MIN_X = 40
+    # x runs across the switch to the continued fraction at _CF_MIN_X = 40,
+    # s through 0 from both sides, the negative integers and half-integers
+    # that take the downward recurrence; the result is due to a few units
+    # in the last place of the ambient precision
     assert epstein._CF_MIN_X == 40
     for x in ("0.5", "10", "39.5", "40.5", "90"):
-        _assert_e1_matches(dps, x)
+        with mp.workdps(dps):
+            sv, xv = mp.mpf(s), mp.mpf(x)
+            val = _upper_gamma(sv, xv, mp.exp(-xv))
+        with mp.workdps(dps + 40):
+            ref = mp.e1(xv) if sv == 0 else mp.gammainc(sv, xv)
+            assert abs(val - ref) < mp.mpf(10) ** -(dps - 3) * abs(ref), (s, x)
 
 
-@pytest.mark.parametrize("s", ["0"])
-@pytest.mark.parametrize("x", ["0.5", "10", "39.5", "40.5", "90"])
+def _assert_upper_gamma_matches(dps, sv, xv):
+    # the result is due to a few units in the last place of dps digits
+    with mp.workdps(dps):
+        val = _upper_gamma(sv, xv, mp.exp(-xv))
+    with mp.workdps(dps + 40):
+        ref = mp.e1(xv) if sv == 0 else mp.gammainc(sv, xv)
+        assert abs(val - ref) < mp.mpf(10) ** -(dps - 3) * abs(ref), (dps, sv, xv)
+
+
+@pytest.mark.parametrize("x, s", [(x, s) for s in ("0", "-0.5", "0.5", "1.7")
+                                  for x in ("10", "39.5", "40.5", "90")] + [("0.5", "0")])
 def test_upper_gamma_1000_digits(s, x):
-    # both fixed-point loops at 1000 digits: the series below _CF_MIN_X
-    # and the continued fraction above it
-    _assert_e1_matches(1000, x)
+    # both fixed-point loops at 1000 digits: the series below _CF_MIN_X and
+    # the continued fraction above it; s = 0 is E1, which the jet takes,
+    # s = -0.5 takes the downward recurrence below 40
+    with mp.workdps(1000):
+        sv, xv = mp.mpf(s), mp.mpf(x)
+    _assert_upper_gamma_matches(1000, sv, xv)
 
 
 @pytest.mark.parametrize("x, guard", [("0.5", 11), ("10", 11), ("40.5", 4), ("90", 4)])
@@ -97,19 +107,58 @@ def test_upper_gamma_loops_keep_guard_digits(x, guard):
         expmx, ref = mp.exp(-xv), mp.e1(xv)
     with mp.workdps(dps):
         if xv < epstein._CF_MIN_X:
-            val = _e1_series(xv)
+            val = _upper_gamma_series(mp.mpf(0), xv)
         else:
-            val = _e1_cf(xv, expmx)
+            val = _upper_gamma_cf(mp.mpf(0), xv, expmx)
     with mp.workdps(dps + 40):
         assert abs(val - ref) < mp.mpf(10) ** -(dps + guard) * ref
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(30, 300), st.floats(0.1, 200, exclude_min=True, exclude_max=True))
-def test_upper_gamma_against_mpmath_random(dps, x):
-    # E1 = Gamma(0, x) at random precisions and points on both sides of
-    # _CF_MIN_X
-    _assert_e1_matches(dps, x)
+@given(st.integers(30, 300), st.floats(-3, 2, exclude_min=True, exclude_max=True),
+       st.floats(0.1, 200, exclude_min=True, exclude_max=True))
+def test_upper_gamma_against_mpmath_random(dps, s, x):
+    # away from the poles of Gamma(s) at 0, -1, -2, where both sides cancel
+    assume(min(abs(s + n) for n in range(3)) > 1e-3)
+    _assert_upper_gamma_matches(dps, mp.mpf(s), mp.mpf(x))
+
+
+def mp_epstein(f, s):
+    """Z_Q(s) for real s off 0 and 1, by mpmath at ambient precision.
+
+    With tau = x + iy = (-b + i sqrt(d))/(2a), Q(m, n) = a |m - n tau|^2,
+    so Z_Q(s) = (sqrt(d)/2)^(-s) E(tau, s) for the Eisenstein series
+    E(tau, s) = sum' y^s |m + n tau|^(-2s), continued by its Fourier
+    expansion: 2 zeta(2s) y^s + 2 sqrt(pi) Gamma(s-1/2) zeta(2s-1)
+    y^(1-s)/Gamma(s) + 8 pi^s sqrt(y)/Gamma(s) sum_{n>=1} n^(s-1/2)
+    sigma_(1-2s)(n) K_(s-1/2)(2 pi n y) cos(2 pi n x).  No code is shared
+    with the theta sums; the Bessel terms decay like e^(-2 pi n y).
+    """
+    d = -f.disc
+    x, y = mp.mpf(-f.b) / (2 * f.a), mp.sqrt(d) / (2 * f.a)
+    head = (2 * mp.zeta(2 * s) * y ** s + 2 * mp.sqrt(mp.pi) * mp.gamma(s - mp.mpf(1) / 2)
+            * mp.zeta(2 * s - 1) * y ** (1 - s) / mp.gamma(s))
+    nmax = int((mp.dps + 10) * mp.log(10) / (2 * mp.pi * y)) + 2
+    tail = mp.fsum(n ** (s - mp.mpf(1) / 2)
+                   * mp.fsum(mp.mpf(k) ** (1 - 2 * s) for k in range(1, n + 1) if n % k == 0)
+                   * mp.besselk(s - mp.mpf(1) / 2, 2 * mp.pi * n * y) * mp.cos(2 * mp.pi * n * x)
+                   for n in range(1, nmax + 1))
+    return (mp.sqrt(d) / 2) ** -s * (head + 8 * mp.pi ** s * mp.sqrt(y) / mp.gamma(s) * tail)
+
+
+@pytest.mark.parametrize("form", [QuadForm(1, 1, 2), QuadForm(2, 1, 3)])
+def test_jet_matches_continuation_difference(form):
+    # Z(0) = -1 holds by construction in the closed form; the continuation
+    # at s = +-eps checks it, and Z'(0), independently.  (2, 1, 3) is a
+    # class of d = 23, h = 3, which the zeta product test cannot reach
+    lo = PrecisionContext(40)
+    jet = epstein_jet(form, lo)
+    assert jet.value == -1 and jet.value_exact == Fraction(-1)
+    with lo.workprec():
+        eps = mp.mpf(10) ** -12
+        zp, zm = mp_epstein(form, eps), mp_epstein(form, -eps)
+        assert abs((zp - zm) / (2 * eps) - jet.deriv) < mp.mpf(10) ** -20
+        assert abs((zp + zm) / 2 + 1) < mp.mpf(10) ** -20
 
 
 CLASS_NUMBER_ONE = (3, 4, 7, 8, 11, 19, 43, 67, 163)
