@@ -1,7 +1,7 @@
 """Per-call cost of the numeric kernels, cold and warm.
 
     python benchmarks/bench_layers.py --tree parent=/path/to/old/src \
-        --tree change=src --rounds 5 --out BENCH_layers.json
+        --tree change=src --rounds 11 --out BENCH_layers.json
 
 Each ``--tree LABEL=DIR`` names a source directory holding the
 ``cmperiods`` package; the default is ``current=src``.  Every sample runs
@@ -29,11 +29,15 @@ The kernels and their arguments:
   over 0 < a < d, at d in 123, 139, 163 and 199, the log Gamma memo
   cleared as for ``log_gamma``, so that a sum that reads it computes its
   terms; the cold call is the sum at d = 123;
-- ``epstein._upper_gamma(s, x, e^-x)``, the incomplete gamma of the
-  Epstein theta sums, at target + 10 digits, one entry per regime: the
-  continued fraction (s = 0, x = 40.5 and 90), the series (s = 0,
-  x = 10 and 39.5) and the downward recurrence for negative s
-  (s = -3/2, x = 10); the cold call is the first (s, x).
+- ``epstein._e1(x, e^-x)``, the exponential integral E1 of the Epstein
+  theta sums, at target + 10 digits, one entry per regime: the
+  continued fraction (x = 40.5 and 90) and the series (x = 10 and
+  39.5); the cold call is the first x.  A tree without ``_e1`` is timed
+  on ``_upper_gamma(0, x, e^-x)``, the same loops at s = 0;
+- ``heckechar.psi_M`` over every reduced form of p = 1019 (13 classes),
+  at 60 digits only, since it computes in exact integers: h - 1
+  ``ideal_product`` steps and one form reduction per call; the cold
+  call, on the principal form, also sums the class number.
 
 The JSON written to ``--out`` holds, per kernel, tree and precision, the
 median of the samples, their quartiles and their spread (q3 - q1) /
@@ -47,10 +51,9 @@ eleven rounds put the median ratio of every unchanged kernel within
 least this bench resolves there.
 Only public names are used (``log_gamma`` and its ``cache_clear``,
 ``delta_lattice``, ``PrecisionContext``, ``character_gamma_sum`` from
-``lseries``, and ``reduced_forms``, ``form_to_lattice`` and
-``inverse_ideal_lattice`` from ``quadforms``), and
-``epstein._upper_gamma``, whose signature has not changed since the
-closed-form jet, so any two versions of the kernels compare.  The script
+``lseries``, ``psi_M``, and ``reduced_forms``, ``form_to_lattice`` and
+``inverse_ideal_lattice`` from ``quadforms``), and ``epstein._e1`` or
+its predecessor, so any two versions of the kernels compare.  The script
 is not under ``tests/`` and tier-1 does not collect it.
 """
 
@@ -69,6 +72,7 @@ TARGETS = (60, 120, 300)
 DEN = 199
 DISCS = (23, 71, 163, 199)
 SUM_DISCS = (123, 139, 163, 199)
+PSI_P = 1019
 PASSES = 5  # timed warm passes per sample; the fastest is kept
 
 PRELUDE = """
@@ -117,25 +121,30 @@ args = %r
 """ % (SUM_DISCS,)),
 }
 
-# epstein._upper_gamma(s, x, e^-x) at target + 10 digits, e^-x formed
-# before timing as the theta sum forms it; no memo to clear
-UPPER_GAMMA = """
+# epstein._e1(x, e^-x) at target + 10 digits, e^-x formed before timing as
+# the theta sum forms it; no memo to clear
+E1 = """
 from mpmath import mp
-from cmperiods.epstein import _upper_gamma
+from cmperiods import epstein
+e1 = getattr(epstein, "_e1", None) or (lambda x, em: epstein._upper_gamma(0, x, em))
 def kernel(arg, ctx):
     with mp.workdps(ctx.target_digits + 10):
-        return _upper_gamma(*arg)
+        return e1(*arg)
 fresh = lambda: None
 with mp.workdps(ctx.target_digits + 10):
-    args = [(mp.mpf(s), mp.mpf(x), mp.exp(-mp.mpf(x))) for s, x in %r]
+    args = [(mp.mpf(x), mp.exp(-mp.mpf(x))) for x in %r]
 """
-for name, regime, points in (
-        ("upper_gamma_cf", "continued fraction", (("0", "40.5"), ("0", "90"))),
-        ("upper_gamma_series", "series", (("0", "10"), ("0", "39.5"))),
-        ("upper_gamma_recurrence", "recurrence for negative s", (("-1.5", "10"),))):
-    WORKERS[name] = ("epstein._upper_gamma per call, %s, (s, x) in %s, at target + 10 "
-                     "digits, ms" % (regime, ", ".join("(%s, %s)" % p for p in points)),
-                     UPPER_GAMMA % (points,))
+for name, regime, points in (("e1_cf", "continued fraction", ("40.5", "90")),
+                             ("e1_series", "series", ("10", "39.5"))):
+    WORKERS[name] = ("epstein._e1 per call, %s, x in %s, at target + 10 digits, ms"
+                     % (regime, ", ".join(points)), E1 % (points,))
+
+WORKERS["psi_M"] = ("heckechar.psi_M per call over the reduced forms of p = %d, ms" % PSI_P, """
+from cmperiods.heckechar import psi_M
+kernel, fresh = (lambda f, ctx: psi_M(f, %d)), lambda: None
+args = list(reduced_forms(%d))
+""" % (PSI_P, PSI_P))
+KERNEL_TARGETS = {"psi_M": (60,)}  # psi_M is exact: the precision does not enter
 
 
 def sample(src: str, kernel: str, target: int) -> dict:
@@ -155,17 +164,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", action="append", default=[],
                     help="LABEL=DIR, a source directory holding cmperiods (repeatable)")
-    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--rounds", type=int, default=11)
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args(argv)
     trees = dict(t.split("=", 1) for t in args.tree) or {"current": "src"}
     first = next(iter(trees))
-    raw = {k: {label: {t: {"cold_ms": [], "warm_ms": []} for t in TARGETS} for label in trees}
+    raw = {k: {label: {t: {"cold_ms": [], "warm_ms": []}
+                       for t in KERNEL_TARGETS.get(k, TARGETS)} for label in trees}
            for k in WORKERS}
     for rnd in range(args.rounds):
         order = list(trees) if rnd % 2 == 0 else list(reversed(trees))
         for kernel in WORKERS:
-            for target in TARGETS:
+            for target in KERNEL_TARGETS.get(kernel, TARGETS):
                 for label in order:
                     got = sample(os.path.abspath(trees[label]), kernel, target)
                     for key, val in got.items():

@@ -21,13 +21,14 @@ the same requests, in one fresh interpreter with that directory first on
   at 600;
 - ``faltings --json`` at p = 163 at 600 digits;
 - ``hecke --prec 60 --json`` on every reduced form (a, b, c) of every
-  prime p = 3 mod 4 from 7 to 199 and on its translate
-  (a, b + 2a, a + b + c), which is the same class but not reduced;
+  prime p = 3 mod 4 from 7 to 1019 (87 primes, 851 forms) and on its
+  translate (a, b + 2a, a + b + c), which is the same class but not
+  reduced;
 - ``suite --max-d 200 --prec 60 --json``;
 - every golden request of ``tests/test_cli.py`` (``GOLDEN_RUNS``);
 
-1,636 requests in all, 26 of them from the ``kronecker`` list, 129
-from the ``verify-cs`` list and 202 from the ``hecke`` list.
+3,136 requests in all, 26 of them from the ``kronecker`` list, 129
+from the ``verify-cs`` list and 1,702 from the ``hecke`` list.
 
 For each request the exit code, stdout and stderr are hashed.  The script
 prints one sha256 per tree over all requests, and the first request whose
@@ -73,6 +74,7 @@ VERIFY_CS_PRECS = (30, 120)
 VERIFY_CS_300 = (23, 163, 199)
 VERIFY_CS_600 = (23, 163)
 FERMAT_SPREAD = (43, 163)  # twelve mixed triples each, at 60 digits
+HECKE_MAX_P = 1019
 MAX_DIGITS_DELTA = 2  # the re-record rule's bound on |change in digits_agreed|
 
 WORKER = """
@@ -150,7 +152,7 @@ def requests() -> list[list[str]]:
     out += [["verify-cs", "--d", str(d), "--prec", "600", "--json"] for d in VERIFY_CS_600]
     out.append(["faltings", "--p", "163", "--prec", "600", "--json"])
     out += [["hecke", "--p", str(p), "--form", f"{a},{b},{c}", "--prec", "60", "--json"]
-            for p in _primes_3mod4(7, 199) for f in _reduced_forms(p)
+            for p in _primes_3mod4(7, HECKE_MAX_P) for f in _reduced_forms(p)
             for a, b, c in (f, (f[0], f[1] + 2 * f[0], f[0] + f[1] + f[2]))]
     out.append(["suite", "--max-d", "200", "--prec", "60", "--json"])
     return out + _golden_requests()

@@ -18,9 +18,8 @@ from .lseries import SZeroJet, dirichlet_jet
 from .numkernel import Lattice, PrecisionContext, delta_lattice, hurwitz_zeta, log_gamma
 from .quadforms import (ClassGroup, Discriminant, QuadForm, QuadInteger,
                         class_number, class_number_dirichlet, compose,
-                        cornacchia_all, form_to_lattice, inverse_ideal_lattice,
-                        is_fundamental, kronecker, principal_form, reduce_form,
-                        reduced_forms)
+                        form_to_lattice, inverse_ideal_lattice, is_fundamental,
+                        kronecker, principal_form, reduce_form, reduced_forms)
 from .relint import recognize_rational, recognize_sqrtp
 
 __version__ = "0.1.0"
@@ -30,8 +29,8 @@ __all__ = [
     "DomainError", "IdentityReport", "Lattice", "PoleError", "PrecisionContext",
     "PrecisionError", "QuadForm", "QuadInteger", "RatioCertificate", "SZeroJet",
     "beta_period", "class_number", "class_number_dirichlet", "cm_type", "compose",
-    "cornacchia_all", "cs_verify", "delta_lattice", "dirichlet_jet", "epsilon_rst",
-    "epstein_jet", "faltings_height_L", "faltings_height_periods", "form_to_lattice",
+    "cs_verify", "delta_lattice", "dirichlet_jet", "epsilon_rst", "epstein_jet",
+    "faltings_height_L", "faltings_height_periods", "form_to_lattice",
     "hurwitz_zeta", "inverse_ideal_lattice", "is_fundamental", "kronecker",
     "log_gamma", "m_invariant", "period_integral", "principal_form", "psi_M",
     "psi_multiplicativity_check", "recognize_rational", "recognize_sqrtp",

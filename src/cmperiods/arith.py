@@ -1,4 +1,4 @@
-"""Exact integer number theory: primality, factoring, modular square roots.
+"""Exact integer number theory: primality, factoring, divisors, linear congruences.
 
 Desk-scale inputs only (factors found by trial division up to 10^6, then
 Pollard rho with Brent cycling).  Everything here is deterministic.
@@ -6,7 +6,7 @@ Pollard rho with Brent cycling).  Everything here is deterministic.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import DomainError
 
@@ -107,13 +107,6 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(n).values())
 
 
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
-
-
 def solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
     """Solve a*x = b (mod m); return (x0, m') with solution set x0 + m'*Z."""
     if m <= 0:
@@ -124,124 +117,3 @@ def solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
     mr = m // g
     x0 = (b // g) * pow(a // g, -1, mr) % mr if mr > 1 else 0
     return x0, mr
-
-
-def crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Combine x=r1 mod m1, x=r2 mod m2 for coprime moduli."""
-    inv = pow(m1, -1, m2)
-    x = (r1 + (r2 - r1) * inv % m2 * m1) % (m1 * m2)
-    return x, m1 * m2
-
-
-def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """One square root of a mod prime p, or None (Tonelli-Shanks)."""
-    a %= p
-    if p == 2 or a == 0:
-        return a % p
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks: write p-1 = q*2^s with q odd.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _sqrt_mod_odd_prime_power(a: int, p: int, e: int) -> list[int]:
-    pe = p ** e
-    a %= pe
-    if a == 0:
-        # x^2 = 0 mod p^e <=> p^ceil(e/2) | x
-        step = p ** ((e + 1) // 2)
-        return list(range(0, pe, step))
-    t, u = 0, a
-    while u % p == 0:
-        u //= p
-        t += 1
-    if t % 2:
-        return []
-    er = e - t
-    v = sqrt_mod_prime(u, p)
-    if v is None:
-        return []
-    mod = p
-    while mod < p ** er:  # quadratic Hensel lift of v to p^er
-        mod = min(mod * mod, p ** er)
-        v = (v - (v * v - u) * pow(2 * v, -1, mod)) % mod
-    h = p ** (t // 2)
-    period = p ** (e - t // 2)
-    out = set()
-    for y in (v, (p ** er - v) % p ** er):
-        for k in range(pe // period):
-            out.add((h * y + k * period) % pe)
-    return sorted(x for x in out if x * x % pe == a)
-
-
-def _sqrt_mod_2_power_unit(a: int, e: int) -> list[int]:
-    # roots of x^2 = a (a odd) mod 2^e
-    if e == 1:
-        return [1]
-    if e == 2:
-        return [1, 3] if a % 4 == 1 else []
-    if a % 8 != 1:
-        return []
-    r = 1
-    for k in range(3, e):
-        if (r * r - a) % (1 << (k + 1)):
-            r += 1 << (k - 1)
-    m = 1 << e
-    return sorted({r, m - r, (r + m // 2) % m, (m - r + m // 2) % m})
-
-
-def _sqrt_mod_2_power(a: int, e: int) -> list[int]:
-    m = 1 << e
-    a %= m
-    if a == 0:
-        step = 1 << ((e + 1) // 2)
-        return list(range(0, m, step))
-    t, u = 0, a
-    while u % 2 == 0:
-        u //= 2
-        t += 1
-    if t % 2:
-        return []
-    ys = _sqrt_mod_2_power_unit(u, e - t)
-    h = 1 << (t // 2)
-    period = 1 << (e - t // 2)
-    out = set()
-    for y in ys:
-        for k in range(m // period):
-            out.add((h * y + k * period) % m)
-    return sorted(x for x in out if x * x % m == a)
-
-
-def sqrt_mod(a: int, n: int) -> list[int]:
-    """All square roots of a modulo n >= 1, sorted."""
-    if n <= 0:
-        raise DomainError("sqrt_mod requires n >= 1")
-    if n == 1:
-        return [0]
-    a %= n
-    roots = [(0, 1)]
-    for p, e in factorize(n).items():
-        pe = p ** e
-        rs = _sqrt_mod_2_power(a, e) if p == 2 else _sqrt_mod_odd_prime_power(a, p, e)
-        if not rs:
-            return []
-        roots = [crt(r0, m0, r, pe) for (r0, m0) in roots for r in rs]
-    return sorted(x for x, _ in roots)

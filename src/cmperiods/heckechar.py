@@ -3,19 +3,22 @@
 Ideals are binary forms: (a, b, c) of discriminant -p stands for the
 ideal [a, (-b + sqrt(-p))/2].  For p prime and p not dividing a, gcd(a, b)
 = 1 (a common prime of a and b would divide p), so each composition in
-the power a^h is united and the unreduced product (a^h, B, C) is the
-ideal a^h itself, not only its class.  That power is principal, and
-psi_M picks the generator beta whose residue modulo sqrt(-p) is a
-square.  That normalization makes the character value independent of
-the chosen form in the class.
+the power a^h is united and the unreduced product (A, B, C) is the
+ideal a^h itself, not only its class.  Its element x*A + y*(-B + sqrt(-p))/2
+has norm A * (A, -B, C)(x, y), so the reduction of (A, -B, C) to the
+principal form, which proves a^h principal, also hands back a generator:
+the column (x, y) with (A, -B, C)(x, y) = 1.  psi_M picks the sign of
+that generator whose residue modulo sqrt(-p) is a square, which makes
+the character value independent of the chosen form in the class.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import ConsistencyError, DomainError
 from .quadforms import (Discriminant, QuadForm, QuadInteger, class_number_dirichlet,
-                        compose, cornacchia_all, ideal_product, principal_form,
-                        reduce_form)
+                        compose, ideal_product, principal_form, reduce_with_column)
 
 
 def psi_M(f: QuadForm, p) -> QuadInteger:
@@ -30,38 +33,38 @@ def psi_M(f: QuadForm, p) -> QuadInteger:
     power = f
     for _ in range(h - 1):
         power = ideal_product(power, f)
-    if reduce_form(power) != principal_form(p):
+    g, x, y = reduce_with_column(QuadForm(power.a, -power.b, power.c))
+    if g != principal_form(p):
         raise ConsistencyError(f"class of {f.tuple()} does not have order dividing h={h}")
-    norm = f.a ** h
-    if power.a != norm:
+    beta = QuadInteger(2 * x * power.a - y * power.b, y, p)
+    if beta.norm != f.a ** h:
         raise ConsistencyError("ideal power has the wrong norm")
-    inv2 = (p + 1) // 2
-    for cand in cornacchia_all(p, norm):
-        for x, y in ((cand.x, cand.y), (cand.x, -cand.y),
-                     (-cand.x, cand.y), (-cand.x, -cand.y)):
-            # (x + y*sqrt(-p))/2 lies in [norm, (-B + sqrt(-p))/2]
-            if (x + y * power.b) % (2 * norm):
-                continue
-            if pow(x * inv2 % p, (p - 1) // 2, p) == 1:
-                return QuadInteger(x, y, p)
-    raise ConsistencyError(f"no normalized generator found for {f.tuple()}^{h}")
+    # p = 3 mod 4, so exactly one of beta.x/2 and -beta.x/2 is a square mod p
+    if pow(beta.x * ((p + 1) // 2) % p, (p - 1) // 2, p) != 1:
+        beta = -beta
+    return beta
 
 
 def psi_multiplicativity_check(p, f: QuadForm, g: QuadForm) -> bool:
     """Does psi_M(f) psi_M(g) conj(psi_M(f*g)) equal +-nu^h for an integral nu?
 
-    Exact arithmetic throughout: nu ranges over the elements of norm
-    a_f a_g a_c given by descent, with all four sign variants.
+    Exact arithmetic throughout: nu ranges over the elements
+    (x + y*sqrt(-p))/2 of norm N = a_f a_g a_c, that is x^2 + p*y^2 = 4N
+    with 0 <= y <= sqrt(4N/p), with all four sign variants.
     """
     disc = Discriminant.prime(p)
     p = disc.d
     h = class_number_dirichlet(disc)
     c = compose(f, g)
     rho = psi_M(f, disc) * psi_M(g, disc) * psi_M(c, disc).conj()
-    for cand in cornacchia_all(p, f.a * g.a * c.a):
+    n4 = 4 * f.a * g.a * c.a
+    for y in range(isqrt(n4 // p) + 1):
+        x = isqrt(n4 - p * y * y)
+        if x * x != n4 - p * y * y:
+            continue
         for sx in (1, -1):
             for sy in (1, -1):
-                nu = QuadInteger(sx * cand.x, sy * cand.y, p) ** h
+                nu = QuadInteger(sx * x, sy * y, p) ** h
                 if nu == rho or -nu == rho:
                     return True
     return False

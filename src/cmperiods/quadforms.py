@@ -3,6 +3,10 @@
 A form (a, b, c) with a > 0 and b^2 - 4ac = -d < 0 corresponds to the
 ideal [a, (-b + sqrt(-d))/2] of the imaginary quadratic order, i.e. to
 the complex lattice a * (Z + Z*tau) with tau = (-b + i*sqrt(d)) / (2a).
+
+Reduction carries its SL2(Z) matrix and hands back the first column
+(x, y), so it also names where the form takes the reduced lead
+coefficient: f(x, y) = a of the reduced form.
 """
 
 from __future__ import annotations
@@ -10,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 from mpmath import mp
 
-from .arith import (divisors, factorize, is_prime, is_square, is_squarefree, solve_linmod,
-                    sqrt_mod)
+from .arith import divisors, is_prime, is_squarefree, solve_linmod
 from .errors import ConsistencyError, DomainError
 from .numkernel import Lattice, PrecisionContext
 
@@ -154,23 +157,35 @@ def principal_form(d: int) -> QuadForm:
     return QuadForm(1, b, (d + b * b) // 4)
 
 
-def reduce_form(f: QuadForm) -> QuadForm:
+def reduce_with_column(f: QuadForm) -> tuple[QuadForm, int, int]:
+    """The reduced form g in the class of f, and the first column (x, y) of
+    the M in SL2(Z) with g(X, Y) = f(M (X, Y)), so that f(x, y) = g.a.
+
+    Each flip (a, b, c) -> (c, -b, a) is M -> M S, S = [[0, -1], [1, 0]];
+    each translation of b by 2ak is M -> M T^k, T = [[1, 1], [0, 1]].
+    The loop carries both columns of M, (x, y) and (u, v).
+    """
     a, b, c = f.a, f.b, f.c
+    x, y, u, v = 1, 0, 0, 1
     while True:
         if c < a or (c == a and b < 0):
             a, b, c = c, -b, a
+            x, y, u, v = u, v, -x, -y
             continue
         if b > a or b <= -a:
             r = b % (2 * a)
             if r > a:
                 r -= 2 * a
+            k = (r - b) // (2 * a)
             c += (r * r - b * b) // (4 * a)
             b = r
+            u, v = u + k * x, v + k * y
             continue
-        if b < 0 and a == c:
-            b = -b
-            continue
-        return QuadForm(a, b, c)
+        return QuadForm(a, b, c), x, y
+
+
+def reduce_form(f: QuadForm) -> QuadForm:
+    return reduce_with_column(f)[0]
 
 
 def ideal_product(f: QuadForm, g: QuadForm) -> QuadForm:
@@ -332,45 +347,3 @@ class QuadInteger:
             base = base * base
             n >>= 1
         return acc
-
-
-def _cornacchia_primitive(d: int, m: int) -> list[tuple[int, int]]:
-    # primitive solutions x^2 + d*y^2 = m, x,y >= 0, gcd(x,y) = 1
-    sols = set()
-    if m == 1:
-        sols.add((1, 0))
-    if m == d:
-        sols.add((0, 1))
-    for r in sqrt_mod(-d % m, m):
-        if 2 * r > m:
-            continue
-        a, b = m, r
-        while b * b >= m:
-            a, b = b, a % b
-        rem = m - b * b
-        if rem % d == 0 and is_square(rem // d):
-            y = isqrt(rem // d)
-            if gcd(b, y) == 1:
-                sols.add((b, y))
-    return sorted(sols)
-
-
-def cornacchia_all(d: int, n: int) -> list[QuadInteger]:
-    """All elements (x + y*sqrt(-d))/2 of norm n with x, y >= 0.
-
-    Solves x^2 + d*y^2 = 4n over each square divisor g^2 | 4n by root
-    enumeration mod 4n/g^2 plus Euclidean descent.  Primitive solutions
-    come first, then by increasing x.
-    """
-    if d <= 0 or n <= 0:
-        raise DomainError("cornacchia needs d > 0 and n > 0")
-    m = 4 * n
-    sols = set()
-    sq = 1
-    for p, e in factorize(m).items():
-        sq *= p ** (e // 2)
-    for g in divisors(sq):
-        for (x, y) in _cornacchia_primitive(d, m // (g * g)):
-            sols.add((g * x, g * y))
-    ordered = sorted(sols, key=lambda s: (0 if gcd(s[0], s[1]) == 1 else 1, s[0]))
-    return [QuadInteger(x, y, d) for (x, y) in ordered]

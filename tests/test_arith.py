@@ -2,8 +2,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmperiods.arith import (crt, divisors, factorize, is_prime, is_square,
-                             is_squarefree, solve_linmod, sqrt_mod, sqrt_mod_prime)
+from cmperiods.arith import divisors, factorize, is_prime, is_squarefree, solve_linmod
 
 
 def test_is_prime_small_table():
@@ -47,9 +46,9 @@ def test_divisors():
 
 
 def test_is_square_and_squarefree():
-    squares = {n * n for n in range(100)}
-    for n in range(500):
-        assert is_square(n) == (n in squares)
+    # squarefree means no square k^2 > 1 divides n
+    for n in range(1, 500):
+        assert is_squarefree(n) == all(n % (k * k) for k in range(2, 23))
     assert is_squarefree(2 * 3 * 5 * 7)
     assert not is_squarefree(12)
     assert not is_squarefree(49)
@@ -59,29 +58,3 @@ def test_solve_linmod():
     x, m = solve_linmod(6, 9, 15)
     assert (6 * x - 9) % 15 == 0 and m == 5
     assert all((6 * (x + k * m) - 9) % 15 == 0 for k in range(3))
-
-
-def test_crt():
-    x, m = crt(2, 3, 3, 5)
-    assert m == 15 and x % 3 == 2 and x % 5 == 3
-
-
-def test_sqrt_mod_prime():
-    for p in (7, 11, 13, 10007, 1000003):
-        for a in range(1, 25):
-            r = sqrt_mod_prime(a % p, p)
-            if sympy.legendre_symbol(a, p) == 1:
-                assert r is not None and (r * r - a) % p == 0
-            elif a % p:
-                assert r is None
-
-
-@given(st.integers(min_value=1, max_value=5000), st.integers(min_value=2, max_value=3000))
-@settings(max_examples=150)
-def test_sqrt_mod_composite(a, n):
-    roots = sqrt_mod(a % n, n)
-    assert roots == sorted(set(roots))
-    for r in roots:
-        assert (r * r - a) % n == 0
-    brute = [x for x in range(n) if (x * x - a) % n == 0]
-    assert roots == brute

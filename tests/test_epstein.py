@@ -1,12 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from cmperiods import epstein
-from cmperiods.epstein import (_upper_gamma, _upper_gamma_cf, _upper_gamma_series,
-                               epstein_jet, theta_counts)
+from cmperiods.epstein import _e1, _e1_cf, _e1_series, epstein_jet, theta_counts
 from cmperiods.errors import PrecisionError
 from cmperiods.numkernel import PrecisionContext, delta_lattice, log_gamma
 from cmperiods.quadforms import (Discriminant, QuadForm, form_to_lattice,
@@ -42,63 +41,57 @@ def test_cf_stall_reports_digits(monkeypatch):
     monkeypatch.setattr(epstein, "_CF_CAP", 5)
     with mp.workdps(30):
         with pytest.raises(PrecisionError) as err:
-            _upper_gamma_cf(mp.mpf(0), mp.mpf(50), mp.exp(-50))
+            _e1_cf(mp.mpf(50), mp.exp(-50))
     assert err.value.achieved_digits == 11
 
 
 def test_series_cap_reports_digits(monkeypatch):
     # the last of 79 terms at x = 10 gives |term|*k ~ 1e-36, against a floor
-    # 25 cancellation-guard digits below the 10^-30 the result is due at
-    # s = 0.5, and 20 at s = 0 (2*10*log10(e) + 12, no small-s head)
+    # 20 cancellation-guard digits (2*10*log10(e) + 12) below the 10^-30
+    # the result is due
     monkeypatch.setattr(epstein, "_SERIES_CAP", 80)
-    for s, achieved in (("0.5", 11), ("0", 16)):
-        with mp.workdps(30):
-            with pytest.raises(PrecisionError) as err:
-                _upper_gamma_series(mp.mpf(s), mp.mpf(10))
-        assert err.value.achieved_digits == achieved, s
+    with mp.workdps(30):
+        with pytest.raises(PrecisionError) as err:
+            _e1_series(mp.mpf(10))
+    assert err.value.achieved_digits == 16
 
 
-@pytest.mark.parametrize("dps", [60, 300])
-@pytest.mark.parametrize("s", ["0", "1e-8", "-1e-8", "-1", "-2", "-3", "-0.5", "-1.5", "-2.5"])
-def test_upper_gamma_against_mpmath(dps, s):
-    # x runs across the switch to the continued fraction at _CF_MIN_X = 40,
-    # s through 0 from both sides, the negative integers and half-integers
-    # that take the downward recurrence; the result is due to a few units
-    # in the last place of the ambient precision
-    assert epstein._CF_MIN_X == 40
-    for x in ("0.5", "10", "39.5", "40.5", "90"):
-        with mp.workdps(dps):
-            sv, xv = mp.mpf(s), mp.mpf(x)
-            val = _upper_gamma(sv, xv, mp.exp(-xv))
-        with mp.workdps(dps + 40):
-            ref = mp.e1(xv) if sv == 0 else mp.gammainc(sv, xv)
-            assert abs(val - ref) < mp.mpf(10) ** -(dps - 3) * abs(ref), (s, x)
+E1_POINTS = ("0.5", "10", "39.5", "40.5", "90")
 
 
-def _assert_upper_gamma_matches(dps, sv, xv):
+def _assert_e1_matches(dps, xv):
     # the result is due to a few units in the last place of dps digits
     with mp.workdps(dps):
-        val = _upper_gamma(sv, xv, mp.exp(-xv))
+        val = _e1(xv, mp.exp(-xv))
     with mp.workdps(dps + 40):
-        ref = mp.e1(xv) if sv == 0 else mp.gammainc(sv, xv)
-        assert abs(val - ref) < mp.mpf(10) ** -(dps - 3) * abs(ref), (dps, sv, xv)
+        ref = mp.e1(xv)
+        assert abs(val - ref) < mp.mpf(10) ** -(dps - 3) * ref, (dps, xv)
 
 
-@pytest.mark.parametrize("x, s", [(x, s) for s in ("0", "-0.5", "0.5", "1.7")
-                                  for x in ("10", "39.5", "40.5", "90")] + [("0.5", "0")])
-def test_upper_gamma_1000_digits(s, x):
+# E1 = Gamma(0, x): the ids name (s, dps) and (x, s) with s = 0
+@pytest.mark.parametrize("dps", [60, 300], ids=["0-60", "0-300"])
+def test_upper_gamma_against_mpmath(dps):
+    # x runs across the switch to the continued fraction at _CF_MIN_X = 40
+    assert epstein._CF_MIN_X == 40
+    for x in E1_POINTS:
+        with mp.workdps(dps):
+            xv = mp.mpf(x)
+        _assert_e1_matches(dps, xv)
+
+
+@pytest.mark.parametrize("x", E1_POINTS, ids=[f"{x}-0" for x in E1_POINTS])
+def test_upper_gamma_1000_digits(x):
     # both fixed-point loops at 1000 digits: the series below _CF_MIN_X and
-    # the continued fraction above it; s = 0 is E1, which the jet takes,
-    # s = -0.5 takes the downward recurrence below 40
+    # the continued fraction above it
     with mp.workdps(1000):
-        sv, xv = mp.mpf(s), mp.mpf(x)
-    _assert_upper_gamma_matches(1000, sv, xv)
+        xv = mp.mpf(x)
+    _assert_e1_matches(1000, xv)
 
 
 @pytest.mark.parametrize("x, guard", [("0.5", 11), ("10", 11), ("40.5", 4), ("90", 4)])
 def test_upper_gamma_loops_keep_guard_digits(x, guard):
-    # each loop, handed an exact e^-x, returns more digits than it is due:
-    # the series carries at least 12 digits past its cancellation, the
+    # each E1 loop, handed an exact e^-x, returns more digits than it is
+    # due: the series carries at least 12 digits past its cancellation, the
     # continued fraction runs at dps + 10 and stops at |delta - 1| below
     # 10^-(dps+6); rounding in the loop must not eat into that margin
     dps = 1000
@@ -107,20 +100,18 @@ def test_upper_gamma_loops_keep_guard_digits(x, guard):
         expmx, ref = mp.exp(-xv), mp.e1(xv)
     with mp.workdps(dps):
         if xv < epstein._CF_MIN_X:
-            val = _upper_gamma_series(mp.mpf(0), xv)
+            val = _e1_series(xv)
         else:
-            val = _upper_gamma_cf(mp.mpf(0), xv, expmx)
+            val = _e1_cf(xv, expmx)
     with mp.workdps(dps + 40):
         assert abs(val - ref) < mp.mpf(10) ** -(dps + guard) * ref
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(30, 300), st.floats(-3, 2, exclude_min=True, exclude_max=True),
-       st.floats(0.1, 200, exclude_min=True, exclude_max=True))
-def test_upper_gamma_against_mpmath_random(dps, s, x):
-    # away from the poles of Gamma(s) at 0, -1, -2, where both sides cancel
-    assume(min(abs(s + n) for n in range(3)) > 1e-3)
-    _assert_upper_gamma_matches(dps, mp.mpf(s), mp.mpf(x))
+@given(st.integers(30, 300), st.floats(0.1, 200, exclude_min=True, exclude_max=True))
+def test_upper_gamma_against_mpmath_random(dps, x):
+    # E1 = Gamma(0, x) at random precision and x, both loops
+    _assert_e1_matches(dps, mp.mpf(x))
 
 
 def mp_epstein(f, s):

@@ -4,9 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from cmperiods import heckechar
+from cmperiods.arith import is_prime
 from cmperiods.errors import DomainError
 from cmperiods.heckechar import psi_M, psi_multiplicativity_check
-from cmperiods.quadforms import (QuadForm, QuadInteger, compose, reduced_forms)
+from cmperiods.quadforms import (QuadForm, QuadInteger, compose, ideal_product,
+                                 reduced_forms)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,6 +58,28 @@ def test_psi_golden_table():
         assert psi_M(QuadForm(a, b, c), p) == QuadInteger(x, y, p)
 
 
+def test_psi_generates_the_ideal_power():
+    # beta has norm a^h, lies in a^h = [A, (-B + sqrt(-p))/2] and has
+    # beta.x/2 a square mod p; a generator of a^h is unique up to sign, so
+    # these fix beta.  Every reduced form of every prime p = 3 mod 4,
+    # 500 < p < 2000, the range the golden table does not reach
+    count = 0
+    for p in range(503, 2000, 4):
+        if not is_prime(p):
+            continue
+        group = reduced_forms(p)
+        for f in group:
+            power = f
+            for _ in range(group.h - 1):
+                power = ideal_product(power, f)
+            beta = psi_M(f, p)
+            assert beta.norm == f.a ** group.h == power.a
+            assert (beta.x + beta.y * power.b) % (2 * power.a) == 0
+            assert pow(beta.x * (p + 1) // 2 % p, (p - 1) // 2, p) == 1
+            count += 1
+    assert count == 1837
+
+
 def test_psi_principal_is_one():
     for p in (7, 23, 31, 47):
         group = reduced_forms(p)
@@ -76,6 +101,22 @@ def test_multiplicativity_random_pairs():
         f = rng.choice(forms)
         g = rng.choice(forms)
         assert psi_multiplicativity_check(23, f, g)
+
+
+def test_multiplicativity_check_can_fail(monkeypatch):
+    # psi of the class (2, 1, 3) replaced by its conjugate is no character:
+    # the check must refuse the pairs whose product it breaks
+    true_psi = heckechar.psi_M
+
+    def conjugated(f, p):
+        beta = true_psi(f, p)
+        return beta.conj() if f == QuadForm(2, 1, 3) else beta
+
+    forms = list(reduced_forms(23))
+    assert all(psi_multiplicativity_check(23, f, g) for f in forms for g in forms)
+    monkeypatch.setattr(heckechar, "psi_M", conjugated)
+    results = [psi_multiplicativity_check(23, f, g) for f in forms for g in forms]
+    assert results.count(False) == 4
 
 
 def test_multiplicativity_consistent_with_compose():

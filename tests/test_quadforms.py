@@ -10,10 +10,10 @@ from cmperiods.errors import ConsistencyError, DomainError
 from cmperiods.numkernel import PrecisionContext
 from cmperiods.quadforms import (ClassGroup, Discriminant, QuadForm, QuadInteger,
                                  class_number, class_number_dirichlet, compose,
-                                 cornacchia_all, form_to_lattice, ideal_product,
+                                 form_to_lattice, ideal_product,
                                  inverse, inverse_ideal_lattice, is_fundamental,
                                  kronecker, principal_form,
-                                 reduce_form, reduced_forms)
+                                 reduce_form, reduce_with_column, reduced_forms)
 
 
 def fundamental_ds(limit):
@@ -85,6 +85,37 @@ def test_reduce_form():
     red = reduce_form(f)
     assert red.disc == f.disc
     assert red.is_reduced
+
+
+def _act(f, m):
+    """The form f(p X + q Y, r X + s Y) for m = (p, q, r, s)."""
+    p, q, r, s = m
+    return QuadForm(f.value(p, r), 2 * f.a * p * q + f.b * (p * s + q * r) + 2 * f.c * r * s,
+                    f.value(q, s))
+
+
+@given(st.integers(1, 10 ** 4), st.integers(-10 ** 4, 10 ** 4), st.integers(1, 10 ** 4),
+       st.lists(st.integers(-50, 50), min_size=1, max_size=8))
+@settings(max_examples=300)
+def test_reduce_with_column(a, b, extra, ks):
+    # a form and its image under a random word in T^k S reduce to the same
+    # reduced form, and each carried column (x, y) is primitive and
+    # represents the reduced lead coefficient
+    f = QuadForm(a, b, b * b // (4 * a) + extra)
+    m = (1, 0, 0, 1)
+    for k in ks:
+        p, q, r, s = m
+        q, s = q + k * p, s + k * r  # m T^k
+        m = (q, -p, s, -r)  # m S
+    g = _act(f, m)
+    assert g.disc == f.disc
+    red = reduce_form(f)
+    assert red.is_reduced and red.disc == f.disc
+    for form in (f, g):
+        got, x, y = reduce_with_column(form)
+        assert got == red
+        assert form.value(x, y) == red.a
+        assert math.gcd(x, y) == 1
 
 
 def test_reduced_forms_examples():
@@ -181,28 +212,6 @@ def test_ideal_power_is_principal(d):
             power = ideal_product(power, f)
         assert power.a == f.a ** group.h
         assert reduce_form(power) == principal_form(d)
-
-
-def test_cornacchia_examples():
-    sol = cornacchia_all(7, 2)[0]
-    assert (sol.x, abs(sol.y)) == (1, 1)
-    sol = cornacchia_all(7, 8)[0]
-    assert (sol.x, abs(sol.y)) == (5, 1)
-    assert cornacchia_all(23, 5) == []
-
-
-def test_cornacchia_exhaustive():
-    for d in (7, 23):
-        for n in range(1, 400):
-            sols = cornacchia_all(d, n)
-            brute = sorted(
-                (x, y)
-                for x in range(int(math.isqrt(4 * n)) + 1)
-                for y in range(int(math.isqrt(4 * n // d)) + 1)
-                if x * x + d * y * y == 4 * n and (x - y * d) % 2 == 0)
-            assert sorted((q.x, q.y) for q in sols) == brute
-            for q in sols:
-                assert q.norm == n
 
 
 def test_quad_integer_arithmetic():
