@@ -14,11 +14,10 @@ the character value independent of the chosen form in the class.
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .errors import ConsistencyError, DomainError
 from .quadforms import (Discriminant, QuadForm, QuadInteger, class_number_dirichlet,
-                        compose, ideal_product, principal_form, reduce_with_column)
+                        compose, elements_of_norm, ideal_product, principal_form,
+                        reduce_with_column)
 
 
 def psi_M(f: QuadForm, p) -> QuadInteger:
@@ -57,14 +56,10 @@ def psi_multiplicativity_check(p, f: QuadForm, g: QuadForm) -> bool:
     h = class_number_dirichlet(disc)
     c = compose(f, g)
     rho = psi_M(f, disc) * psi_M(g, disc) * psi_M(c, disc).conj()
-    n4 = 4 * f.a * g.a * c.a
-    for y in range(isqrt(n4 // p) + 1):
-        x = isqrt(n4 - p * y * y)
-        if x * x != n4 - p * y * y:
-            continue
+    for e in elements_of_norm(p, f.a * g.a * c.a):
         for sx in (1, -1):
             for sy in (1, -1):
-                nu = QuadInteger(sx * x, sy * y, p) ** h
+                nu = QuadInteger(sx * e.x, sy * e.y, p) ** h
                 if nu == rho or -nu == rho:
                     return True
     return False

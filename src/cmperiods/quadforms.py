@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from mpmath import mp
 
@@ -347,3 +347,15 @@ class QuadInteger:
             base = base * base
             n >>= 1
         return acc
+
+
+def elements_of_norm(d: int, n: int) -> list[QuadInteger]:
+    """Every (x + y*sqrt(-d))/2 of norm n with x, y >= 0, by increasing y:
+    the solutions of x^2 + d*y^2 = 4n with 0 <= y <= sqrt(4n/d)."""
+    n4 = 4 * n
+    out = []
+    for y in range(isqrt(n4 // d) + 1):
+        x = isqrt(n4 - d * y * y)
+        if x * x == n4 - d * y * y:
+            out.append(QuadInteger(x, y, d))
+    return out

@@ -10,6 +10,7 @@ from cmperiods.errors import ConsistencyError, DomainError
 from cmperiods.numkernel import PrecisionContext
 from cmperiods.quadforms import (ClassGroup, Discriminant, QuadForm, QuadInteger,
                                  class_number, class_number_dirichlet, compose,
+                                 elements_of_norm,
                                  form_to_lattice, ideal_product,
                                  inverse, inverse_ideal_lattice, is_fundamental,
                                  kronecker, principal_form,
@@ -212,6 +213,29 @@ def test_ideal_power_is_principal(d):
             power = ideal_product(power, f)
         assert power.a == f.a ** group.h
         assert reduce_form(power) == principal_form(d)
+
+
+def test_cornacchia_examples():
+    # x^2 + d*y^2 = 4n, the equation Cornacchia's algorithm solves
+    sol = elements_of_norm(7, 2)[0]
+    assert (sol.x, abs(sol.y)) == (1, 1)
+    sol = elements_of_norm(7, 8)[0]
+    assert (sol.x, abs(sol.y)) == (5, 1)
+    assert elements_of_norm(23, 5) == []
+
+
+def test_cornacchia_exhaustive():
+    for d in (7, 23):
+        for n in range(1, 400):
+            sols = elements_of_norm(d, n)
+            brute = sorted(
+                (x, y)
+                for x in range(int(math.isqrt(4 * n)) + 1)
+                for y in range(int(math.isqrt(4 * n // d)) + 1)
+                if x * x + d * y * y == 4 * n and (x - y * d) % 2 == 0)
+            assert sorted((q.x, q.y) for q in sols) == brute
+            for q in sols:
+                assert q.norm == n
 
 
 def test_quad_integer_arithmetic():
