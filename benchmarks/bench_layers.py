@@ -14,8 +14,10 @@ records, for each kernel,
 - ``cold_ms``: the first call at that precision, which also pays for
   mpmath's constants and whatever tables the kernel builds;
 - ``warm_ms``: the mean per call over all its arguments, after one
-  untimed pass, in the fastest of PASSES timed passes: a pass that the
-  machine slowed down does not set the sample.
+  untimed pass, in the fastest of the timed passes, as many as fit in
+  PASS_SECONDS and at least MIN_PASSES: a pass that the machine slowed
+  down does not set the sample, and a kernel that is quick at a
+  precision gets more passes to find its fastest.
 
 The kernels and their arguments:
 
@@ -47,8 +49,10 @@ its sample over the first tree's sample of the same round: the two ran
 seconds apart, so the ratio is steadier than either median when the
 machine's speed drifts from round to round.  On a 2-core x86-64 machine,
 eleven rounds put the median ratio of every unchanged kernel within
-0.96-1.03 (``BENCH_layers.json``): a change of about 10% per call is the
-least this bench resolves there.
+0.99-1.05 (``BENCH_layers.json``), but their quartiles still reach
+0.74-1.27 at 120 and 300 digits: a change of about 10% per call is the
+least this bench resolves at 60 digits.  At 300 digits a pass of the
+slower kernels takes longer than PASS_SECONDS, so they get MIN_PASSES.
 Only public names are used (``log_gamma`` and its ``cache_clear``,
 ``delta_lattice``, ``PrecisionContext``, ``character_gamma_sum`` from
 ``lseries``, ``psi_M``, and ``reduced_forms``, ``form_to_lattice`` and
@@ -73,7 +77,10 @@ DEN = 199
 DISCS = (23, 71, 163, 199)
 SUM_DISCS = (123, 139, 163, 199)
 PSI_P = 1019
-PASSES = 5  # timed warm passes per sample; the fastest is kept
+# timed warm passes per sample, the fastest kept: as many as fit in
+# PASS_SECONDS, and at least MIN_PASSES
+PASS_SECONDS = 0.2
+MIN_PASSES = 5
 
 PRELUDE = """
 import json, sys, time
@@ -93,14 +100,15 @@ fresh()
 for x in args:
     kernel(x, ctx)
 warm = []
-for _ in range(%d):
+start = time.perf_counter()
+while len(warm) < %d or time.perf_counter() - start < %r:
     fresh()
     t = time.perf_counter()
     for x in args:
         kernel(x, ctx)
     warm.append((time.perf_counter() - t) / len(args))
 print(json.dumps({"cold_ms": cold * 1e3, "warm_ms": min(warm) * 1e3}))
-""" % PASSES
+""" % (MIN_PASSES, PASS_SECONDS)
 
 WORKERS = {
     "log_gamma": ("numkernel.log_gamma per call over a/%d, ms" % DEN, """

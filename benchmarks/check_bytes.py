@@ -17,9 +17,11 @@ the same requests, in one fresh interpreter with that directory first on
 - ``kronecker --json`` over every class of d = 3, 4, 7, 8, 23, 47, 71
   and 163 at 30, 60 and 120 digits, and of d = 7 and 23 at 300;
 - ``verify-cs --json`` for every fundamental d <= 200 (62 values) at 30
-  and 120 digits, for d = 23, 163 and 199 at 300, and for d = 23 and 163
-  at 600;
-- ``faltings --json`` at p = 163 at 600 digits;
+  and 120 digits, for d = 23, 163 and 199 at 300, for d = 23 and 163
+  at 600, and for d = 199 at 1000;
+- ``faltings --json`` at p = 163 at 600 digits, and ``periods --json`` at
+  p = 199 at 1000 digits: the pentagonal series of ``delta_lattice``
+  gains most there;
 - ``hecke --prec 60 --json`` on every reduced form (a, b, c) of every
   prime p = 3 mod 4 from 7 to 1019 (87 primes, 851 forms) and on its
   translate (a, b + 2a, a + b + c), which is the same class but not
@@ -27,7 +29,7 @@ the same requests, in one fresh interpreter with that directory first on
 - ``suite --max-d 200 --prec 60 --json``;
 - every golden request of ``tests/test_cli.py`` (``GOLDEN_RUNS``);
 
-3,136 requests in all, 26 of them from the ``kronecker`` list, 129
+3,138 requests in all, 26 of them from the ``kronecker`` list, 130
 from the ``verify-cs`` list and 1,702 from the ``hecke`` list.
 
 For each request the exit code, stdout and stderr are hashed.  The script
@@ -73,6 +75,7 @@ KRONECKER_DS = (3, 4, 7, 8, 23, 47, 71, 163)
 VERIFY_CS_PRECS = (30, 120)
 VERIFY_CS_300 = (23, 163, 199)
 VERIFY_CS_600 = (23, 163)
+VERIFY_CS_1000 = (199,)
 FERMAT_SPREAD = (43, 163)  # twelve mixed triples each, at 60 digits
 HECKE_MAX_P = 1019
 MAX_DIGITS_DELTA = 2  # the re-record rule's bound on |change in digits_agreed|
@@ -150,7 +153,9 @@ def requests() -> list[list[str]]:
             for prec in VERIFY_CS_PRECS for d in _fundamental(200)]
     out += [["verify-cs", "--d", str(d), "--prec", "300", "--json"] for d in VERIFY_CS_300]
     out += [["verify-cs", "--d", str(d), "--prec", "600", "--json"] for d in VERIFY_CS_600]
+    out += [["verify-cs", "--d", str(d), "--prec", "1000", "--json"] for d in VERIFY_CS_1000]
     out.append(["faltings", "--p", "163", "--prec", "600", "--json"])
+    out.append(["periods", "--p", "199", "--prec", "1000", "--json"])
     out += [["hecke", "--p", str(p), "--form", f"{a},{b},{c}", "--prec", "60", "--json"]
             for p in _primes_3mod4(7, HECKE_MAX_P) for f in _reduced_forms(p)
             for a, b, c in (f, (f[0], f[1] + 2 * f[0], f[0] + f[1] + f[2]))]

@@ -8,11 +8,11 @@ discriminant cusp form on complex lattices.  All of them take an explicit
 
 Arithmetic is backed by mpmath (mpf/mpc); the special functions themselves
 are implemented here: Stirling's series with argument shifting for
-log-gamma, Euler-Maclaurin for Hurwitz zeta, and the q-product for the
-modular discriminant.  Every function is pure, so callers may fan work out
-across processes freely.  ``log_gamma`` takes an int or a Fraction, as
-every caller passes, and is memoized for the life of the process, per
-(argument type, argument value, PrecisionContext): the Fermat
+log-gamma, Euler-Maclaurin for Hurwitz zeta, and Euler's pentagonal
+series for the modular discriminant.  Every function is pure, so callers
+may fan work out across processes freely.  ``log_gamma`` takes an int or
+a Fraction, as every caller passes, and is memoized for the life of the
+process, per (argument type, argument value, PrecisionContext): the Fermat
 certificates sum log Gamma over the same rationals a/p again and again,
 and a hit returns the very mpf the kernel computed.  The folded
 character sum of ``lseries`` does not call it, so neither ``verify-cs``,
@@ -30,11 +30,17 @@ log.  The two hot inner loops run in fixed point, on Python integers
 scaled by 2^(prec + 20), with no mpf normalization per step: Stirling's
 series carries each term from the last by a ratio c_k / c_(k-1) of its
 coefficients B_2k / (2k (2k-1)), read from a table kept per working
-precision, and 1/z^2, so a term costs two integer multiplications; the
-q-product of the discriminant multiplies Gaussian integers and becomes
-an mpc once, before its 24th power.  The shift product
-(``_shift_product``), the Stirling loop (``_stirling_tail``) and
-``_log1p_fixed``, an atanh series on the same scale, also serve the
+precision, and 1/z^2, so a term costs two integer multiplications.  The
+discriminant sums prod (1 - q^n) as Euler's pentagonal series
+sum_k (-1)^k q^(k(3k-1)/2) (1 + q^k) (Hardy and Wright, section 19.9),
+about sqrt(2N/3) terms in place of N factors, each carried from the last
+in four Gaussian-integer multiplications; it raises the sum to its 24th
+power in the same fixed point, in five more, and becomes an mpc once,
+to be multiplied by q and (2 pi)^12, the latter kept per working
+precision.  q itself is e^(i pi 2tau) (``mp.expjpi``), whose argument
+is reduced mod 2 exactly, with no multiple of pi to cancel.  The shift
+product (``_shift_product``), the Stirling loop (``_stirling_tail``)
+and ``_log1p_fixed``, an atanh series on the same scale, also serve the
 folded character sum of ``lseries``.
 """
 
@@ -65,8 +71,8 @@ _LOG_GAMMA_MEMO = 8192
 # Stirling coefficient tables kept, one per binary working precision
 _STIRLING_TABLES = 16
 # bits carried below the working precision by the fixed-point loops of
-# Stirling's series, the q-product and epstein's incomplete gamma, for the
-# rounding of each step
+# Stirling's series, the pentagonal series of Delta and epstein's
+# incomplete gamma, for the rounding of each step
 _GUARD_BITS = 20
 # factors per leaf of the binary-split shift product
 _SHIFT_LEAF = 64
@@ -144,6 +150,12 @@ def _stirling_coefficients(prec):
 def _half_log_two_pi(prec):
     """log(2 pi) / 2, the constant of Stirling's series, at binary precision prec."""
     return mp.log(2 * mp.pi) / 2
+
+
+@lru_cache(maxsize=_STIRLING_TABLES)
+def _two_pi_pow12(prec):
+    """(2 pi)^12, the constant of the discriminant's q-series, at binary precision prec."""
+    return (2 * mp.pi) ** 12
 
 
 def _stirling_ratio(k, wp):
@@ -306,33 +318,67 @@ def hurwitz_zeta(x, s, ctx: PrecisionContext):
 
 
 def delta_q_terms(im_tau, working_digits: int) -> int:
-    """Number of q-product factors needed for the given tau height."""
+    """Exponent budget of Delta's q-series at the given tau height.
+
+    |q|^terms is below 10^-(working_digits + 10): terms of prod (1 - q^n)
+    past that exponent fall below the error budget.
+    """
     return int(ceil((working_digits + 10) * _LN10 / (2 * mp.pi * im_tau))) + 1
+
+
+def _gauss_mul(x_re, x_im, y_re, y_im, wp):
+    """(x_re + i x_im)(y_re + i y_im) for Gaussian integers scaled by 2^wp."""
+    return (x_re * y_re - x_im * y_im) >> wp, (x_re * y_im + x_im * y_re) >> wp
+
+
+def _gauss_sq(x_re, x_im, wp):
+    """(x_re + i x_im)^2 for a Gaussian integer scaled by 2^wp, in two multiplications."""
+    return (x_re + x_im) * (x_re - x_im) >> wp, (x_re * x_im) >> (wp - 1)
 
 
 def delta_lattice(lattice: Lattice, ctx: PrecisionContext, terms: int | None = None):
     """Modular discriminant of scale*(Z + Z*tau).
 
-    Computed as scale^-12 * (2*pi)^12 * q * prod(1-q^n)^24 with
-    q = exp(2*pi*i*tau); the product is cut once the tail of
-    24*sum log(1-q^n) is below the error budget.
+    Computed as scale^-12 * (2*pi)^12 * q * E(q)^24 with q = exp(2*pi*i*tau)
+    and E(q) = prod(1 - q^n) summed by Euler's pentagonal number theorem,
+    E(q) = sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)), over the exponents
+    up to ``terms``: the series and the product of ``terms`` factors agree
+    up to q^(terms + 1), the order at which the tail of 24*sum log(1-q^n)
+    falls below the error budget.
     """
     with ctx.workprec(10):
         tau = mp.mpc(lattice.tau)
         scale = mp.mpc(lattice.scale)
         if terms is None:
             terms = delta_q_terms(mp.im(tau), mp.dps)
-        q = mp.exp(2j * mp.pi * tau)
-        # the loop runs on Gaussian integers scaled by 2^wp: q^n in
-        # (qn_re, qn_im) and prod (1 - q^n) in (p_re, p_im)
+        # q = e^(i pi 2tau): mpmath reduces Re 2tau mod 2 exactly, where
+        # e^(2 pi i tau) reduces by an approximate pi and, at Re tau in Z/4
+        # (forms with a = 1 or 2), recomputes a cancelled sine or cosine
+        q = mp.expjpi(2 * tau)
+        # the series runs on Gaussian integers scaled by 2^wp: with
+        # a_k = k(3k-1)/2, (-1)^k q^a_k is carried by the step
+        # -q^(3k+1) = -q^(a_(k+1) - a_k), itself carried by q^3, and
+        # (-1)^k q^(a_k + k) is that times q^k
         wp = mp.prec + _GUARD_BITS
         q_re, q_im = int(mp.ldexp(q.real, wp)), int(mp.ldexp(q.imag, wp))
-        qn_re, qn_im = 1 << wp, 0
-        p_re, p_im = 1 << wp, 0
-        for _ in range(terms):
-            qn_re, qn_im = ((qn_re * q_re - qn_im * q_im) >> wp,
-                            (qn_re * q_im + qn_im * q_re) >> wp)
-            p_re, p_im = (p_re - ((p_re * qn_re - p_im * qn_im) >> wp),
-                          p_im - ((p_re * qn_im + p_im * qn_re) >> wp))
-        prod = mp.mpc(mp.mpf((p_re, -wp)), mp.mpf((p_im, -wp)))
-        return scale ** (-12) * (2 * mp.pi) ** 12 * q * prod ** 24
+        q3 = _gauss_mul(*_gauss_sq(q_re, q_im, wp), q_re, q_im, wp)
+        step = _gauss_mul(*q3, -q_re, -q_im, wp)
+        pent, qk = (-q_re, -q_im), (q_re, q_im)
+        e_re, e_im = 1 << wp, 0
+        k, a = 1, 1
+        while a <= terms:
+            e_re, e_im = e_re + pent[0], e_im + pent[1]
+            if a + k <= terms:
+                b_re, b_im = _gauss_mul(*pent, *qk, wp)
+                e_re, e_im = e_re + b_re, e_im + b_im
+            a += 3 * k + 1
+            k += 1
+            if a <= terms:
+                pent = _gauss_mul(*pent, *step, wp)
+                step = _gauss_mul(*step, *q3, wp)
+                qk = _gauss_mul(*qk, q_re, q_im, wp)
+        # E^24 = E^16 * E^8, by four squarings, before the one mpc
+        e8 = _gauss_sq(*_gauss_sq(*_gauss_sq(e_re, e_im, wp), wp), wp)
+        e24_re, e24_im = _gauss_mul(*_gauss_sq(*e8, wp), *e8, wp)
+        e24 = mp.mpc(mp.mpf((e24_re, -wp)), mp.mpf((e24_im, -wp)))
+        return scale ** (-12) * _two_pi_pow12(mp.prec) * q * e24

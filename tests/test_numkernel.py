@@ -11,6 +11,7 @@ from cmperiods.errors import DomainError, PoleError, PrecisionError
 from cmperiods.numkernel import (Lattice, PrecisionContext, _stirling_log_gamma,
                                  delta_lattice, delta_q_terms, hurwitz_zeta, log_gamma,
                                  to_mpf)
+from cmperiods.quadforms import form_to_lattice, inverse_ideal_lattice, reduced_forms
 
 
 def test_context_floors():
@@ -338,6 +339,41 @@ def test_delta_complex_scale(ctx):
         base = delta_lattice(Lattice(tau, mp.mpf(1)), ctx)
         spun = delta_lattice(Lattice(tau, mp.mpc(0, 2)), ctx)
         assert abs(spun - base / 2 ** 12) < ctx.eps(10) * abs(base)
+
+
+@pytest.mark.parametrize("target", [60, 300])
+@pytest.mark.parametrize("d", [23, 71, 199])
+def test_delta_inverse_lattice_is_conjugate(target, d):
+    # the form lattice is a(Z + Z tau) and the inverse ideal's lattice is
+    # Z + Z(-conj tau), whose q is conj q: Delta(a^-1) = a^12 conj Delta(a),
+    # though the kernel computes the two from different q
+    ctx = PrecisionContext(target)
+    for f in reduced_forms(d):
+        with ctx.workprec(10):
+            val = delta_lattice(form_to_lattice(f, ctx), ctx)
+            inv = delta_lattice(inverse_ideal_lattice(f, ctx), ctx)
+            assert abs(inv - f.a ** 12 * mp.conj(val)) < ctx.eps() * abs(inv)
+
+
+@pytest.mark.parametrize("tau", [mp.mpc(0, 1), mp.mpc(-0.5, mp.sqrt(3) / 2), mp.mpc(0.3, 1.2)],
+                         ids=["i", "rho", "0.3+1.2i"])
+def test_delta_terms_is_the_exponent_budget(tau):
+    # terms = n keeps the q-expansion of prod (1 - q^m)^24 through q^n, as
+    # the product over m <= n does: the two truncations of
+    # E(q) = prod (1 - q^m) first differ at q^(n+1), where the product's
+    # coefficient exceeds E's by 1 and the truncated series has none, so
+    # the 24th powers differ by at most 24 * 2 |q|^(n+1) at leading order;
+    # 100 leaves room for the higher orders (the worst seen is 53 |q|^(n+1))
+    ctx = PrecisionContext(60)
+    with ctx.workprec(10):
+        lat = Lattice(tau, mp.mpf(1))
+        vals = [delta_lattice(lat, ctx, terms=n) for n in range(12)]
+    with mp.workdps(100):
+        q = mp.exp(2j * mp.pi * tau)
+        lead = (2 * mp.pi) ** 12 * q
+        for n, val in enumerate(vals):
+            ref = lead * mp.fprod(1 - q ** m for m in range(1, n + 1)) ** 24
+            assert abs(val - ref) < 100 * abs(lead) * abs(q) ** (n + 1)
 
 
 @settings(max_examples=30, deadline=None)
