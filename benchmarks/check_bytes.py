@@ -18,7 +18,9 @@ the same requests, in one fresh interpreter with that directory first on
   and 163 at 30, 60 and 120 digits, and of d = 7 and 23 at 300;
 - ``verify-cs --json`` for every fundamental d <= 200 (62 values) at 30
   and 120 digits, for d = 23, 163 and 199 at 300, for d = 23 and 163
-  at 600, and for d = 199 at 1000;
+  at 600, for d = 199 at 1000, and for d = 1999 at 300 and d = 9995 at
+  60, where the character moments of the folded log-Gamma sum are
+  longest;
 - ``faltings --json`` at p = 163 at 600 digits, and ``periods --json`` at
   p = 199 at 1000 digits: the pentagonal series of ``delta_lattice``
   gains most there;
@@ -29,7 +31,7 @@ the same requests, in one fresh interpreter with that directory first on
 - ``suite --max-d 200 --prec 60 --json``;
 - every golden request of ``tests/test_cli.py`` (``GOLDEN_RUNS``);
 
-3,138 requests in all, 26 of them from the ``kronecker`` list, 130
+3,140 requests in all, 26 of them from the ``kronecker`` list, 132
 from the ``verify-cs`` list and 1,702 from the ``hecke`` list.
 
 For each request the exit code, stdout and stderr are hashed.  The script
@@ -76,6 +78,7 @@ VERIFY_CS_PRECS = (30, 120)
 VERIFY_CS_300 = (23, 163, 199)
 VERIFY_CS_600 = (23, 163)
 VERIFY_CS_1000 = (199,)
+VERIFY_CS_LONG = ((1999, 300), (9995, 60))  # (d, digits)
 FERMAT_SPREAD = (43, 163)  # twelve mixed triples each, at 60 digits
 HECKE_MAX_P = 1019
 MAX_DIGITS_DELTA = 2  # the re-record rule's bound on |change in digits_agreed|
@@ -154,6 +157,8 @@ def requests() -> list[list[str]]:
     out += [["verify-cs", "--d", str(d), "--prec", "300", "--json"] for d in VERIFY_CS_300]
     out += [["verify-cs", "--d", str(d), "--prec", "600", "--json"] for d in VERIFY_CS_600]
     out += [["verify-cs", "--d", str(d), "--prec", "1000", "--json"] for d in VERIFY_CS_1000]
+    out += [["verify-cs", "--d", str(d), "--prec", str(prec), "--json"]
+            for d, prec in VERIFY_CS_LONG]
     out.append(["faltings", "--p", "163", "--prec", "600", "--json"])
     out.append(["periods", "--p", "199", "--prec", "1000", "--json"])
     out += [["hecke", "--p", str(p), "--form", f"{a},{b},{c}", "--prec", "60", "--json"]

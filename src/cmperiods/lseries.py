@@ -7,23 +7,25 @@ of every Chowla-Selberg-type identity in the package.  eps is odd, so
 Euler's reflection formula pairs a with d - a: the full sum takes
 phi(d)/2 log-Gamma values at a/d < 1/2, plus the sines sin(pi a/d) read
 off the powers of one root of unity.  Those values come from one pass
-with one Stirling shift N for every a: Stirling's tail and the
-log1p(a/(N d)) corrections in one fixed-point integer, the exact shift
-products and the sines in one mpf per sign, and three mpf logs per sum,
-at working + 10 digits.
+with one Stirling shift N for every a: log Gamma(N + a/d) as one Taylor
+series about N, kept per precision and summed against the exact moments
+sum eps(a) a^m, the exact shift products and the sines in one mpf per
+sign, and three mpf logs per sum, at working + 10 digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 from typing import Any
 
 from mpmath import mp
 
 from .errors import DomainError
-from .numkernel import (_GUARD_BITS, PrecisionContext, _log1p_fixed, _shift_product,
-                        _stirling_tail, log_gamma, to_mpf)
+from .numkernel import (_GUARD_BITS, _TAYLOR_GUARD_BITS, PrecisionContext,
+                        _log_gamma_taylor, _shift_product, log_gamma, to_mpf)
 from .quadforms import Discriminant, class_number_dirichlet
 
 
@@ -55,28 +57,41 @@ def character_gamma_sum(d, ctx: PrecisionContext, residues_only: bool = False):
 
     The log-Gamma values come from one pass with one shift N = ceil(1.2 dps)
     for every a, as in ``log_gamma`` but without its per-call mpf work.
-    With z = (a + N d)/d and P_a = prod_{j<N} (a + j d), an exact integer,
+    With t = a/d and P_a = prod_{j<N} (a + j d), an exact integer,
+    log Gamma(t) = log Gamma(N + t) - log P_a + N log d, and
 
-        sum eps log Gamma(a/d) = sum eps [(z - 1/2)(log N + log1p(a/(N d)))
-                                          - z + log(2 pi)/2 + T(z)]
-                                 - log prod_eps P_a^eps + c N log d,
+        log Gamma(N + t) = (N - 1/2 + t) log N - N + log(2 pi)/2
+                           + sum_m g_m t^m,
 
-    T the tail of Stirling's series.  sum eps (z - 1/2) and sum eps z are
-    exact rationals, so log N and log d are each taken once, and the
-    constants c log(2 pi) - c log pi leave c log 2; T(z) and
-    (z - 1/2) log1p(a/(N d)) add up in one fixed-point integer at
-    2^(prec + 20); and each sine goes into the mpf product of its sign,
-    each P_a^2 into that of the other, so the sines and shift products
-    enter through one log.  That is three mpf logs per sum, whatever
-    phi(d), and no ``log_gamma`` call.
+    the Taylor series about N less its log N terms (``numkernel.
+    _log_gamma_taylor``: one table per precision, from one Stirling loop
+    at N).  So, with M_m = sum eps(a) a^m exact integers, c = M_0 and
+    W = M_1,
 
-    The fold is summed at working + 10 digits.  The heads (z - 1/2) log z
+        sum eps log Gamma(a/d) = (c (N - 1/2) + W/d) log N - c N + c log(2 pi)/2
+                                 + sum_m N^m g_m M_m / (N d)^m
+                                 - log prod_eps P_a^eps + c N log d.
+
+    log N and log d are each taken once, and the constants, doubled by
+    the reflection, leave c log(2 pi) - c log pi = c log 2.  The series
+    is one exact integer sum over the common denominator (N d)^m of the
+    last m, scaled by 2^(prec + 52).  Each sine goes into the mpf product
+    of its sign, each P_a^2 into that of the other, so the sines and
+    shift products enter through one log.  That is three mpf logs per
+    sum, whatever phi(d), and no ``log_gamma`` call; each a costs its
+    sine, its shift product and one small-integer multiplication per
+    moment.
+
+    The fold is summed at working + 10 digits.  The heads (N - 1/2) log N
     and log P_a, of size about N log(N d) times c, cancel down to the sum
     and cost about log10 N of those guard digits and more as c grows; the
-    per-a roundings and Stirling remainders cost about log10 phi(d); the
-    power chain of zeta costs about log10 d.  The unrounded sum was within
-    10^-(working + 5) of mpmath's loggamma at every d the tests reach,
-    d = 9995 and 1000 digits included.
+    power chain of zeta costs about log10 d.  The table's roundings, at
+    2^-(prec + 52), stay below 2^-(prec + 40) per term once carried by
+    t^m < 2^-m and take no guard digit below phi(d) ~ 10^12; its cut
+    costs less than one unit of 2^-(prec + 20) for phi(d) up to 2^40.
+    The unrounded sum was within 10^-(working + 6) of mpmath's loggamma
+    at every d the tests reach: d = 9995 at 30 digits, d = 1999 at 300
+    and d <= 199 at 1000 included.
 
     With residues_only, the sum of log Gamma(a/d) over eps(a) = 1 alone,
     added term by term in order of a at working precision.
@@ -94,32 +109,32 @@ def character_gamma_sum(d, ctx: PrecisionContext, residues_only: bool = False):
                     total += e * log_gamma(Fraction(a, d), ctx)
             return total
         with mp.extradps(10):
-            wp = mp.prec + _GUARD_BITS
             shift = -(-6 * mp.dps // 5)  # N = ceil(1.2 dps), log_gamma's shift point
             nd = shift * d
-            # log_gamma's Stirling budget, per a
-            limit = max(1, int(mp.ldexp(mp.mpf(10) ** -(ctx.working_digits + 5), wp)))
+            table = _log_gamma_taylor(mp.prec, shift)
+            wp = mp.prec + _GUARD_BITS + _TAYLOR_GUARD_BITS
             zeta = mp.expjpi(mp.mpf(1) / d)
             power = mp.mpc(1)
             parts = {1: mp.mpf(1), -1: mp.mpf(1)}
-            c = weight = tail = log1p = 0
+            moments = [0] * len(table)  # M_m = sum eps a^m
             for a in range(1, (d + 1) // 2):
                 power *= zeta
                 e = disc.epsilon(a)
                 if e:
-                    n = a + nd  # z = n/d
                     parts[e] *= power.imag
                     parts[-e] *= _shift_product(a, d, 0, shift) ** 2
-                    tail += e * _stirling_tail(n, d, limit)
-                    # 2 d (z - 1/2) log1p(a/(N d))
-                    log1p += e * (2 * n - d) * _log1p_fixed(a, nd)
-                    c += e
-                    weight += e * a
-            # twice sum eps (z - 1/2) = 2 weight/d + c (2N - 1), twice sum eps z
-            # = 2 weight/d + 2 c N; 2 c log(2 pi)/2 - c log pi = c log 2
+                    powers = accumulate(repeat(a, len(table) - 1), mul, initial=1)
+                    moments = list(map(add if e == 1 else sub, moments, powers))
+            c, weight = moments[0], moments[1]
+            # sum_m N^m g_m M_m / (N d)^m over one denominator, by Horner
+            series = 0
+            for g, moment in zip(table, moments):
+                series = series * nd + g * moment
+            series //= nd ** (len(table) - 1)
+            # twice the sum above, less c log pi, plus the sines' logs:
+            # 2 c log(2 pi)/2 - c log pi = c log 2
             acc = (to_mpf(Fraction(2 * weight, d) + c * (2 * shift - 1)) * mp.log(shift)
-                   - to_mpf(Fraction(2 * weight, d) + 2 * c * shift)
-                   + mp.mpf((2 * tail + log1p // d, -wp)) + c * mp.ln2
+                   - 2 * c * shift + mp.mpf((2 * series, -wp)) + c * mp.ln2
                    + 2 * c * shift * mp.log(d) + mp.log(parts[1] / parts[-1]))
         return +acc
 

@@ -39,9 +39,12 @@ power in the same fixed point, in five more, and becomes an mpc once,
 to be multiplied by q and (2 pi)^12, the latter kept per working
 precision.  q itself is e^(i pi 2tau) (``mp.expjpi``), whose argument
 is reduced mod 2 exactly, with no multiple of pi to cancel.  The shift
-product (``_shift_product``), the Stirling loop (``_stirling_tail``)
-and ``_log1p_fixed``, an atanh series on the same scale, also serve the
-folded character sum of ``lseries``.
+product (``_shift_product``) also serves the folded character sum of
+``lseries``, and so does the Stirling loop, through
+``_log_gamma_taylor``: the Taylor coefficients of log Gamma about that
+sum's one shift point N, kept per working precision.  Their Stirling
+parts are sums of the loop's terms at N weighted by binomials, formed
+from that one loop by repeated suffix sums.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, count
 from math import ceil, log10, prod
 
 from mpmath import mp
@@ -74,6 +78,11 @@ _STIRLING_TABLES = 16
 # Stirling's series, the pentagonal series of Delta and epstein's
 # incomplete gamma, for the rounding of each step
 _GUARD_BITS = 20
+# bits the Taylor table of log Gamma at the folded character sum's shift
+# point carries over that sum's 2^(prec + _GUARD_BITS), for the rounding
+# of its coefficients, and the log2 of the most terms it is cut for
+_TAYLOR_GUARD_BITS = 32
+_TAYLOR_PHI_BITS = 40
 # factors per leaf of the binary-split shift product
 _SHIFT_LEAF = 64
 
@@ -138,7 +147,7 @@ def _stirling_coefficients(prec):
     """Ratios c_k / c_(k-1) of c_k = B_2k / (2k (2k-1)), keyed by k >= 2.
 
     Each is an integer scaled by 2^(prec + _GUARD_BITS), the scale of
-    ``_stirling_tail`` at binary precision prec.  Filled lazily up
+    ``_stirling_terms`` at binary precision prec.  Filled lazily up
     to the largest k used so far: the series stops far below its 4*dps
     cap, and building that many Bernoulli numbers up front takes seconds
     at 300 digits.
@@ -185,23 +194,31 @@ def _stirling_log_gamma(z, budget):
 def _stirling_tail(n, m, limit):
     """sum_k c_k / z^(2k-1) at z = n/m, Stirling's series past its head.
 
-    The head is (z - 1/2) log z - z + log(2 pi)/2.  The sum is an integer
-    scaled by 2^wp, wp = prec + _GUARD_BITS, and stops at the first term
-    below limit on that scale; for z > 0 the remainder after a term is
-    bounded by the next one.  Each term is carried from the last:
-    term_k = term_(k-1) * (c_k / c_(k-1)) / z^2.  Forming c_k / z^(2k-1)
-    instead would let the powers of 1/z underflow the scale while c_k grows.
+    The head is (z - 1/2) log z - z + log(2 pi)/2.  The sum of
+    ``_stirling_terms``, an integer scaled by 2^wp, wp = prec + _GUARD_BITS.
+    """
+    return sum(_stirling_terms(n, m, limit))
+
+
+def _stirling_terms(n, m, limit):
+    """The terms c_k / z^(2k-1), k >= 1, of Stirling's tail at z = n/m.
+
+    Each is an integer scaled by 2^wp, wp = prec + _GUARD_BITS; the last
+    one yielded is the first below limit on that scale, and for z > 0 the
+    remainder after a term is bounded by the next one.  Each term is
+    carried from the last: term_k = term_(k-1) * (c_k / c_(k-1)) / z^2.
+    Forming c_k / z^(2k-1) instead would let the powers of 1/z underflow
+    the scale while c_k grows.
     """
     wp = mp.prec + _GUARD_BITS
     ratios = _stirling_coefficients(mp.prec)
     inv_z2 = ((m * m) << wp) // (n * n)
     term = (m << wp) // (12 * n)
-    total = 0
     for k in range(2, 4 * mp.dps + 1):
-        total += term
+        yield term
         smallest = abs(term)
         if smallest < limit:
-            return total
+            return
         r = ratios.get(k)
         if r is None:
             r = ratios[k] = _stirling_ratio(k, wp)
@@ -213,24 +230,51 @@ def _stirling_tail(n, m, limit):
                          achieved_digits=error_digits(mp.mpf((smallest, -wp))))
 
 
-def _log1p_fixed(p, q):
-    """log(1 + p/q) for integers 0 <= p < q, as an integer scaled by 2^wp.
+@lru_cache(maxsize=_STIRLING_TABLES)
+def _log_gamma_taylor(prec, shift):
+    """Taylor coefficients of log Gamma(N + t) about N = shift, for 0 <= t < 1/2.
 
-    wp = prec + _GUARD_BITS, the scale of ``_stirling_tail``.
-    log(1 + u) = 2 atanh(t) with t = p/(2q + p) <= 1/3, summed as
-    2 sum_k t^(2k+1)/(2k+1) until a power of t falls below one unit;
-    each power is floored, so the error is at most a unit per term.
+    Entry m is N^m g_m, an integer scaled by 2^wp, wp = prec + _GUARD_BITS
+    + _TAYLOR_GUARD_BITS, where
+
+        log Gamma(N + t) = (N - 1/2 + t) log N - N + log(2 pi)/2 + sum_m g_m t^m:
+
+    g_0 = log Gamma(N) less its head, g_1 = psi(N) - log N, and
+    g_m = (-1)^m zeta(m, N)/m for m >= 2.  The head of Stirling's series,
+    (z - 1/2) log z - z + log(2 pi)/2, gives -1/2 to N g_1 and the exact
+    (-1)^m (2N + m - 1) / (2m (m - 1)) to N^m g_m for m >= 2.  Its tail
+    sum_k s_k (1 + t/N)^(1-2k), s_k = c_k N^(1-2k) the terms at z = N,
+    gives (-1)^m sum_k C(2k - 2 + m, m) s_k to N^m g_m.  With the s_k
+    put at j = 2k - 2 and zeros between, that is sum_j C(j + m, m) s_j,
+    the first entry of the (m + 1)-fold suffix sums (the hockey-stick
+    identity): one Stirling loop at N, then additions only.
+
+    The table stops at the first m >= 2 where 2^_TAYLOR_PHI_BITS terms
+    g_m t^m, t < 1/2, stay below 2^-(prec + _GUARD_BITS): the later ones
+    fall by about 1/(2N) each.
     """
-    wp = mp.prec + _GUARD_BITS
-    den = 2 * q + p
-    p2, den2 = p * p, den * den
-    power = (p << (wp + 1)) // den
-    total, k = 0, 1
-    while power:
-        total += power // k
-        power = power * p2 // den2
-        k += 2
-    return total
+    with mp.workprec(prec + _TAYLOR_GUARD_BITS):
+        wp = mp.prec + _GUARD_BITS
+        # to the first term below two units: a floored negative term
+        # stops at -1
+        terms = list(_stirling_terms(shift, 1, 2))
+    # the s_j last first, so the prefix sums are the suffix sums reversed
+    sums = [0] * (2 * len(terms) - 1)
+    sums[::2] = terms
+    sums.reverse()
+    table = []
+    for m in count():
+        sums = list(accumulate(sums))
+        g = sums[-1] if m % 2 == 0 else -sums[-1]
+        if m == 1:
+            g -= 1 << (wp - 1)
+        elif m >= 2:
+            head = ((2 * shift + m - 1) << wp) // (2 * m * (m - 1))
+            g += head if m % 2 == 0 else -head
+            # |g_m| 2^-m 2^PHI_BITS < 2^-(prec + _GUARD_BITS), on the scale 2^-wp
+            if abs(g) << (_TAYLOR_PHI_BITS - _TAYLOR_GUARD_BITS) < (2 * shift) ** m:
+                return tuple(table)
+        table.append(g)
 
 
 def _shift_product(n, m, lo, hi):

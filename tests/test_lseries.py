@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from cmperiods import lseries
+from cmperiods import lseries, numkernel
 from cmperiods.errors import DomainError
 from cmperiods.lseries import SZeroJet, character_gamma_sum, dirichlet_jet
 from cmperiods.numkernel import PrecisionContext, log_gamma, to_mpf
@@ -134,14 +134,16 @@ def test_character_gamma_sum_halves_obey_gauss_multiplication(prec):
 FUNDAMENTAL_200 = tuple(d for d in range(3, 201) if is_fundamental(d))
 
 
-@pytest.mark.parametrize("prec, ds", [(1000, (3, 4, 23, 56)), (30, (9995,)),
+@pytest.mark.parametrize("prec, ds", [(1000, (3, 4, 23, 56)), (30, (9995,)), (300, (1999,)),
                                       (60, FUNDAMENTAL_200), (120, FUNDAMENTAL_200)],
-                         ids=["1000", "30-d9995", "60-every-d", "120-every-d"])
+                         ids=["1000", "30-d9995", "300-d1999", "60-every-d", "120-every-d"])
 def test_reflected_character_gamma_sum_against_mpmath(prec, ds):
     # the reflected sum against every term of the unreflected one, by
     # mpmath's loggamma at working + 20 digits; d = 9995 has the longest
-    # chain of powers of e^(i pi/d) that the tests reach, and every
-    # fundamental d <= 200 is what cs-sweep, the suite and the goldens draw
+    # chain of powers of e^(i pi/d) that the tests reach, d = 1999 the
+    # most character moments at a long Taylor table (phi(d)/2 = 999 terms
+    # against 120 coefficients), and every fundamental d <= 200 is what
+    # cs-sweep, the suite and the goldens draw
     ctx = PrecisionContext(prec)
     for d in ds:
         disc = Discriminant(d)
@@ -168,16 +170,27 @@ def _mp_log_calls(monkeypatch, d, ctx):
 
 @pytest.mark.parametrize("d", [7, 56, 163])
 def test_reflected_character_gamma_sum_halves_log_gamma_calls(monkeypatch, d):
-    # the reflection halves the phi(d) log-Gamma terms, and the fold then
-    # shares one shift, one Stirling loop and a few logs over every a: no
-    # log_gamma call at all, and as many mp.log calls at d as at d = 9995,
-    # where phi(d)/2 = 3,996
+    # the reflection halves the phi(d) log-Gamma terms, and the fold
+    # expands log Gamma once about its one shift point N: a Taylor table
+    # kept per precision, summed against the exact moments sum eps(a) a^m.
+    # Once the table is built a sum runs no log_gamma call and no Stirling
+    # loop, and as many mp.log calls at d as at d = 9995, where
+    # phi(d)/2 = 3,996
     def refuse(x, ctx):
         raise AssertionError(f"log_gamma({x}) called")
 
     monkeypatch.setattr(lseries, "log_gamma", refuse)
     ctx = PrecisionContext(30)
+    character_gamma_sum(Discriminant(3), ctx)  # builds the table
+    loops = []
+    stirling_terms = numkernel._stirling_terms
+
+    def counting(*args):
+        loops.append(args)
+        return stirling_terms(*args)
+
+    monkeypatch.setattr(numkernel, "_stirling_terms", counting)
     log_gamma.cache_clear()
     count = _mp_log_calls(monkeypatch, d, ctx)
-    assert log_gamma.cache_info().misses == 0
+    assert log_gamma.cache_info().misses == 0 and loops == []
     assert count == _mp_log_calls(monkeypatch, 9995, ctx) and count <= 6, count

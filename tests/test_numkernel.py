@@ -204,18 +204,38 @@ def test_stirling_shortfall_reports_smallest_term():
 _N1000 = 1200
 
 
-@pytest.mark.parametrize("p, q", [(1, 3 * _N1000), (97, 199 * _N1000),
-                                  (4997, 9995 * _N1000), (1, 2), (2, 3)])
-def test_log1p_fixed_keeps_guard_digits(p, q):
-    # the atanh series of the folded character sum, at its arguments
-    # a/(N d) and at the slowest, p/q near 1: one floored unit of
-    # 2^-(prec + 20) per term leaves 4 digits past 1000
-    dps = 1000
-    with mp.workdps(dps):
-        wp = mp.prec + numkernel._GUARD_BITS
-        val = numkernel._log1p_fixed(p, q)
-    with mp.workdps(dps + 40):
-        assert abs(mp.mpf((val, -wp)) - mp.log1p(mp.mpf(p) / q)) < mp.mpf(10) ** -(dps + 4)
+@pytest.mark.parametrize("target, step", [(60, 1), (300, 1), (1000, 16)],
+                         ids=["60", "300", "1000"])
+def test_log_gamma_taylor_table_against_mpmath(target, step):
+    # the Taylor table of the folded character sum, at its shift point
+    # N = ceil(1.2 dps) and working + 10 digits, against mpmath's N^m g_m:
+    # g_0 = log Gamma(N) less Stirling's head, g_1 = psi(N) - log N and
+    # g_m = (-1)^m zeta(m, N)/m.  The sum takes g_m t^m at t < 1/2, so each
+    # coefficient is held to 2^-(prec + 40) after a factor 2^-m, and the
+    # first one the table leaves out, over 2^40 terms, to 2^-(prec + 20).
+    # mpmath's zeta(m, N) is good to about 2^-prec absolute, not relative,
+    # so the oracle runs at the table's scale and 64 bits more: ~55 ms a
+    # coefficient at 1000 digits, where the first 16, every 16th and the
+    # last are checked
+    with PrecisionContext(target).workprec(10):
+        prec, shift = mp.prec, -(-6 * mp.dps // 5)
+    table = numkernel._log_gamma_taylor(prec, shift)
+    wp = prec + numkernel._GUARD_BITS + numkernel._TAYLOR_GUARD_BITS
+    with mp.workprec(wp + 64):
+        n = mp.mpf(shift)
+
+        def oracle(m):  # g_m 2^-m
+            if m == 0:
+                return mp.loggamma(n) - ((n - mp.mpf(1) / 2) * mp.log(n) - n
+                                         + mp.log(2 * mp.pi) / 2)
+            if m == 1:
+                return (mp.digamma(n) - mp.log(n)) / 2
+            return (-1) ** m * mp.zeta(m, n) / (m * mp.mpf(2) ** m)
+
+        for m in sorted({*range(16), *range(0, len(table), step), len(table) - 1}):
+            got = mp.ldexp(mp.mpf(table[m]) / (2 * shift) ** m, -wp)
+            assert abs(got - oracle(m)) < mp.ldexp(1, -(prec + 40)), m
+        assert abs(oracle(len(table))) * 2 ** 40 < mp.ldexp(1, -(prec + 20))
 
 
 @pytest.mark.parametrize("n, m", [(1 + 3 * _N1000, 3), (97 + 199 * _N1000, 199),
