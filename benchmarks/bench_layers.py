@@ -30,9 +30,11 @@ The kernels and their arguments:
 - ``lseries.character_gamma_sum`` per sum, sum eps(a) log Gamma(a/d)
   over 0 < a < d, at d in 123, 139, 163 and 199, the log Gamma memo
   cleared as for ``log_gamma``, so that a sum that reads it computes its
-  terms; the cold call is the sum at d = 123, and it includes the Taylor
-  table of log Gamma at the shift point that every later sum at that
-  precision reads (``numkernel._log_gamma_taylor``);
+  terms; the cold call is the sum at d = 123, and it includes the tables
+  that every later sum at that precision reads: the Taylor table of
+  log Gamma at the shift point (``numkernel._log_gamma_taylor``) and,
+  built from it, the table of the odd part of log Gamma about J
+  (``numkernel._log_gamma_odd``);
 - ``epstein._e1(x, e^-x)``, the exponential integral E1 of the Epstein
   theta sums, at target + 10 digits, one entry per regime: the
   continued fraction (x = 40.5 and 90) and the series (x = 10 and

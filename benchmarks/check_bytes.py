@@ -18,9 +18,9 @@ the same requests, in one fresh interpreter with that directory first on
   and 163 at 30, 60 and 120 digits, and of d = 7 and 23 at 300;
 - ``verify-cs --json`` for every fundamental d <= 200 (62 values) at 30
   and 120 digits, for d = 23, 163 and 199 at 300, for d = 23 and 163
-  at 600, for d = 199 at 1000, and for d = 1999 at 300 and d = 9995 at
-  60, where the character moments of the folded log-Gamma sum are
-  longest;
+  at 600, for d = 199 at 1000, and for d = 1999 at 300 and 600 and
+  d = 9995 at 60, where the character moments of the folded log-Gamma
+  sum are longest;
 - ``faltings --json`` at p = 163 at 600 digits, and ``periods --json`` at
   p = 199 at 1000 digits: the pentagonal series of ``delta_lattice``
   gains most there;
@@ -28,10 +28,13 @@ the same requests, in one fresh interpreter with that directory first on
   prime p = 3 mod 4 from 7 to 1019 (87 primes, 851 forms) and on its
   translate (a, b + 2a, a + b + c), which is the same class but not
   reduced;
-- ``suite --max-d 200 --prec 60 --json``;
+- ``suite --max-d 200 --prec 60 --json``, and ``suite --max-d 30 --json``
+  with ``--threads 1`` and with ``--threads 2`` at 60, 120 and 300
+  digits: the period and Faltings checks run before the worker pool
+  forks, and ``--threads`` must not change a byte;
 - every golden request of ``tests/test_cli.py`` (``GOLDEN_RUNS``);
 
-3,140 requests in all, 26 of them from the ``kronecker`` list, 132
+3,147 requests in all, 26 of them from the ``kronecker`` list, 133
 from the ``verify-cs`` list and 1,702 from the ``hecke`` list.
 
 For each request the exit code, stdout and stderr are hashed.  The script
@@ -78,7 +81,8 @@ VERIFY_CS_PRECS = (30, 120)
 VERIFY_CS_300 = (23, 163, 199)
 VERIFY_CS_600 = (23, 163)
 VERIFY_CS_1000 = (199,)
-VERIFY_CS_LONG = ((1999, 300), (9995, 60))  # (d, digits)
+VERIFY_CS_LONG = ((1999, 300), (1999, 600), (9995, 60))  # (d, digits)
+SUITE_PRECS = (60, 120, 300)  # suite --max-d 30, with --threads 1 and 2
 FERMAT_SPREAD = (43, 163)  # twelve mixed triples each, at 60 digits
 HECKE_MAX_P = 1019
 MAX_DIGITS_DELTA = 2  # the re-record rule's bound on |change in digits_agreed|
@@ -165,6 +169,8 @@ def requests() -> list[list[str]]:
             for p in _primes_3mod4(7, HECKE_MAX_P) for f in _reduced_forms(p)
             for a, b, c in (f, (f[0], f[1] + 2 * f[0], f[0] + f[1] + f[2]))]
     out.append(["suite", "--max-d", "200", "--prec", "60", "--json"])
+    out += [["suite", "--max-d", "30", "--prec", str(prec), "--threads", str(threads), "--json"]
+            for prec in SUITE_PRECS for threads in (1, 2)]
     return out + _golden_requests()
 
 

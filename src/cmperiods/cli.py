@@ -197,18 +197,19 @@ def _cmd_suite(args, ctx):
     reports.append(exact_report(f"m-invariant-sweep p<={maxd}", {"max_d": maxd},
                                 agree, len(ps), ctx))
 
+    # the period and Faltings checks run first, so that forked workers
+    # inherit the log-Gamma tables they build at this precision; their
+    # rows still follow the Chowla-Selberg rows
+    tail = [rep for p in _PERIOD_PRIMES if p <= maxd for rep in _periods(p, ctx)[0]]
+    tail += [rep for p in _FALTINGS_PRIMES if p <= maxd for rep in _faltings(p, ctx)[0]]
     tasks = [(d, ctx.target_digits) for d in ds]
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            reports.extend(pool.map(_cs_worker, tasks))
+            chunk = -(-len(tasks) // args.threads)
+            reports.extend(pool.map(_cs_worker, tasks, chunksize=chunk))
     else:
         reports.extend(_cs_worker(t) for t in tasks)
-
-    for p in (q for q in _PERIOD_PRIMES if q <= maxd):
-        reports.extend(_periods(p, ctx)[0])
-    for p in (q for q in _FALTINGS_PRIMES if q <= maxd):
-        reports.extend(_faltings(p, ctx)[0])
-    return reports, []
+    return reports + tail, []
 
 
 _HANDLERS = {

@@ -4,13 +4,13 @@ Values come from Lerch's constant term H(x, 0) = 1/2 - x, exactly in
 rational arithmetic; derivatives from H_s'(x, 0) = log(Gamma(x)/sqrt(2*pi)).
 ``character_gamma_sum``, sum eps(a) log Gamma(a/d), is the Gamma side
 of every Chowla-Selberg-type identity in the package.  eps is odd, so
-Euler's reflection formula pairs a with d - a: the full sum takes
-phi(d)/2 log-Gamma values at a/d < 1/2, plus the sines sin(pi a/d) read
-off the powers of one root of unity.  Those values come from one pass
-with one Stirling shift N for every a: log Gamma(N + a/d) as one Taylor
-series about N, kept per precision and summed against the exact moments
-sum eps(a) a^m, the exact shift products and the sines in one mpf per
-sign, and three mpf logs per sum, at working + 10 digits.
+the term at d - a pairs with the one at a, and only the odd part of
+log Gamma about a small integer point J enters: its odd Taylor
+coefficients psi(J) and -zeta(m, J)/m (DLMF 5.7), kept per precision,
+summed against the exact odd moments sum eps(a) a^m, and the exact shift
+products of J factors per a, rounded to working precision as they are
+multiplied.  J comes from a cost model of the work per a.  A sum takes
+two mpf logs and no sine, at working + 10 digits.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
+from math import prod
 from operator import add, mul, sub
 from typing import Any
 
@@ -25,7 +26,7 @@ from mpmath import mp
 
 from .errors import DomainError
 from .numkernel import (_GUARD_BITS, _TAYLOR_GUARD_BITS, PrecisionContext,
-                        _log_gamma_taylor, _shift_product, log_gamma, to_mpf)
+                        _log_gamma_odd, log_gamma, to_mpf)
 from .quadforms import Discriminant, class_number_dirichlet
 
 
@@ -44,54 +45,62 @@ class SZeroJet:
         return self.deriv / self.value
 
 
+def _rounded_product(xs, bits):
+    """prod(xs) as an mpf, each partial product cut to its leading bits bits.
+
+    The n cuts leave a relative error below n 2^(1 - bits).
+    """
+    man, exp = 1, 0
+    for x in xs:
+        man *= x
+        excess = man.bit_length() - bits
+        if excess > 0:
+            man >>= excess
+            exp += excess
+    return mp.mpf((man, exp))
+
+
 def character_gamma_sum(d, ctx: PrecisionContext, residues_only: bool = False):
     """sum over 0 < a < d of eps(a) log Gamma(a/d), at working precision.
 
-    eps is odd, so Euler's reflection Gamma(x) Gamma(1 - x) = pi / sin(pi x)
-    folds the term at d - a into the one at a:
+    eps is odd, so with t = a/d the term at d - a is -eps(a) log Gamma(1 - t):
 
-        sum_{a<d/2} eps(a) [2 log Gamma(a/d) + log sin(pi a/d)] - c log pi,
+        sum_{a<d/2} eps(a) [log Gamma(t) - log Gamma(1 - t)].
 
-    with c = sum_{a<d/2} eps(a) an exact integer.  sin(pi a/d) is
-    Im zeta^a, zeta = e^(i pi/d) stepped by one multiplication per a.
+    Shift both arguments up to about J, an integer: with the exact
+    integers P_a = prod_{j<J} (a + j d) and Q_a = prod_{1<=j<J} (j d - a),
+    log Gamma(t) = log Gamma(J + t) - log P_a + J log d and
+    log Gamma(1 - t) = log Gamma(J - t) - log Q_a + (J - 1) log d.  What
+    is left of log Gamma is its odd part about J, whose Taylor series
+    (DLMF 5.7.3) has the coefficients k_1 = psi(J) and
+    k_m = -zeta(m, J)/m at odd m >= 3 (``numkernel._log_gamma_odd``: one
+    table per precision, with its J).  So, with M_m = sum_{a<d/2} eps(a) a^m
+    exact integers and c = M_0,
 
-    The log-Gamma values come from one pass with one shift N = ceil(1.2 dps)
-    for every a, as in ``log_gamma`` but without its per-call mpf work.
-    With t = a/d and P_a = prod_{j<N} (a + j d), an exact integer,
-    log Gamma(t) = log Gamma(N + t) - log P_a + N log d, and
+        sum eps log Gamma(a/d) = 2 sum_{m odd} k_m M_m / d^m
+                                 - log prod_a (P_a / Q_a)^eps(a) + c log d.
 
-        log Gamma(N + t) = (N - 1/2 + t) log N - N + log(2 pi)/2
-                           + sum_m g_m t^m,
+    The series is one exact integer Horner sum in d^2 over the common
+    denominator d^L of the last odd m = L, scaled by 2^(prec + 52); the
+    products go into one mpf per sign, each cut to 2^(prec + 52) as it
+    grows, and enter through one log.  That is two mpf logs per sum,
+    log d and that of the ratio, whatever phi(d), no sine and no
+    ``log_gamma`` call; each a costs its 2J - 1 factors and one
+    multiplication and one addition per odd moment.  J is the cost
+    model's choice (``numkernel._odd_point``): more factors per a against
+    fewer odd coefficients, about (prec + 60)/(2 log2 2J); 14, 19, 30 and
+    64 at 60, 120, 300 and 1000 digits.
 
-    the Taylor series about N less its log N terms (``numkernel.
-    _log_gamma_taylor``: one table per precision, from one Stirling loop
-    at N).  So, with M_m = sum eps(a) a^m exact integers, c = M_0 and
-    W = M_1,
-
-        sum eps log Gamma(a/d) = (c (N - 1/2) + W/d) log N - c N + c log(2 pi)/2
-                                 + sum_m N^m g_m M_m / (N d)^m
-                                 - log prod_eps P_a^eps + c N log d.
-
-    log N and log d are each taken once, and the constants, doubled by
-    the reflection, leave c log(2 pi) - c log pi = c log 2.  The series
-    is one exact integer sum over the common denominator (N d)^m of the
-    last m, scaled by 2^(prec + 52).  Each sine goes into the mpf product
-    of its sign, each P_a^2 into that of the other, so the sines and
-    shift products enter through one log.  That is three mpf logs per
-    sum, whatever phi(d), and no ``log_gamma`` call; each a costs its
-    sine, its shift product and one small-integer multiplication per
-    moment.
-
-    The fold is summed at working + 10 digits.  The heads (N - 1/2) log N
-    and log P_a, of size about N log(N d) times c, cancel down to the sum
-    and cost about log10 N of those guard digits and more as c grows; the
-    power chain of zeta costs about log10 d.  The table's roundings, at
-    2^-(prec + 52), stay below 2^-(prec + 40) per term once carried by
-    t^m < 2^-m and take no guard digit below phi(d) ~ 10^12; its cut
-    costs less than one unit of 2^-(prec + 20) for phi(d) up to 2^40.
-    The unrounded sum was within 10^-(working + 6) of mpmath's loggamma
-    at every d the tests reach: d = 9995 at 30 digits, d = 1999 at 300
-    and d <= 199 at 1000 included.
+    The fold is summed at working + 10 digits.  The heads log prod (P_a/Q_a)^eps
+    and c log d, where P_a/Q_a is about a J^(2t), each of size at most
+    about |c| log(J d) plus the fluctuation of the signs, cost log10 of
+    that of those guard digits; the mpf products' cuts cost none below
+    phi(d) ~ 2^31.  The table's roundings, a few units of 2^-(prec + 52)
+    each, carried by |M_m / d^m| < phi(d) 2^-m, take no guard digit below
+    phi(d) ~ 10^9, and its cut costs less than one unit of
+    2^-(prec + 20) for phi(d) up to 2^40.  The unrounded sum was within
+    10^-(working + 8) of mpmath's loggamma at every d the tests reach:
+    d = 9995 at 30 digits, d = 1999 at 300 and d <= 199 at 1000 included.
 
     With residues_only, the sum of log Gamma(a/d) over eps(a) = 1 alone,
     added term by term in order of a at working precision.
@@ -109,33 +118,28 @@ def character_gamma_sum(d, ctx: PrecisionContext, residues_only: bool = False):
                     total += e * log_gamma(Fraction(a, d), ctx)
             return total
         with mp.extradps(10):
-            shift = -(-6 * mp.dps // 5)  # N = ceil(1.2 dps), log_gamma's shift point
-            nd = shift * d
-            table = _log_gamma_taylor(mp.prec, shift)
+            shift = -(-6 * mp.dps // 5)  # N = ceil(1.2 dps), the Taylor table's point
+            base, table = _log_gamma_odd(mp.prec, shift)
             wp = mp.prec + _GUARD_BITS + _TAYLOR_GUARD_BITS
-            zeta = mp.expjpi(mp.mpf(1) / d)
-            power = mp.mpc(1)
-            parts = {1: mp.mpf(1), -1: mp.mpf(1)}
-            moments = [0] * len(table)  # M_m = sum eps a^m
+            top = base * d
+            parts = {1: [], -1: []}  # P_a / Q_a to the power eps(a)
+            c = 0
+            moments = [0] * len(table)  # M_m = sum eps a^m at odd m
             for a in range(1, (d + 1) // 2):
-                power *= zeta
                 e = disc.epsilon(a)
                 if e:
-                    parts[e] *= power.imag
-                    parts[-e] *= _shift_product(a, d, 0, shift) ** 2
-                    powers = accumulate(repeat(a, len(table) - 1), mul, initial=1)
+                    c += e
+                    parts[e].append(prod(range(a, top, d)))
+                    parts[-e].append(prod(range(d - a, top - a, d)))
+                    powers = accumulate(repeat(a * a, len(table) - 1), mul, initial=a)
                     moments = list(map(add if e == 1 else sub, moments, powers))
-            c, weight = moments[0], moments[1]
-            # sum_m N^m g_m M_m / (N d)^m over one denominator, by Horner
+            # sum_m k_m M_m / d^m over one denominator, by Horner in d^2
             series = 0
-            for g, moment in zip(table, moments):
-                series = series * nd + g * moment
-            series //= nd ** (len(table) - 1)
-            # twice the sum above, less c log pi, plus the sines' logs:
-            # 2 c log(2 pi)/2 - c log pi = c log 2
-            acc = (to_mpf(Fraction(2 * weight, d) + c * (2 * shift - 1)) * mp.log(shift)
-                   - 2 * c * shift + mp.mpf((2 * series, -wp)) + c * mp.ln2
-                   + 2 * c * shift * mp.log(d) + mp.log(parts[1] / parts[-1]))
+            for k, moment in zip(table, moments):
+                series = series * d * d + k * moment
+            series //= d ** (2 * len(table) - 1)
+            ratio = _rounded_product(parts[1], wp) / _rounded_product(parts[-1], wp)
+            acc = mp.mpf((2 * series, -wp)) - mp.log(ratio) + c * mp.log(d)
         return +acc
 
 

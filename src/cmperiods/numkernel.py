@@ -38,22 +38,27 @@ in four Gaussian-integer multiplications; it raises the sum to its 24th
 power in the same fixed point, in five more, and becomes an mpc once,
 to be multiplied by q and (2 pi)^12, the latter kept per working
 precision.  q itself is e^(i pi 2tau) (``mp.expjpi``), whose argument
-is reduced mod 2 exactly, with no multiple of pi to cancel.  The shift
-product (``_shift_product``) also serves the folded character sum of
-``lseries``, and so does the Stirling loop, through
-``_log_gamma_taylor``: the Taylor coefficients of log Gamma about that
-sum's one shift point N, kept per working precision.  Their Stirling
+is reduced mod 2 exactly, with no multiple of pi to cancel.  The
+Stirling loop also serves the folded character sum of ``lseries``,
+through ``_log_gamma_taylor``: the Taylor coefficients of log Gamma
+about the shift point N, kept per working precision, whose Stirling
 parts are sums of the loop's terms at N weighted by binomials, formed
-from that one loop by repeated suffix sums.
+from that one loop by repeated suffix sums.  The sum reads the odd
+coefficients about a small point J instead (``_log_gamma_odd``, kept
+per working precision with the J that ``_odd_point`` picks): psi(J)
+and -zeta(m, J)/m, the table's values at N plus exact finite sums over
+J <= j < N.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
-from math import ceil, log10, prod
+from math import ceil, log2, log10, pi, prod
+from operator import floordiv
 
 from mpmath import mp
 
@@ -78,11 +83,16 @@ _STIRLING_TABLES = 16
 # Stirling's series, the pentagonal series of Delta and epstein's
 # incomplete gamma, for the rounding of each step
 _GUARD_BITS = 20
-# bits the Taylor table of log Gamma at the folded character sum's shift
-# point carries over that sum's 2^(prec + _GUARD_BITS), for the rounding
-# of its coefficients, and the log2 of the most terms it is cut for
+# bits the Taylor tables of log Gamma that the folded character sum
+# reads (about its shift point N, and the odd one about J) carry over
+# that sum's 2^(prec + _GUARD_BITS), for the rounding of their
+# coefficients, and the log2 of the most terms they are cut for
 _TAYLOR_GUARD_BITS = 32
 _TAYLOR_PHI_BITS = 40
+# the cost of one factor of the folded character sum's shift products
+# against one odd moment step: 0.31-0.43, fitted to the measured cost
+# per a at J = 4 to 64, at 60, 300 and 1000 digits
+_ODD_FACTOR_COST = 0.4
 # factors per leaf of the binary-split shift product
 _SHIFT_LEAF = 64
 
@@ -277,6 +287,97 @@ def _log_gamma_taylor(prec, shift):
         table.append(g)
 
 
+def _odd_point(prec, shift):
+    """The point J of ``_log_gamma_odd`` at binary precision prec, 1 <= J <= N/2.
+
+    Per a, the folded character sum takes one step for each odd
+    coefficient, about (prec + _GUARD_BITS + _TAYLOR_PHI_BITS) /
+    (2 log2 2J) of them, and 2J - 1 factors for its shift products, at
+    _ODD_FACTOR_COST steps each; J minimizes the sum.  The finite sums of
+    the table cost about the same at every J (every j < N prime to 6 runs
+    its chain), so the cold cost does not move J, and it does not depend
+    on d.
+    """
+    bits = prec + _GUARD_BITS + _TAYLOR_PHI_BITS
+    return min(range(1, shift // 2 + 1),
+               key=lambda j: bits / (2 * log2(2 * j)) + _ODD_FACTOR_COST * (2 * j - 1))
+
+
+@lru_cache(maxsize=_STIRLING_TABLES)
+def _log_gamma_odd(prec, shift):
+    """(J, odd Taylor coefficients of log Gamma about J), from the table at N = shift.
+
+    J is ``_odd_point(prec, shift)``.  Entry i is k_m, m = 2i + 1, an
+    integer scaled by 2^wp as in ``_log_gamma_taylor``, where
+
+        (log Gamma(J + t) - log Gamma(J - t)) / 2 = sum_{m odd} k_m t^m:
+
+    k_1 = psi(J) and k_m = -zeta(m, J)/m for m >= 3 (DLMF 5.7.3).  The
+    table at N holds N^m g_m, with g_1 = psi(N) - log N and
+    g_m = -zeta(m, N)/m at odd m, and the two points differ by finite sums:
+
+        psi(J) = psi(N) - sum_{J<=j<N} 1/j,
+        zeta(m, J) = zeta(m, N) + sum_{J<=j<N} j^-m,
+
+    formed on the scale 2^-(wp + bit_length(N) + 1), where the fewer than
+    2N units they fall short cost no bit of wp (``_inverse_power_sums``).
+    Past the table at N, zeta(m, N)/m is below that table's cut and taken
+    as 0.  The table stops at the first m >= 3 where 2^_TAYLOR_PHI_BITS
+    terms k_m t^m, t < 1/2, stay below 2^-(prec + _GUARD_BITS): the later
+    ones fall by about 1/(4 J^2) each.
+    """
+    base = _odd_point(prec, shift)
+    taylor = _log_gamma_taylor(prec, shift)
+    wp = prec + _GUARD_BITS + _TAYLOR_GUARD_BITS
+    extra = shift.bit_length() + 1
+    with mp.workprec(wp + 16):
+        log_n = int(mp.ldexp(mp.log(shift), wp))
+    sums = _inverse_power_sums(base, shift, wp + extra)
+    table = [taylor[1] // shift + log_n - (next(sums) >> extra)]
+    npow = shift
+    for m, power_sum in zip(count(3, 2), sums):
+        npow *= shift * shift
+        at_n = taylor[m] // npow if m < len(taylor) else 0
+        k = at_n - (power_sum >> extra) // m
+        # |k_m| 2^-m 2^PHI_BITS < 2^-(prec + _GUARD_BITS), on the scale 2^-wp
+        if abs(k) << (_TAYLOR_PHI_BITS - _TAYLOR_GUARD_BITS) < 1 << m:
+            return base, tuple(table)
+        table.append(k)
+
+
+def _inverse_power_sums(lo, hi, w):
+    """Yield about sum_{lo <= n < hi} 2^w / n^m for m = 1, 3, 5, ..., less than 2 hi short.
+
+    Each n is 2^a 3^b j with j prime to 6, so 2^w / j^m is formed once
+    per such j < hi, as the exact floor of a chain of quotients by j^2:
+    a third of the quotients of a chain per n.  For each (a, b) the j
+    with 2^a 3^b j in [lo, hi) are one run of the list of those j; the
+    run's sum is shifted right by a m, and the runs of each b are
+    divided by 3^(b m) at once.  Each floor, of a term, a run or a
+    division, leaves less than one unit, and there are fewer than 2 hi.
+    """
+    coprime = [j for j in range(1, hi) if j % 2 and j % 3]
+    groups = []  # per b: 3^b and the runs (a, first index, end index)
+    for b in range(hi.bit_length()):
+        runs = []
+        for a in range(hi.bit_length()):
+            s = 3 ** b << a
+            if s < hi:
+                runs.append((a, bisect_left(coprime, -(-lo // s)),
+                             bisect_left(coprime, -(-hi // s))))
+        if runs:
+            groups.append((3 ** b, runs))
+    divisors = [three for three, _ in groups]  # 3^(b m) at the current m
+    squares = [j * j for j in coprime]
+    powers = [(1 << w) // j for j in coprime]
+    for m in count(1, 2):
+        partial = [0, *accumulate(powers)]
+        yield sum(sum(partial[e] - partial[i] >> a * m for a, i, e in runs) // divisor
+                  for (_, runs), divisor in zip(groups, divisors))
+        divisors = [q * three * three for q, (three, _) in zip(divisors, groups)]
+        powers = list(map(floordiv, powers, squares))
+
+
 def _shift_product(n, m, lo, hi):
     """prod_{lo <= j < hi} (n + j*m), exactly, by binary splitting.
 
@@ -365,9 +466,15 @@ def delta_q_terms(im_tau, working_digits: int) -> int:
     """Exponent budget of Delta's q-series at the given tau height.
 
     |q|^terms is below 10^-(working_digits + 10): terms of prod (1 - q^n)
-    past that exponent fall below the error budget.
+    past that exponent fall below the error budget.  The quotient
+    x = (working_digits + 10) ln 10 / (2 pi Im tau) is formed in floats,
+    within five roundings, 2^-50 relative, of its exact value; raised by
+    2^-40 relative before the ceiling, it never falls below that value
+    and, for x < 2^39, stays below x + 1: the budget is the exact one or
+    one more.
     """
-    return int(ceil((working_digits + 10) * _LN10 / (2 * mp.pi * im_tau))) + 1
+    x = (working_digits + 10) * _LN10 / (2 * pi * float(im_tau))
+    return ceil(x * (1 + 2 ** -40)) + 1
 
 
 def _gauss_mul(x_re, x_im, y_re, y_im, wp):

@@ -139,11 +139,11 @@ FUNDAMENTAL_200 = tuple(d for d in range(3, 201) if is_fundamental(d))
                          ids=["1000", "30-d9995", "300-d1999", "60-every-d", "120-every-d"])
 def test_reflected_character_gamma_sum_against_mpmath(prec, ds):
     # the reflected sum against every term of the unreflected one, by
-    # mpmath's loggamma at working + 20 digits; d = 9995 has the longest
-    # chain of powers of e^(i pi/d) that the tests reach, d = 1999 the
-    # most character moments at a long Taylor table (phi(d)/2 = 999 terms
-    # against 120 coefficients), and every fundamental d <= 200 is what
-    # cs-sweep, the suite and the goldens draw
+    # mpmath's loggamma at working + 20 digits; d = 9995 has the most
+    # shift products and the largest heads that the tests reach
+    # (phi(d)/2 = 3,996 terms), d = 1999 the most odd moments at a long
+    # table (999 terms against 98 coefficients at 300 digits), and every
+    # fundamental d <= 200 is what cs-sweep, the suite and the goldens draw
     ctx = PrecisionContext(prec)
     for d in ds:
         disc = Discriminant(d)
@@ -170,18 +170,19 @@ def _mp_log_calls(monkeypatch, d, ctx):
 
 @pytest.mark.parametrize("d", [7, 56, 163])
 def test_reflected_character_gamma_sum_halves_log_gamma_calls(monkeypatch, d):
-    # the reflection halves the phi(d) log-Gamma terms, and the fold
-    # expands log Gamma once about its one shift point N: a Taylor table
-    # kept per precision, summed against the exact moments sum eps(a) a^m.
-    # Once the table is built a sum runs no log_gamma call and no Stirling
-    # loop, and as many mp.log calls at d as at d = 9995, where
-    # phi(d)/2 = 3,996
-    def refuse(x, ctx):
-        raise AssertionError(f"log_gamma({x}) called")
+    # the reflection halves the phi(d) log-Gamma terms, and the fold takes
+    # the odd part of log Gamma about one point J: a table kept per
+    # precision, summed against the exact odd moments sum eps(a) a^m, and
+    # shift products of J factors.  Once the tables are built a sum runs
+    # no log_gamma call, no Stirling loop and no mp.expjpi (no sine), and
+    # two mp.log calls, log d and that of the products' ratio, at d as at
+    # d = 9995, where phi(d)/2 = 3,996
+    def refuse(*args):
+        raise AssertionError(f"called with {args}")
 
     monkeypatch.setattr(lseries, "log_gamma", refuse)
     ctx = PrecisionContext(30)
-    character_gamma_sum(Discriminant(3), ctx)  # builds the table
+    character_gamma_sum(Discriminant(3), ctx)  # builds the tables
     loops = []
     stirling_terms = numkernel._stirling_terms
 
@@ -190,7 +191,8 @@ def test_reflected_character_gamma_sum_halves_log_gamma_calls(monkeypatch, d):
         return stirling_terms(*args)
 
     monkeypatch.setattr(numkernel, "_stirling_terms", counting)
+    monkeypatch.setattr(mp, "expjpi", refuse)
     log_gamma.cache_clear()
     count = _mp_log_calls(monkeypatch, d, ctx)
     assert log_gamma.cache_info().misses == 0 and loops == []
-    assert count == _mp_log_calls(monkeypatch, 9995, ctx) and count <= 6, count
+    assert count == _mp_log_calls(monkeypatch, 9995, ctx) == 2, count

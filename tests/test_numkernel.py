@@ -11,7 +11,8 @@ from cmperiods.errors import DomainError, PoleError, PrecisionError
 from cmperiods.numkernel import (Lattice, PrecisionContext, _stirling_log_gamma,
                                  delta_lattice, delta_q_terms, hurwitz_zeta, log_gamma,
                                  to_mpf)
-from cmperiods.quadforms import form_to_lattice, inverse_ideal_lattice, reduced_forms
+from cmperiods.quadforms import (form_to_lattice, inverse_ideal_lattice, is_fundamental,
+                                  reduced_forms)
 
 
 def test_context_floors():
@@ -238,6 +239,48 @@ def test_log_gamma_taylor_table_against_mpmath(target, step):
         assert abs(oracle(len(table))) * 2 ** 40 < mp.ldexp(1, -(prec + 20))
 
 
+@pytest.mark.parametrize("target, base, step", [(60, 14, 1), (300, 30, 1), (1000, 64, 16)],
+                         ids=["60-J14", "300-J30", "1000-J64"])
+def test_log_gamma_odd_table_against_mpmath(target, base, step):
+    # the odd coefficients of log Gamma about the point J that the cost
+    # rule picks, k_1 = psi(J) and k_m = -zeta(m, J)/m at odd m >= 3,
+    # against mpmath, held as the Taylor table's are: each to
+    # 2^-(prec + 40) after the factor 2^-m of t^m, t < 1/2, and the first
+    # one left out, over 2^40 terms, to 2^-(prec + 20).  At 1000 digits
+    # the first 16, every 16th and the last are checked (~60 ms each)
+    with PrecisionContext(target).workprec(10):
+        prec, shift = mp.prec, -(-6 * mp.dps // 5)
+    got_base, table = numkernel._log_gamma_odd(prec, shift)
+    assert got_base == base  # the J of the rule (numkernel._odd_point)
+    wp = prec + numkernel._GUARD_BITS + numkernel._TAYLOR_GUARD_BITS
+    with mp.workprec(wp + 64):
+        def oracle(i):  # k_m 2^-m, m = 2i + 1
+            m = 2 * i + 1
+            if m == 1:  # psi(J) = H_(J-1) - gamma; mp.digamma takes seconds here
+                k = mp.fsum(mp.mpf(1) / j for j in range(1, base)) - mp.euler
+            else:
+                k = -mp.zeta(m, base) / m
+            return k / mp.mpf(2) ** m
+
+        for i in sorted({*range(16), *range(0, len(table), step), len(table) - 1}):
+            got = mp.ldexp(mp.mpf(table[i]) / 2 ** (2 * i + 1), -wp)
+            assert abs(got - oracle(i)) < mp.ldexp(1, -(prec + 40)), i
+        assert abs(oracle(len(table))) * 2 ** 40 < mp.ldexp(1, -(prec + 20))
+
+
+def test_inverse_power_sums_against_finer_floors():
+    # sum_{lo <= n < hi} 2^w / n^m at odd m, from one chain of quotients
+    # per j prime to 6 and, for n = 2^a 3^b j, a shift and a quotient by
+    # 3^(b m), against the sum of floors 64 bits finer: short by fewer
+    # than 2 hi units.  (lo, hi) = (J, N) at 30, 300 and 1000 digits, and
+    # short ranges where a few runs hold one j or none
+    for lo, hi in [(1, 2), (3, 7), (4, 8), (12, 72), (30, 396), (64, 1236)]:
+        sums = numkernel._inverse_power_sums(lo, hi, 300)
+        for m, got in zip(range(1, 40, 2), sums):
+            want = sum((1 << 364) // n ** m for n in range(lo, hi)) >> 64
+            assert 0 <= want - got < 2 * hi, (lo, hi, m)
+
+
 @pytest.mark.parametrize("n, m", [(1 + 3 * _N1000, 3), (97 + 199 * _N1000, 199),
                                   (_N1000, 1), (5 * _N1000, 1)])
 def test_stirling_tail_keeps_guard_digits(n, m):
@@ -394,6 +437,25 @@ def test_delta_terms_is_the_exponent_budget(tau):
         for n, val in enumerate(vals):
             ref = lead * mp.fprod(1 - q ** m for m in range(1, n + 1)) ** 24
             assert abs(val - ref) < 100 * abs(lead) * abs(q) ** (n + 1)
+
+
+_FUNDAMENTAL_200 = tuple(d for d in range(3, 201) if is_fundamental(d))
+
+
+@pytest.mark.parametrize("target", [30, 60, 120, 300, 1000])
+def test_delta_q_terms_float_bound_against_mpf(target):
+    # the float budget against the same formula in mpf at working
+    # precision, at the tau of every reduced form that a shipped check
+    # builds a lattice on, and at the working + 10 digits that
+    # delta_lattice passes: never fewer terms, and at most one more
+    ctx = PrecisionContext(target)
+    for d in (*_FUNDAMENTAL_200, 1999):
+        for f in reduced_forms(d):
+            with ctx.workprec(10):
+                im_tau = mp.im(form_to_lattice(f, ctx).tau)
+                exact = int(mp.ceil((mp.dps + 10) * numkernel._LN10 / (2 * mp.pi * im_tau))) + 1
+                got = delta_q_terms(im_tau, mp.dps)
+            assert exact <= got <= exact + 1, (d, f.tuple(), exact, got)
 
 
 @settings(max_examples=30, deadline=None)
