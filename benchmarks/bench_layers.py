@@ -23,7 +23,10 @@ The kernels and their arguments:
 
 - ``log_gamma`` over a/199, 0 < a < 199, the memo cleared before the
   untimed pass and again before each timed pass, so that every call
-  computes; the cold call is log Gamma(1/199);
+  computes: a Horner sum over the Taylor table of log Gamma at the
+  shift point and one shift product; the cold call is log Gamma(1/199),
+  and it includes that table (``numkernel._log_gamma_taylor``), the one
+  the folded ``character_gamma_sum`` also reads;
 - ``delta_lattice`` over the lattices of Delta(a) and Delta(a^-1) for
   every reduced form a of discriminant -d, d in 23, 71, 163 and 199
   (40 lattices, built before timing); the cold call is the first of them;

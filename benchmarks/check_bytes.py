@@ -12,6 +12,9 @@ the same requests, in one fresh interpreter with that directory first on
 - ``fermat --json`` on every mixed triple at p = 19 at 300 digits (216),
   and on twelve evenly spaced mixed triples each at p = 43 and 163 at 60
   digits: the log-Gamma shift products of ``fermat`` are longest there;
+- ``fermat --json`` on twelve evenly spaced mixed triples at p = 19 at
+  600 and 1000 digits, where the Taylor table of log Gamma and the
+  Horner sum over it are longest;
 - ``periods --json`` and ``faltings --json`` at every prime p = 3 mod 4
   from 7 to 199, at 30, 60 and 120 digits;
 - ``kronecker --json`` over every class of d = 3, 4, 7, 8, 23, 47, 71
@@ -34,7 +37,7 @@ the same requests, in one fresh interpreter with that directory first on
   forks, and ``--threads`` must not change a byte;
 - every golden request of ``tests/test_cli.py`` (``GOLDEN_RUNS``);
 
-3,147 requests in all, 26 of them from the ``kronecker`` list, 133
+3,171 requests in all, 26 of them from the ``kronecker`` list, 133
 from the ``verify-cs`` list and 1,702 from the ``hecke`` list.
 
 For each request the exit code, stdout and stderr are hashed.  The script
@@ -84,6 +87,7 @@ VERIFY_CS_1000 = (199,)
 VERIFY_CS_LONG = ((1999, 300), (1999, 600), (9995, 60))  # (d, digits)
 SUITE_PRECS = (60, 120, 300)  # suite --max-d 30, with --threads 1 and 2
 FERMAT_SPREAD = (43, 163)  # twelve mixed triples each, at 60 digits
+FERMAT_HIGH = (600, 1000)  # twelve mixed triples at p = 19, at these digits
 HECKE_MAX_P = 1019
 MAX_DIGITS_DELTA = 2  # the re-record rule's bound on |change in digits_agreed|
 
@@ -120,6 +124,11 @@ def _mixed_triples(p: int) -> list[tuple[int, int, int]]:
             if (-r - s) % p and abs(leg(r) + leg(s) + leg((-r - s) % p)) == 1]
 
 
+def _spaced(triples: list) -> list:
+    """Twelve evenly spaced entries of triples."""
+    return triples[::len(triples) // 12][:12]
+
+
 def _reduced_forms(p: int) -> list[tuple[int, int, int]]:
     """Reduced forms (a, b, c) of discriminant -p: |b| <= a <= c, b >= 0 if |b| = a or a = c.
 
@@ -146,10 +155,10 @@ def requests() -> list[list[str]]:
            for prec in PRECS for p in (7, 11, 19) for r, s, t in _mixed_triples(p)]
     out += [["fermat", "--p", "19", "--rst", f"{r},{s},{t}", "--prec", "300", "--json"]
             for r, s, t in _mixed_triples(19)]
-    for p in FERMAT_SPREAD:
-        triples = _mixed_triples(p)
-        out += [["fermat", "--p", str(p), "--rst", f"{r},{s},{t}", "--prec", "60", "--json"]
-                for r, s, t in triples[::len(triples) // 12][:12]]
+    spread = [(p, "60", _spaced(_mixed_triples(p))) for p in FERMAT_SPREAD]
+    spread += [(19, str(prec), _spaced(_mixed_triples(19))) for prec in FERMAT_HIGH]
+    out += [["fermat", "--p", str(p), "--rst", f"{r},{s},{t}", "--prec", prec, "--json"]
+            for p, prec, triples in spread for r, s, t in triples]
     out += [[cmd, "--p", str(p), "--prec", str(prec), "--json"]
             for prec in PRECS for cmd in ("periods", "faltings")
             for p in _primes_3mod4(7, 199)]

@@ -3,14 +3,18 @@
 Values come from Lerch's constant term H(x, 0) = 1/2 - x, exactly in
 rational arithmetic; derivatives from H_s'(x, 0) = log(Gamma(x)/sqrt(2*pi)).
 ``character_gamma_sum``, sum eps(a) log Gamma(a/d), is the Gamma side
-of every Chowla-Selberg-type identity in the package.  eps is odd, so
-the term at d - a pairs with the one at a, and only the odd part of
-log Gamma about a small integer point J enters: its odd Taylor
-coefficients psi(J) and -zeta(m, J)/m (DLMF 5.7), kept per precision,
-summed against the exact odd moments sum eps(a) a^m, and the exact shift
-products of J factors per a, rounded to working precision as they are
-multiplied.  J comes from a cost model of the work per a.  A sum takes
-two mpf logs and no sine, at working + 10 digits.
+of the Chowla-Selberg, period-product and Faltings identities.  eps is
+odd, so the term at d - a pairs with the one at a, and only the odd part
+of log Gamma about a small integer point J enters: its odd Taylor
+coefficients psi(J) and -zeta(m, J)/m (DLMF 5.7), kept per precision by
+``numkernel._log_gamma_odd`` from the one Taylor table of log Gamma that
+``log_gamma`` also reads, summed against the exact odd moments
+sum eps(a) a^m, and the exact shift products of J factors per a, rounded
+to working precision as they are multiplied.  J comes from a cost model
+of the work per a, and the shift point of the table from ``numkernel``.
+A sum takes two mpf logs, no sine and no ``log_gamma`` call, at
+working + 10 digits.  The Fermat certificates sum log Gamma over the
+residues alone, through the ``log_gamma`` memo (``fermat``).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from mpmath import mp
 
 from .errors import DomainError
 from .numkernel import (_GUARD_BITS, _TAYLOR_GUARD_BITS, PrecisionContext,
-                        _log_gamma_odd, log_gamma, to_mpf)
+                        _log_gamma_odd, to_mpf)
 from .quadforms import Discriminant, class_number_dirichlet
 
 
@@ -60,7 +64,7 @@ def _rounded_product(xs, bits):
     return mp.mpf((man, exp))
 
 
-def character_gamma_sum(d, ctx: PrecisionContext, residues_only: bool = False):
+def character_gamma_sum(d, ctx: PrecisionContext):
     """sum over 0 < a < d of eps(a) log Gamma(a/d), at working precision.
 
     eps is odd, so with t = a/d the term at d - a is -eps(a) log Gamma(1 - t):
@@ -101,25 +105,12 @@ def character_gamma_sum(d, ctx: PrecisionContext, residues_only: bool = False):
     2^-(prec + 20) for phi(d) up to 2^40.  The unrounded sum was within
     10^-(working + 8) of mpmath's loggamma at every d the tests reach:
     d = 9995 at 30 digits, d = 1999 at 300 and d <= 199 at 1000 included.
-
-    With residues_only, the sum of log Gamma(a/d) over eps(a) = 1 alone,
-    added term by term in order of a at working precision.
     """
     disc = Discriminant.of(d)
     d = disc.d
     with ctx.workprec():
-        if residues_only:
-            total = mp.mpf(0)
-            for a in range(1, d):
-                e = disc.epsilon(a)
-                if e == 1:
-                    # e * rounds each working + 10 digit value before the
-                    # sum; the Tate certificates' recorded digits keep it
-                    total += e * log_gamma(Fraction(a, d), ctx)
-            return total
         with mp.extradps(10):
-            shift = -(-6 * mp.dps // 5)  # N = ceil(1.2 dps), the Taylor table's point
-            base, table = _log_gamma_odd(mp.prec, shift)
+            base, table = _log_gamma_odd(mp.prec)
             wp = mp.prec + _GUARD_BITS + _TAYLOR_GUARD_BITS
             top = base * d
             parts = {1: [], -1: []}  # P_a / Q_a to the power eps(a)

@@ -7,47 +7,43 @@ discriminant cusp form on complex lattices.  All of them take an explicit
 ``10**-target_digits``.
 
 Arithmetic is backed by mpmath (mpf/mpc); the special functions themselves
-are implemented here: Stirling's series with argument shifting for
+are implemented here: one Taylor table of log Gamma per precision for
 log-gamma, Euler-Maclaurin for Hurwitz zeta, and Euler's pentagonal
 series for the modular discriminant.  Every function is pure, so callers
 may fan work out across processes freely.  ``log_gamma`` takes an int or
-a Fraction, as every caller passes, and is memoized for the life of the
-process, per (argument type, argument value, PrecisionContext): the Fermat
-certificates sum log Gamma over the same rationals a/p again and again,
-and a hit returns the very mpf the kernel computed.  The folded
-character sum of ``lseries`` does not call it, so neither ``verify-cs``,
-``periods``, ``faltings`` nor ``suite`` fills the memo.  Every mixed
-``fermat`` triple at p = 7, 11 and 19 at one precision leaves 62 distinct
-arguments, and a tate-sweep campaign of perfbench, at three precisions,
-168; the arguments of one request are fractions k/p, so the 8,192 values
-the memo holds leave room for many primes and precisions.
+a Fraction x with 0 < x <= 60, as every caller passes (all below 2), and
+is memoized for the life of the process, per (argument type, argument
+value, PrecisionContext): the Fermat certificates sum log Gamma over the
+same rationals a/p again and again, and a hit returns the very mpf the
+kernel computed.  The folded character sum of ``lseries`` does not call
+it, so neither ``verify-cs``, ``periods``, ``faltings`` nor ``suite``
+fills the memo.  Every mixed ``fermat`` triple at p = 7, 11 and 19 at
+one precision leaves 62 distinct arguments, and a tate-sweep campaign of
+perfbench, at three precisions, 168; the arguments of one request are
+fractions k/p, so the 8,192 values the memo holds leave room for many
+primes and precisions.
 
-A log-gamma call that misses the memo shifts x = n/m up by N ~ 1.2*dps
-(Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 4): the shift
-product prod_{j<N} (n + j*m) is formed exactly, in Python integers, by
-binary splitting, and folded back in with one quotient by m^N and one
-log.  The two hot inner loops run in fixed point, on Python integers
-scaled by 2^(prec + 20), with no mpf normalization per step: Stirling's
-series carries each term from the last by a ratio c_k / c_(k-1) of its
-coefficients B_2k / (2k (2k-1)), read from a table kept per working
-precision, and 1/z^2, so a term costs two integer multiplications.  The
-discriminant sums prod (1 - q^n) as Euler's pentagonal series
+log Gamma is evaluated in one place: ``_log_gamma_taylor`` keeps, per
+working precision, the Taylor coefficients of log Gamma(N + t) about the
+shift point N = ceil(1.2 dps) (Brent and Zimmermann, *Modern Computer
+Arithmetic*, ch. 4), from one run of Stirling's series at z = N in fixed
+point, on Python integers scaled by 2^(prec + 20): each term is carried
+from the last by a ratio c_k / c_(k-1) of its coefficients
+B_2k / (2k (2k-1)), kept per precision, and 1/z^2, two integer
+multiplications.  ``log_gamma`` sums the table at |t| <= 1/2 by Horner's
+rule and takes off the log of an exact shift product; the folded
+character sum of ``lseries`` reads the odd coefficients about a small
+point J (``_log_gamma_odd``), the table's values at N plus exact finite
+sums over J <= j < N.
+
+The discriminant sums prod (1 - q^n) as Euler's pentagonal series
 sum_k (-1)^k q^(k(3k-1)/2) (1 + q^k) (Hardy and Wright, section 19.9),
 about sqrt(2N/3) terms in place of N factors, each carried from the last
 in four Gaussian-integer multiplications; it raises the sum to its 24th
 power in the same fixed point, in five more, and becomes an mpc once,
 to be multiplied by q and (2 pi)^12, the latter kept per working
 precision.  q itself is e^(i pi 2tau) (``mp.expjpi``), whose argument
-is reduced mod 2 exactly, with no multiple of pi to cancel.  The
-Stirling loop also serves the folded character sum of ``lseries``,
-through ``_log_gamma_taylor``: the Taylor coefficients of log Gamma
-about the shift point N, kept per working precision, whose Stirling
-parts are sums of the loop's terms at N weighted by binomials, formed
-from that one loop by repeated suffix sums.  The sum reads the odd
-coefficients about a small point J instead (``_log_gamma_odd``, kept
-per working precision with the J that ``_odd_point`` picks): psi(J)
-and -zeta(m, J)/m, the table's values at N plus exact finite sums over
-J <= j < N.
+is reduced mod 2 exactly, with no multiple of pi to cancel.
 """
 
 from __future__ import annotations
@@ -61,6 +57,7 @@ from math import ceil, log2, log10, pi, prod
 from operator import floordiv
 
 from mpmath import mp
+from mpmath.libmp import prec_to_dps
 
 from .errors import DomainError, PoleError, PrecisionError
 
@@ -77,16 +74,18 @@ _EM_TERM_CAP = 100000  # the Euler-Maclaurin series turns and grows long before
 # log-Gamma values kept, at a few hundred bytes each; only the fermat
 # requests fill it (see the module docstring)
 _LOG_GAMMA_MEMO = 8192
+# the largest argument of log_gamma: the smallest shift point N
+_LOG_GAMMA_MAX = 60
 # Stirling coefficient tables kept, one per binary working precision
 _STIRLING_TABLES = 16
 # bits carried below the working precision by the fixed-point loops of
 # Stirling's series, the pentagonal series of Delta and epstein's
 # incomplete gamma, for the rounding of each step
 _GUARD_BITS = 20
-# bits the Taylor tables of log Gamma that the folded character sum
-# reads (about its shift point N, and the odd one about J) carry over
-# that sum's 2^(prec + _GUARD_BITS), for the rounding of their
-# coefficients, and the log2 of the most terms they are cut for
+# bits the Taylor tables of log Gamma (about the shift point N, and the
+# odd one about J) carry over the 2^(prec + _GUARD_BITS) of Stirling's
+# series, for the rounding of their coefficients, and the log2 of the
+# most terms they are cut for
 _TAYLOR_GUARD_BITS = 32
 _TAYLOR_PHI_BITS = 40
 # the cost of one factor of the folded character sum's shift products
@@ -166,12 +165,6 @@ def _stirling_coefficients(prec):
 
 
 @lru_cache(maxsize=_STIRLING_TABLES)
-def _half_log_two_pi(prec):
-    """log(2 pi) / 2, the constant of Stirling's series, at binary precision prec."""
-    return mp.log(2 * mp.pi) / 2
-
-
-@lru_cache(maxsize=_STIRLING_TABLES)
 def _two_pi_pow12(prec):
     """(2 pi)^12, the constant of the discriminant's q-series, at binary precision prec."""
     return (2 * mp.pi) ** 12
@@ -189,29 +182,8 @@ def _stirling_ratio(k, wp):
     return int(mp.ldexp(r, wp))
 
 
-def _stirling_log_gamma(z, budget):
-    # Asymptotic series at large real z: the head in mpf, the tail in
-    # fixed point, its remainder below budget
-    acc = (z - mp.mpf(1) / 2) * mp.log(z) - z + _half_log_two_pi(mp.prec)
-    wp = mp.prec + _GUARD_BITS
-    # z = man * 2^exp > 0 is n/m exactly
-    man, exp = int(z.man), int(z.exp)
-    n, m = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-    limit = max(1, int(mp.ldexp(budget, wp)))
-    return acc + mp.mpf((_stirling_tail(n, m, limit), -wp))
-
-
-def _stirling_tail(n, m, limit):
-    """sum_k c_k / z^(2k-1) at z = n/m, Stirling's series past its head.
-
-    The head is (z - 1/2) log z - z + log(2 pi)/2.  The sum of
-    ``_stirling_terms``, an integer scaled by 2^wp, wp = prec + _GUARD_BITS.
-    """
-    return sum(_stirling_terms(n, m, limit))
-
-
-def _stirling_terms(n, m, limit):
-    """The terms c_k / z^(2k-1), k >= 1, of Stirling's tail at z = n/m.
+def _stirling_terms(z, limit):
+    """The terms c_k / z^(2k-1), k >= 1, of Stirling's tail at an integer z > 0.
 
     Each is an integer scaled by 2^wp, wp = prec + _GUARD_BITS; the last
     one yielded is the first below limit on that scale, and for z > 0 the
@@ -222,8 +194,8 @@ def _stirling_terms(n, m, limit):
     """
     wp = mp.prec + _GUARD_BITS
     ratios = _stirling_coefficients(mp.prec)
-    inv_z2 = ((m * m) << wp) // (n * n)
-    term = (m << wp) // (12 * n)
+    inv_z2 = (1 << wp) // (z * z)
+    term = (1 << wp) // (12 * z)
     for k in range(2, 4 * mp.dps + 1):
         yield term
         smallest = abs(term)
@@ -241,17 +213,19 @@ def _stirling_terms(n, m, limit):
 
 
 @lru_cache(maxsize=_STIRLING_TABLES)
-def _log_gamma_taylor(prec, shift):
-    """Taylor coefficients of log Gamma(N + t) about N = shift, for 0 <= t < 1/2.
+def _log_gamma_taylor(prec):
+    """(N, Taylor coefficients of log Gamma(N + t) about N), for |t| <= 1/2.
 
-    Entry m is N^m g_m, an integer scaled by 2^wp, wp = prec + _GUARD_BITS
-    + _TAYLOR_GUARD_BITS, where
+    N = ceil(1.2 dps) at binary precision prec, the one shift point of
+    log Gamma.  Entry m is N^m g_m, an integer scaled by 2^wp,
+    wp = prec + _GUARD_BITS + _TAYLOR_GUARD_BITS, where
 
-        log Gamma(N + t) = (N - 1/2 + t) log N - N + log(2 pi)/2 + sum_m g_m t^m:
+        log Gamma(N + t) = sum_m g_m t^m:
 
-    g_0 = log Gamma(N) less its head, g_1 = psi(N) - log N, and
-    g_m = (-1)^m zeta(m, N)/m for m >= 2.  The head of Stirling's series,
-    (z - 1/2) log z - z + log(2 pi)/2, gives -1/2 to N g_1 and the exact
+    g_0 = log Gamma(N), g_1 = psi(N) and g_m = (-1)^m zeta(m, N)/m for
+    m >= 2 (DLMF 5.7.3).  Stirling's series at z = N + t gives them.  Its
+    head, (z - 1/2) log z - z + log(2 pi)/2, gives its value at N to g_0,
+    N log N - 1/2 to N g_1, both at wp + 16 bits, and the exact
     (-1)^m (2N + m - 1) / (2m (m - 1)) to N^m g_m for m >= 2.  Its tail
     sum_k s_k (1 + t/N)^(1-2k), s_k = c_k N^(1-2k) the terms at z = N,
     gives (-1)^m sum_k C(2k - 2 + m, m) s_k to N^m g_m.  With the s_k
@@ -260,14 +234,20 @@ def _log_gamma_taylor(prec, shift):
     identity): one Stirling loop at N, then additions only.
 
     The table stops at the first m >= 2 where 2^_TAYLOR_PHI_BITS terms
-    g_m t^m, t < 1/2, stay below 2^-(prec + _GUARD_BITS): the later ones
-    fall by about 1/(2N) each.
+    g_m t^m, |t| <= 1/2, stay below 2^-(prec + _GUARD_BITS): the later
+    ones fall by about 1/(2N) each.
     """
+    shift = -(-6 * prec_to_dps(prec) // 5)
+    wp = prec + _GUARD_BITS + _TAYLOR_GUARD_BITS
     with mp.workprec(prec + _TAYLOR_GUARD_BITS):
-        wp = mp.prec + _GUARD_BITS
         # to the first term below two units: a floored negative term
         # stops at -1
-        terms = list(_stirling_terms(shift, 1, 2))
+        terms = list(_stirling_terms(shift, 2))
+    with mp.workprec(wp + 16):  # the head's value and N times its slope at N
+        log_n = mp.log(shift)
+        heads = [int(mp.ldexp(h, wp)) for h in
+                 ((shift - mp.mpf(1) / 2) * log_n - shift + mp.log(2 * mp.pi) / 2,
+                  shift * log_n - mp.mpf(1) / 2)]
     # the s_j last first, so the prefix sums are the suffix sums reversed
     sums = [0] * (2 * len(terms) - 1)
     sums[::2] = terms
@@ -276,14 +256,14 @@ def _log_gamma_taylor(prec, shift):
     for m in count():
         sums = list(accumulate(sums))
         g = sums[-1] if m % 2 == 0 else -sums[-1]
-        if m == 1:
-            g -= 1 << (wp - 1)
-        elif m >= 2:
+        if m < 2:
+            g += heads[m]
+        else:
             head = ((2 * shift + m - 1) << wp) // (2 * m * (m - 1))
             g += head if m % 2 == 0 else -head
             # |g_m| 2^-m 2^PHI_BITS < 2^-(prec + _GUARD_BITS), on the scale 2^-wp
             if abs(g) << (_TAYLOR_PHI_BITS - _TAYLOR_GUARD_BITS) < (2 * shift) ** m:
-                return tuple(table)
+                return shift, tuple(table)
         table.append(g)
 
 
@@ -304,17 +284,18 @@ def _odd_point(prec, shift):
 
 
 @lru_cache(maxsize=_STIRLING_TABLES)
-def _log_gamma_odd(prec, shift):
-    """(J, odd Taylor coefficients of log Gamma about J), from the table at N = shift.
+def _log_gamma_odd(prec):
+    """(J, odd Taylor coefficients of log Gamma about J), from the table at N.
 
-    J is ``_odd_point(prec, shift)``.  Entry i is k_m, m = 2i + 1, an
+    N is the shift point of ``_log_gamma_taylor(prec)`` and J is
+    ``_odd_point(prec, N)``.  Entry i is k_m, m = 2i + 1, an
     integer scaled by 2^wp as in ``_log_gamma_taylor``, where
 
         (log Gamma(J + t) - log Gamma(J - t)) / 2 = sum_{m odd} k_m t^m:
 
     k_1 = psi(J) and k_m = -zeta(m, J)/m for m >= 3 (DLMF 5.7.3).  The
-    table at N holds N^m g_m, with g_1 = psi(N) - log N and
-    g_m = -zeta(m, N)/m at odd m, and the two points differ by finite sums:
+    table at N holds N^m g_m, with g_1 = psi(N) and g_m = -zeta(m, N)/m at
+    odd m, and the two points differ by finite sums:
 
         psi(J) = psi(N) - sum_{J<=j<N} 1/j,
         zeta(m, J) = zeta(m, N) + sum_{J<=j<N} j^-m,
@@ -326,14 +307,12 @@ def _log_gamma_odd(prec, shift):
     terms k_m t^m, t < 1/2, stay below 2^-(prec + _GUARD_BITS): the later
     ones fall by about 1/(4 J^2) each.
     """
+    shift, taylor = _log_gamma_taylor(prec)
     base = _odd_point(prec, shift)
-    taylor = _log_gamma_taylor(prec, shift)
     wp = prec + _GUARD_BITS + _TAYLOR_GUARD_BITS
     extra = shift.bit_length() + 1
-    with mp.workprec(wp + 16):
-        log_n = int(mp.ldexp(mp.log(shift), wp))
     sums = _inverse_power_sums(base, shift, wp + extra)
-    table = [taylor[1] // shift + log_n - (next(sums) >> extra)]
+    table = [taylor[1] // shift - (next(sums) >> extra)]
     npow = shift
     for m, power_sum in zip(count(3, 2), sums):
         npow *= shift * shift
@@ -393,25 +372,32 @@ def _shift_product(n, m, lo, hi):
 
 @lru_cache(maxsize=_LOG_GAMMA_MEMO, typed=True)
 def log_gamma(x, ctx: PrecisionContext):
-    """log Gamma(x) for an int or Fraction x > 0, absolute error < 10**-target_digits.
+    """log Gamma(x) for an int or Fraction 0 < x <= 60, absolute error < 10**-target_digits.
 
+    With x = n/m, i = round(x) and t = x - i, log Gamma(x) is the table of
+    ``_log_gamma_taylor`` at N + t, summed by Horner's rule, less the log
+    of prod_{j < N - i} (x + j), the exact integer prod (n + j*m) over
+    m^(N - i).  60 is the least N (30 target and 10 guard digits), so i <= N.
     Memoized per (type of x, x, ctx); errors are raised again on every call.
     """
     if not isinstance(x, (int, Fraction)):
         raise DomainError("log_gamma takes an int or a Fraction")
     if x <= 0:
         raise DomainError("log_gamma requires x > 0")
+    if x > _LOG_GAMMA_MAX:
+        raise DomainError(f"log_gamma requires x <= {_LOG_GAMMA_MAX}")
     with ctx.workprec(10):
-        xv = to_mpf(x)
-        budget = mp.mpf(10) ** (-(ctx.working_digits + 5))
-        # Shift the argument up past ~1.2*working digits, then apply
-        # Stirling.  With x = n/m, prod_{j<N} (x + j) is the integer
-        # product prod (n + j*m) over m^N, folded back in with one
-        # quotient and one log; log P - N log m would cancel digits.
-        shift = int(ceil(1.2 * mp.dps - xv)) if xv < 1.2 * mp.dps else 0
-        m = x.denominator
-        shifted = mp.mpf(_shift_product(x.numerator, m, 0, shift)) / mp.mpf(m) ** shift
-        return _stirling_log_gamma(xv + shift, budget) - mp.log(shifted)
+        shift, table = _log_gamma_taylor(mp.prec)
+        wp = mp.prec + _GUARD_BITS + _TAYLOR_GUARD_BITS
+        n, m = x.numerator, x.denominator
+        i = round(x)
+        tn, step = n - i * m, m * shift  # t/N = tn/step
+        acc = 0
+        for e in reversed(table):
+            acc = acc * tn // step + e
+        k = shift - i
+        shifted = mp.mpf(_shift_product(n, m, 0, k)) / mp.mpf(m) ** k
+        return mp.mpf((acc, -wp)) - mp.log(shifted)
 
 
 def hurwitz_zeta(x, s, ctx: PrecisionContext):

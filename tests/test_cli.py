@@ -205,6 +205,21 @@ def test_fermat_request_validates_p_once(capsys, monkeypatch, rst, kind):
     assert calls["relint"] == (kind == "sqrtp")
 
 
+def test_fermat_and_verify_cs_share_one_stirling_table(capsys):
+    # the Tate certificate's log_gamma and the folded character sum of
+    # verify-cs read one Taylor table of log Gamma per precision, so the
+    # two requests at one --prec run one Stirling loop on one ratio table
+    from cmperiods import numkernel
+    for cache in (numkernel._stirling_coefficients, numkernel._log_gamma_taylor,
+                  numkernel._log_gamma_odd, numkernel.log_gamma):
+        cache.cache_clear()
+    for argv in (["fermat", "--p", "7", "--rst", "1,1,5"], ["verify-cs", "--d", "7"]):
+        code, _, _ = run(capsys, "--json", "--prec", "45", *argv)
+        assert code == 0
+    assert numkernel._stirling_coefficients.cache_info().currsize == 1
+    assert numkernel._log_gamma_taylor.cache_info().currsize == 1
+
+
 def test_hecke(capsys):
     code, out, _ = run(capsys, "hecke", "--p", "23", "--form", "2,1,3")
     assert code == 0

@@ -8,9 +8,8 @@ from mpmath import mp
 
 from cmperiods import numkernel
 from cmperiods.errors import DomainError, PoleError, PrecisionError
-from cmperiods.numkernel import (Lattice, PrecisionContext, _stirling_log_gamma,
-                                 delta_lattice, delta_q_terms, hurwitz_zeta, log_gamma,
-                                 to_mpf)
+from cmperiods.numkernel import (Lattice, PrecisionContext, delta_lattice, delta_q_terms,
+                                 hurwitz_zeta, log_gamma, to_mpf)
 from cmperiods.quadforms import (form_to_lattice, inverse_ideal_lattice, is_fundamental,
                                   reduced_forms)
 
@@ -85,45 +84,80 @@ def test_log_gamma_against_mpmath_random_precision(target, d, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(30, 400), st.sampled_from(("int", "mpf", "shift0", "tiny")), st.data())
+@given(st.integers(30, 400), st.sampled_from(("int", "mpf", "tiny")), st.data())
 def test_log_gamma_argument_kinds_against_mpmath(target, kind, data):
-    # each way the shift product is formed: an int (m = 1), a Fraction
-    # with a denominator 2^k up to 2^74 (the longest factors n + j*m), an
-    # argument past the shift point (no shift), and x < 10^-3, where
-    # log Gamma ~ -log x
+    # each way the shift product is formed: an int (m = 1, t = 0), a
+    # Fraction with a denominator 2^k up to 2^74 (the longest factors
+    # n + j*m), and x < 10^-3, where log Gamma ~ -log x; all in the
+    # domain x <= 60
     ctx = PrecisionContext(target)
-    with ctx.workprec(10):
-        shift_point = 1.2 * mp.dps
-        if kind == "int":
-            x = data.draw(st.integers(1, 3 * target))
-        elif kind == "mpf":
-            k = data.draw(st.integers(1, 74))
-            x = Fraction(data.draw(st.integers(2 ** k, 2 ** (k + 6) - 1)), 2 ** k)
-        elif kind == "shift0":
-            x = Fraction(data.draw(st.integers(int(7 * shift_point) + 1, 10 ** 5)), 7)
-        else:
-            k = data.draw(st.integers(10, 74))
-            x = Fraction(data.draw(st.integers(1, 2 ** (k - 10))), 2 ** k)
+    if kind == "int":
+        x = data.draw(st.integers(1, 60))
+    elif kind == "mpf":
+        k = data.draw(st.integers(1, 74))
+        x = Fraction(data.draw(st.integers(2 ** k, 60 * 2 ** k)), 2 ** k)
+    else:
+        k = data.draw(st.integers(10, 74))
+        x = Fraction(data.draw(st.integers(1, 2 ** (k - 10))), 2 ** k)
     with mp.workdps(target + 40):
         ref = mpmath.loggamma(to_mpf(x))
         assert abs(log_gamma(x, ctx) - ref) < mp.mpf(10) ** -target, (kind, x)
 
 
 @pytest.mark.parametrize("target", [300, 1000])
-@pytest.mark.parametrize("kind", ["1/199", "97/199", "mpf", "shift0"])
+@pytest.mark.parametrize("kind", ["1/199", "97/199", "mpf", "419/7"])
 def test_log_gamma_high_precision_against_mpmath(target, kind):
-    # the fixed-point Stirling loop where carrying c_k / z^(2k-1) from
-    # powers of 1/z would underflow the scale while c_k grows: 10 digits
-    # lost at 60 digits, about 400 at 1000; "mpf" is a 74-bit odd
-    # numerator over 2^71, the longest shift-product factors the kinds test
+    # the fixed-point Stirling loop of the table, where carrying
+    # c_k / z^(2k-1) from powers of 1/z would underflow the scale while
+    # c_k grows: 10 digits lost at 60 digits, about 400 at 1000; "mpf" is
+    # a 74-bit odd numerator over 2^71, the longest shift-product factors
+    # the kinds test draws, and 419/7 = 60 - 1/7 the shortest shift
+    x = {"1/199": Fraction(1, 199), "97/199": Fraction(97, 199),
+         "mpf": Fraction(random.Random(target).getrandbits(74) | 1 << 73 | 1, 2 ** 71),
+         "419/7": Fraction(419, 7)}[kind]
     ctx = PrecisionContext(target)
-    with ctx.workprec(10):
-        x = {"1/199": Fraction(1, 199), "97/199": Fraction(97, 199),
-             "mpf": Fraction(random.Random(target).getrandbits(74) | 1 << 73 | 1, 2 ** 71),
-             "shift0": Fraction(int(1.2 * mp.dps) * 7 + 3, 7)}[kind]
     with mp.workdps(target + 40):
         ref = mpmath.loggamma(to_mpf(x))
         assert abs(log_gamma(x, ctx) - ref) < mp.mpf(10) ** -target
+
+
+@pytest.mark.parametrize("ctx", [PrecisionContext(30, guard_digits=10), PrecisionContext(1000)],
+                         ids=["30-guard10", "1000"])
+def test_log_gamma_domain_edges_against_mpmath(ctx):
+    # the top of the domain, x = 60, is the shift point itself at the
+    # smallest context (no shift product); half-integers sum the table at
+    # |t| = 1/2, and 3/2^74 has the longest shift product.  Past 60 every
+    # call raises, the memo keeping no error
+    target = ctx.target_digits
+    args = [60, Fraction(1, 2), Fraction(3, 2), Fraction(59, 2), Fraction(119, 2),
+            Fraction(3, 2 ** 74)]
+    with mp.workdps(target + 40):
+        for x in args:
+            ref = mpmath.loggamma(to_mpf(x))
+            assert abs(log_gamma(x, ctx) - ref) < mp.mpf(10) ** -target, x
+    for x in (Fraction(421, 7), Fraction(10 ** 5, 7)) * 2:
+        with pytest.raises(DomainError):
+            log_gamma(x, ctx)
+
+
+def test_log_gamma_miss_runs_no_stirling_loop(monkeypatch):
+    # every log Gamma reads the one Taylor table of its precision: once
+    # the table is built, a memo miss sums it and one shift product, and
+    # runs no Stirling loop
+    ctx = PrecisionContext(60)
+    log_gamma(Fraction(1, 7), ctx)  # builds the table
+    loops = []
+    stirling_terms = numkernel._stirling_terms
+
+    def counting(*args):
+        loops.append(args)
+        return stirling_terms(*args)
+
+    monkeypatch.setattr(numkernel, "_stirling_terms", counting)
+    log_gamma.cache_clear()
+    for x in (Fraction(1, 7), Fraction(12, 7), 5, Fraction(3, 2 ** 74)):
+        log_gamma(x, ctx)
+    assert log_gamma.cache_info().misses == 4 and loops == []
 
 
 def test_stirling_table_kept_per_precision():
@@ -194,43 +228,43 @@ def test_hurwitz_zeta_against_mpmath(ctx):
 
 
 def test_stirling_shortfall_reports_smallest_term():
-    # at z = 5 the asymptotic series bottoms out near e^(-2*pi*5) ~ 2e-14
+    # at z = 5 the asymptotic series bottoms out near e^(-2*pi*5) ~ 2e-14,
+    # far above a limit of one unit of 2^-(prec + 20)
     with mp.workdps(50):
         with pytest.raises(PrecisionError) as err:
-            _stirling_log_gamma(mp.mpf(5), mp.mpf(10) ** -100)
+            list(numkernel._stirling_terms(5, 1))
     assert err.value.achieved_digits == 14
 
 
-# the shift N = ceil(1.2 dps) of the folded character sum at 1000 digits
+# the shift point N = ceil(1.2 dps) at 1000 digits
 _N1000 = 1200
 
 
 @pytest.mark.parametrize("target, step", [(60, 1), (300, 1), (1000, 16)],
                          ids=["60", "300", "1000"])
 def test_log_gamma_taylor_table_against_mpmath(target, step):
-    # the Taylor table of the folded character sum, at its shift point
-    # N = ceil(1.2 dps) and working + 10 digits, against mpmath's N^m g_m:
-    # g_0 = log Gamma(N) less Stirling's head, g_1 = psi(N) - log N and
-    # g_m = (-1)^m zeta(m, N)/m.  The sum takes g_m t^m at t < 1/2, so each
-    # coefficient is held to 2^-(prec + 40) after a factor 2^-m, and the
-    # first one the table leaves out, over 2^40 terms, to 2^-(prec + 20).
-    # mpmath's zeta(m, N) is good to about 2^-prec absolute, not relative,
-    # so the oracle runs at the table's scale and 64 bits more: ~55 ms a
-    # coefficient at 1000 digits, where the first 16, every 16th and the
-    # last are checked
+    # the one Taylor table of log Gamma, at its shift point N = ceil(1.2 dps)
+    # and working + 10 digits, against mpmath's N^m g_m: g_0 = log Gamma(N),
+    # g_1 = psi(N) and g_m = (-1)^m zeta(m, N)/m.  log_gamma and the folded
+    # character sum take g_m t^m at |t| <= 1/2, so each coefficient is held
+    # to 2^-(prec + 40) after a factor 2^-m, and the first one the table
+    # leaves out, over 2^40 terms, to 2^-(prec + 20).  mpmath's zeta(m, N)
+    # is good to about 2^-prec absolute, not relative, so the oracle runs
+    # at the table's scale and 64 bits more: ~55 ms a coefficient at 1000
+    # digits, where the first 16, every 16th and the last are checked
     with PrecisionContext(target).workprec(10):
-        prec, shift = mp.prec, -(-6 * mp.dps // 5)
-    table = numkernel._log_gamma_taylor(prec, shift)
+        prec, dps = mp.prec, mp.dps
+    shift, table = numkernel._log_gamma_taylor(prec)
+    assert shift == -(-6 * dps // 5)
     wp = prec + numkernel._GUARD_BITS + numkernel._TAYLOR_GUARD_BITS
     with mp.workprec(wp + 64):
         n = mp.mpf(shift)
 
         def oracle(m):  # g_m 2^-m
             if m == 0:
-                return mp.loggamma(n) - ((n - mp.mpf(1) / 2) * mp.log(n) - n
-                                         + mp.log(2 * mp.pi) / 2)
+                return mp.loggamma(n)
             if m == 1:
-                return (mp.digamma(n) - mp.log(n)) / 2
+                return mp.digamma(n) / 2
             return (-1) ** m * mp.zeta(m, n) / (m * mp.mpf(2) ** m)
 
         for m in sorted({*range(16), *range(0, len(table), step), len(table) - 1}):
@@ -249,8 +283,8 @@ def test_log_gamma_odd_table_against_mpmath(target, base, step):
     # one left out, over 2^40 terms, to 2^-(prec + 20).  At 1000 digits
     # the first 16, every 16th and the last are checked (~60 ms each)
     with PrecisionContext(target).workprec(10):
-        prec, shift = mp.prec, -(-6 * mp.dps // 5)
-    got_base, table = numkernel._log_gamma_odd(prec, shift)
+        prec = mp.prec
+    got_base, table = numkernel._log_gamma_odd(prec)
     assert got_base == base  # the J of the rule (numkernel._odd_point)
     wp = prec + numkernel._GUARD_BITS + numkernel._TAYLOR_GUARD_BITS
     with mp.workprec(wp + 64):
@@ -281,17 +315,16 @@ def test_inverse_power_sums_against_finer_floors():
             assert 0 <= want - got < 2 * hi, (lo, hi, m)
 
 
-@pytest.mark.parametrize("n, m", [(1 + 3 * _N1000, 3), (97 + 199 * _N1000, 199),
-                                  (_N1000, 1), (5 * _N1000, 1)])
+@pytest.mark.parametrize("n, m", [(_N1000, 1), (5 * _N1000, 1)])
 def test_stirling_tail_keeps_guard_digits(n, m):
-    # the tail that log_gamma and the folded character sum share, at
-    # z = n/m, against log Gamma(z) less the head of Stirling's series;
-    # stopped at 10^-(dps+5), its roundings leave 4 digits past 1000
+    # the sum of the terms of Stirling's tail at z = n, the one loop the
+    # Taylor table runs, against log Gamma(z) less the head of the
+    # series; stopped at 10^-(dps+5), its roundings leave 4 digits past 1000
     dps = 1000
     with mp.workdps(dps):
         wp = mp.prec + numkernel._GUARD_BITS
         limit = int(mp.ldexp(mp.mpf(10) ** -(dps + 5), wp))
-        val = numkernel._stirling_tail(n, m, limit)
+        val = sum(numkernel._stirling_terms(n, limit))
     with mp.workdps(dps + 40):
         z = mp.mpf(n) / m
         ref = mp.loggamma(z) - ((z - mp.mpf(1) / 2) * mp.log(z) - z + mp.log(2 * mp.pi) / 2)
