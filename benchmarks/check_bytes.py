@@ -16,14 +16,18 @@ the same requests, in one fresh interpreter with that directory first on
   600 and 1000 digits, where the Taylor table of log Gamma and the
   Horner sum over it are longest;
 - ``periods --json`` and ``faltings --json`` at every prime p = 3 mod 4
-  from 7 to 199, at 30, 60 and 120 digits;
+  from 7 to 199, at 30, 60 and 120 digits, and ``periods`` without
+  ``--json`` at the same primes at 60 and 120 digits: the text report
+  prints each class's period to 30 digits and the digits agreed by the
+  sum of their logs, so these bytes may not move at all;
 - ``kronecker --json`` over every class of d = 3, 4, 7, 8, 23, 47, 71
   and 163 at 30, 60 and 120 digits, and of d = 7 and 23 at 300;
 - ``verify-cs --json`` for every fundamental d <= 200 (62 values) at 30
   and 120 digits, for d = 23, 163 and 199 at 300, for d = 23 and 163
   at 600, for d = 199 at 1000, and for d = 1999 at 300 and 600 and
-  d = 9995 at 60, where the character moments of the folded log-Gamma
-  sum are longest;
+  d = 9995 at 60 and 300, where the character moments of the folded
+  log-Gamma sum are longest (h(-9995) = 40 classes, 39 of them by
+  ``delta_norm``);
 - ``faltings --json`` at p = 163 at 600 digits, and ``periods --json`` at
   p = 199 at 1000 digits: the pentagonal series of ``delta_lattice``
   gains most there;
@@ -37,8 +41,9 @@ the same requests, in one fresh interpreter with that directory first on
   forks, and ``--threads`` must not change a byte;
 - every golden request of ``tests/test_cli.py`` (``GOLDEN_RUNS``);
 
-3,171 requests in all, 26 of them from the ``kronecker`` list, 133
-from the ``verify-cs`` list and 1,702 from the ``hecke`` list.
+3,218 requests in all, 26 of them from the ``kronecker`` list, 134
+from the ``verify-cs`` list, 46 from the text ``periods`` list and
+1,702 from the ``hecke`` list.
 
 For each request the exit code, stdout and stderr are hashed.  The script
 prints one sha256 per tree over all requests, and the first request whose
@@ -79,12 +84,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PRECS = (30, 60, 120)
+PERIODS_TEXT_PRECS = (60, 120)  # periods without --json
 KRONECKER_DS = (3, 4, 7, 8, 23, 47, 71, 163)
 VERIFY_CS_PRECS = (30, 120)
 VERIFY_CS_300 = (23, 163, 199)
 VERIFY_CS_600 = (23, 163)
 VERIFY_CS_1000 = (199,)
-VERIFY_CS_LONG = ((1999, 300), (1999, 600), (9995, 60))  # (d, digits)
+VERIFY_CS_LONG = ((1999, 300), (1999, 600), (9995, 60), (9995, 300))  # (d, digits)
 SUITE_PRECS = (60, 120, 300)  # suite --max-d 30, with --threads 1 and 2
 FERMAT_SPREAD = (43, 163)  # twelve mixed triples each, at 60 digits
 FERMAT_HIGH = (600, 1000)  # twelve mixed triples at p = 19, at these digits
@@ -162,6 +168,8 @@ def requests() -> list[list[str]]:
     out += [[cmd, "--p", str(p), "--prec", str(prec), "--json"]
             for prec in PRECS for cmd in ("periods", "faltings")
             for p in _primes_3mod4(7, 199)]
+    out += [["periods", "--p", str(p), "--prec", str(prec)]
+            for prec in PERIODS_TEXT_PRECS for p in _primes_3mod4(7, 199)]
     out += [["kronecker", "--d", str(d), "--prec", str(prec), "--json"]
             for prec in PRECS for d in KRONECKER_DS]
     out += [["kronecker", "--d", str(d), "--prec", "300", "--json"] for d in (7, 23)]

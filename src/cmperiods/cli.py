@@ -18,9 +18,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 from mpmath import mp
 
-from .csperiods import (IdentityReport, cs_verify, exact_report, faltings_height_L,
-                        faltings_height_periods, log_delta_pair, m_invariant,
-                        make_report, period_integral, unrecognized_report)
+from .csperiods import (IdentityReport, class_periods, cs_verify, exact_report,
+                        faltings_height_L, faltings_height_periods, log_delta_pair,
+                        m_invariant, make_report, unrecognized_report)
 from .epstein import epstein_jet
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .fermat import cm_type, epsilon_rst, tate_twist_certificate
@@ -84,14 +84,10 @@ def _cmd_kronecker(args, ctx):
 
 def _periods(p, ctx):
     disc = Discriminant.prime(p)
-    group = reduced_forms(disc)
-    lines = []
+    group, periods = class_periods(disc, ctx)
     with ctx.workprec():
-        total = mp.mpf(0)
-        for f in group:
-            val = period_integral(f, disc, ctx)
-            lines.append(f"  class {f.tuple()}: {mp.nstr(val, 30)}")
-            total += mp.log(val)
+        lines = [f"  class {f.tuple()}: {mp.nstr(val, 30)}" for f, val in zip(group, periods)]
+        total = sum((mp.log(val) for val in periods), mp.mpf(0))
         rhs = group.h * mp.log(2 * mp.pi / disc.d) + character_gamma_sum(disc, ctx)
     rep = make_report(f"period-product p={disc.d}", {"p": disc.d}, total, rhs, ctx)
     return [rep], lines

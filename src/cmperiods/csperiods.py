@@ -7,6 +7,24 @@ the order of discriminant -d,
         = 12 h log(2 pi / d) + 6 w sum_a eps(a) log Gamma(a/d),
 
 with eps the quadratic character mod d and w the number of units.
+
+The lattice of a^-1 is Z + Z(-conj tau) when that of a is
+a(Z + Z tau), so Delta(a^-1) = a^12 conj Delta(a) and each term on the
+left is the real a^12 |Delta(a)|^2 (Weil, *Elliptic Functions according
+to Eisenstein and Kronecker*): ``numkernel.delta_norm`` takes it from
+one pentagonal series per class, and the same number gives the class's
+period (|Delta(a)| / p^3)^(1/6) a sqrt(p)
+(``class_periods``).  Taken for every class, that identity would leave
+nothing to check on the left but its size, so ``cs_verify`` computes
+the principal class's pair directly, as the product of two
+``delta_lattice`` values (``log_delta_pair``), and refuses it unless it
+is positive real: h + 1 series per discriminant in place of 2h.
+
+The closed form is evaluated at the lattice point the direct product
+uses and carries the same ten digits past working precision, and each
+value is rounded to working precision where the direct path rounds it
+(the pair before its log, |Delta(a)| as ``abs`` rounds a complex
+number), so every sum, and every printed digit, is the direct one.
 """
 
 from __future__ import annotations
@@ -16,10 +34,11 @@ from fractions import Fraction
 from typing import Any
 
 from mpmath import mp
+from mpmath.libmp import mpf_pos, round_down
 
 from .errors import ConsistencyError, DomainError
 from .lseries import character_gamma_sum, dirichlet_jet
-from .numkernel import PrecisionContext, delta_lattice, error_digits
+from .numkernel import PrecisionContext, delta_lattice, delta_norm, error_digits
 from .quadforms import (Discriminant, QuadForm, class_number_dirichlet,
                         form_to_lattice, inverse_ideal_lattice, reduced_forms)
 
@@ -94,24 +113,54 @@ def cs_verify(d, ctx: PrecisionContext) -> IdentityReport:
     d = disc.d
     group = reduced_forms(disc)
     with ctx.workprec():
-        lhs = mp.mpf(0)
-        for f in group:
-            lhs += log_delta_pair(f, ctx)
+        sqrt_d = mp.sqrt(d)
+        lhs = log_delta_pair(group.principal, ctx)
+        for f in group.forms[1:]:
+            # rounded to working precision before its log, as
+            # log_delta_pair rounds its product
+            lhs += mp.log(+delta_norm(f, sqrt_d, ctx))
         rhs = (12 * group.h * mp.log(2 * mp.pi / d)
                + 6 * disc.w * character_gamma_sum(disc, ctx))
     return make_report(f"chowla-selberg d={d}", {"d": d}, lhs, rhs, ctx)
 
 
+def _period(f: QuadForm, p: int, sqrt_p, ctx: PrecisionContext):
+    """(|Delta(a)| / p^3)^(1/6) a sqrt(p) for the class a of f; call at working precision.
+
+    |Delta(a)| is the square root of Delta(a) Delta(a^-1) / a^12, rounded
+    as abs() rounds the complex ``delta_lattice`` value (mpmath's hypot):
+    the square down to four more bits first, unless Delta(a) is real
+    (a | b, where q is real) and is rounded once.
+    """
+    with ctx.workprec(10):
+        square = delta_norm(f, sqrt_p, ctx) / f.a ** 12
+    if f.b % f.a:
+        square = mp.make_mpf(mpf_pos(square._mpf_, mp.prec + 4, round_down))
+    return mp.power(mp.sqrt(square) / p ** 3, mp.mpf(1) / 6) * f.a * sqrt_p
+
+
 def period_integral(f: QuadForm, p, ctx: PrecisionContext):
-    """Real period attached to the ideal class of f, p = 3 mod 4 prime > 3."""
+    """Real period attached to the ideal class of f, p = 3 mod 4 prime > 3.
+
+    (|Delta(a)| / p^3)^(1/6) a sqrt(p), from one series (``class_periods``).
+    """
     disc = Discriminant.prime(p)
     if f.disc != -disc.d:
         raise DomainError("form discriminant does not match p")
-    p = disc.d
     with ctx.workprec():
-        delta = delta_lattice(form_to_lattice(f, ctx), ctx)
-        sixth = mp.mpf(1) / 6
-        return mp.power(abs(delta) / p ** 3, sixth) * f.a * mp.sqrt(p)
+        return _period(f, disc.d, mp.sqrt(disc.d), ctx)
+
+
+def class_periods(p, ctx: PrecisionContext):
+    """The class group of discriminant -p and the period of each class, in its order.
+
+    sqrt(p) is taken once, and each period is ``period_integral``'s.
+    """
+    disc = Discriminant.prime(p)
+    group = reduced_forms(disc)
+    with ctx.workprec():
+        sqrt_p = mp.sqrt(disc.d)
+        return group, [_period(f, disc.d, sqrt_p, ctx) for f in group]
 
 
 def m_invariant(p) -> Fraction:
@@ -128,14 +177,10 @@ def m_invariant(p) -> Fraction:
 
 def faltings_height_periods(p, ctx: PrecisionContext):
     """Faltings height from the period integrals over the class group."""
-    disc = Discriminant.prime(p)
-    p = disc.d
-    group = reduced_forms(disc)
+    group, periods = class_periods(p, ctx)
     with ctx.workprec():
-        total = mp.mpf(0)
-        for f in group:
-            total += mp.log(period_integral(f, disc, ctx))
-        return -total / (2 * group.h) - mp.log(p) / 4
+        total = sum((mp.log(val) for val in periods), mp.mpf(0))
+        return -total / (2 * group.h) - mp.log(group.d.d) / 4
 
 
 def faltings_height_L(p, ctx: PrecisionContext):

@@ -44,6 +44,9 @@ power in the same fixed point, in five more, and becomes an mpc once,
 to be multiplied by q and (2 pi)^12, the latter kept per working
 precision.  q itself is e^(i pi 2tau) (``mp.expjpi``), whose argument
 is reduced mod 2 exactly, with no multiple of pi to cancel.
+``delta_norm`` sums the same series (``_euler_series``) for
+Delta(a) Delta(a^-1) = a^-12 |Delta(tau)|^2, in real numbers: the norm
+of the sum and of q, and no complex 24th power.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ __all__ = [
     "log_gamma",
     "hurwitz_zeta",
     "delta_lattice",
+    "delta_norm",
 ]
 
 _LN10 = 2.302585092994046
@@ -473,15 +477,44 @@ def _gauss_sq(x_re, x_im, wp):
     return (x_re + x_im) * (x_re - x_im) >> wp, (x_re * x_im) >> (wp - 1)
 
 
+def _euler_series(q, terms, wp):
+    """E(q) = prod (1 - q^n) through q^terms, as a Gaussian integer scaled by 2^wp.
+
+    Summed by Euler's pentagonal number theorem,
+    E(q) = sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)), over the exponents
+    up to ``terms``: the series and the product of ``terms`` factors agree
+    up to q^(terms + 1).  q is an mpc with |q| < 1.
+    """
+    # with a_k = k(3k-1)/2, (-1)^k q^a_k is carried by the step
+    # -q^(3k+1) = -q^(a_(k+1) - a_k), itself carried by q^3, and
+    # (-1)^k q^(a_k + k) is that times q^k
+    q_re, q_im = int(mp.ldexp(q.real, wp)), int(mp.ldexp(q.imag, wp))
+    q3 = _gauss_mul(*_gauss_sq(q_re, q_im, wp), q_re, q_im, wp)
+    step = _gauss_mul(*q3, -q_re, -q_im, wp)
+    pent, qk = (-q_re, -q_im), (q_re, q_im)
+    e_re, e_im = 1 << wp, 0
+    k, a = 1, 1
+    while a <= terms:
+        e_re, e_im = e_re + pent[0], e_im + pent[1]
+        if a + k <= terms:
+            b_re, b_im = _gauss_mul(*pent, *qk, wp)
+            e_re, e_im = e_re + b_re, e_im + b_im
+        a += 3 * k + 1
+        k += 1
+        if a <= terms:
+            pent = _gauss_mul(*pent, *step, wp)
+            step = _gauss_mul(*step, *q3, wp)
+            qk = _gauss_mul(*qk, q_re, q_im, wp)
+    return e_re, e_im
+
+
 def delta_lattice(lattice: Lattice, ctx: PrecisionContext, terms: int | None = None):
     """Modular discriminant of scale*(Z + Z*tau).
 
     Computed as scale^-12 * (2*pi)^12 * q * E(q)^24 with q = exp(2*pi*i*tau)
-    and E(q) = prod(1 - q^n) summed by Euler's pentagonal number theorem,
-    E(q) = sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)), over the exponents
-    up to ``terms``: the series and the product of ``terms`` factors agree
-    up to q^(terms + 1), the order at which the tail of 24*sum log(1-q^n)
-    falls below the error budget.
+    and E(q) = prod(1 - q^n) by ``_euler_series`` over the exponents up to
+    ``terms``, the order at which the tail of 24*sum log(1-q^n) falls
+    below the error budget.
     """
     with ctx.workprec(10):
         tau = mp.mpc(lattice.tau)
@@ -492,30 +525,41 @@ def delta_lattice(lattice: Lattice, ctx: PrecisionContext, terms: int | None = N
         # e^(2 pi i tau) reduces by an approximate pi and, at Re tau in Z/4
         # (forms with a = 1 or 2), recomputes a cancelled sine or cosine
         q = mp.expjpi(2 * tau)
-        # the series runs on Gaussian integers scaled by 2^wp: with
-        # a_k = k(3k-1)/2, (-1)^k q^a_k is carried by the step
-        # -q^(3k+1) = -q^(a_(k+1) - a_k), itself carried by q^3, and
-        # (-1)^k q^(a_k + k) is that times q^k
         wp = mp.prec + _GUARD_BITS
-        q_re, q_im = int(mp.ldexp(q.real, wp)), int(mp.ldexp(q.imag, wp))
-        q3 = _gauss_mul(*_gauss_sq(q_re, q_im, wp), q_re, q_im, wp)
-        step = _gauss_mul(*q3, -q_re, -q_im, wp)
-        pent, qk = (-q_re, -q_im), (q_re, q_im)
-        e_re, e_im = 1 << wp, 0
-        k, a = 1, 1
-        while a <= terms:
-            e_re, e_im = e_re + pent[0], e_im + pent[1]
-            if a + k <= terms:
-                b_re, b_im = _gauss_mul(*pent, *qk, wp)
-                e_re, e_im = e_re + b_re, e_im + b_im
-            a += 3 * k + 1
-            k += 1
-            if a <= terms:
-                pent = _gauss_mul(*pent, *step, wp)
-                step = _gauss_mul(*step, *q3, wp)
-                qk = _gauss_mul(*qk, q_re, q_im, wp)
+        e_re, e_im = _euler_series(q, terms, wp)
         # E^24 = E^16 * E^8, by four squarings, before the one mpc
         e8 = _gauss_sq(*_gauss_sq(*_gauss_sq(e_re, e_im, wp), wp), wp)
         e24_re, e24_im = _gauss_mul(*_gauss_sq(*e8, wp), *e8, wp)
         e24 = mp.mpc(mp.mpf((e24_re, -wp)), mp.mpf((e24_im, -wp)))
         return scale ** (-12) * _two_pi_pow12(mp.prec) * q * e24
+
+
+def delta_norm(f, sqrt_d, ctx: PrecisionContext):
+    """Delta(a) Delta(a^-1) for the ideal class a of the form f, from one series.
+
+    sqrt_d is sqrt(-f.disc) at working precision, which the caller takes
+    once per discriminant.  The lattice of a is a(Z + Z tau), with
+    tau = (-b + i sqrt(d)) / (2a) rounded to working precision as
+    ``quadforms.form_to_lattice`` rounds it, and that of a^-1 is
+    Z + Z(-conj tau), so Delta(a^-1) = conj Delta(tau) and the pair is
+    the positive real
+
+        a^-12 |Delta(tau)|^2 = (2 pi)^24 |q|^2 |E(q)|^48 / a^12,
+
+    |E(q)|^2 the norm e_re^2 + e_im^2 of the Gaussian integer of
+    ``_euler_series``: no complex 24th power and no log.  q and the
+    series are the ones ``delta_lattice`` sums for the lattice of a, so
+    the value is the product of the two ``delta_lattice`` values to the
+    ten digits past working precision that both carry, and it is
+    returned at that precision for the caller to round.
+    """
+    with ctx.workprec():
+        tau = (-f.b + mp.mpc(0, 1) * sqrt_d) / (2 * f.a)
+    with ctx.workprec(10):
+        terms = delta_q_terms(mp.im(tau), mp.dps)
+        q = mp.expjpi(2 * tau)
+        wp = mp.prec + _GUARD_BITS
+        e_re, e_im = _euler_series(q, terms, wp)
+        norm = mp.mpf((e_re * e_re + e_im * e_im, -2 * wp))
+        return (_two_pi_pow12(mp.prec) ** 2 * (q.real ** 2 + q.imag ** 2)
+                * norm ** 24 / f.a ** 12)

@@ -1,12 +1,15 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
-from cmperiods import cli, csperiods, epstein
-from cmperiods.errors import PrecisionError
-from cmperiods.quadforms import Discriminant
+from cmperiods import cli, csperiods, epstein, numkernel
+from cmperiods.arith import is_prime
+from cmperiods.errors import ConsistencyError, PrecisionError
+from cmperiods.quadforms import Discriminant, class_number
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,6 +138,86 @@ def test_delta_pair_must_be_positive_real(capsys, monkeypatch, command):
     code, out, err = run(capsys, command, "--d", "7", "--prec", "60")
     assert (code, out) == (1, "")
     assert err.startswith("identity violation: Delta(a) Delta(a^-1) is not positive real")
+
+
+@pytest.mark.parametrize("d", [4, 7, 23, 199])
+def test_principal_pair_is_checked_not_assumed(capsys, monkeypatch, d):
+    # only the principal class's pair is two delta_lattice values; turning
+    # the inverse lattice's one by 10^-30 radians leaves Delta(a) Delta(a^-1)
+    # off the real axis by 10^25 times the 10^-55 it allows at 60 digits,
+    # and a check that took the pair's closed form for every class would
+    # not see it
+    real_inverse, real_delta = csperiods.inverse_ideal_lattice, csperiods.delta_lattice
+    inverse = []
+
+    def marked_inverse(f, ctx):
+        inverse.append(real_inverse(f, ctx))
+        return inverse[-1]
+
+    def turned_delta(lat, ctx):
+        val = real_delta(lat, ctx)
+        return val * mp.expj(mp.mpf(10) ** -30) if any(lat is m for m in inverse) else val
+
+    monkeypatch.setattr(csperiods, "inverse_ideal_lattice", marked_inverse)
+    monkeypatch.setattr(csperiods, "delta_lattice", turned_delta)
+    with pytest.raises(ConsistencyError, match="not positive real"):
+        csperiods.cs_verify(d, numkernel.PrecisionContext(60))
+    code, out, err = run(capsys, "verify-cs", "--d", str(d), "--prec", "60")
+    assert (code, out) == (1, "")
+    assert err.startswith("identity violation: Delta(a) Delta(a^-1) is not positive real")
+
+
+def count_delta_lattice(monkeypatch):
+    """Count delta_lattice calls through every cmperiods module that binds it."""
+    real, calls = numkernel.delta_lattice, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cmperiods") and getattr(mod, "delta_lattice", None) is real:
+            monkeypatch.setattr(mod, "delta_lattice", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [7, 23, 199, 1999])
+def test_verify_cs_computes_one_direct_pair(capsys, monkeypatch, d):
+    # h + 1 series per discriminant: the principal pair directly, the
+    # other h - 1 classes by one series each, none of them delta_lattice
+    calls = count_delta_lattice(monkeypatch)
+    assert run(capsys, "verify-cs", "--d", str(d), "--prec", "30")[0] == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("command", ["periods", "faltings"])
+@pytest.mark.parametrize("p", [7, 23, 199])
+def test_periods_and_faltings_call_no_delta_lattice(capsys, monkeypatch, command, p):
+    # a period's |Delta(a)|^2 is Delta(a) Delta(a^-1) / a^12, one series per class
+    calls = count_delta_lattice(monkeypatch)
+    assert run(capsys, command, "--p", str(p), "--prec", "30")[0] == 0
+    assert calls == []
+
+
+_PRIMES_3MOD4_199 = [p for p in range(7, 200, 4) if is_prime(p)]
+
+
+@pytest.mark.parametrize("prec", [60, 120])
+def test_periods_prints_each_period_correctly_rounded(capsys, prec):
+    # periods prints every class's period (|Delta(a)| / p^3)^(1/6) a sqrt(p)
+    # to 30 digits: each must be the 30-digit rounding of that product
+    # from mpmath's q-Pochhammer prod (1 - q^n) = qp(q) at prec + 40 digits
+    for p in _PRIMES_3MOD4_199:
+        code, out, _ = run(capsys, "periods", "--p", str(p), "--prec", str(prec))
+        printed = re.findall(r"class \((\d+), (-?\d+), \d+\): (\S+)", out)
+        assert code == 0 and len(printed) == class_number(p)
+        with mp.workdps(prec + 40):
+            for a, b, text in printed:
+                a, b = int(a), int(b)
+                q = mp.expjpi(mp.mpc(-b, mp.sqrt(p)) / a)
+                delta = abs((2 * mp.pi) ** 12 * q * mp.qp(q) ** 24) / a ** 12
+                period = (delta / p ** 3) ** (mp.mpf(1) / 6) * a * mp.sqrt(p)
+                assert text == mp.nstr(period, 30), (p, a, b)
 
 
 def test_kronecker_class_out_of_range(capsys):

@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from cmperiods.csperiods import (cs_verify, exact_report, faltings_height_L,
-                                 faltings_height_periods, m_invariant, make_report,
-                                 period_integral, unrecognized_report)
+from cmperiods.arith import is_prime
+from cmperiods.csperiods import (class_periods, cs_verify, exact_report, faltings_height_L,
+                                 faltings_height_periods, log_delta_pair, m_invariant,
+                                 make_report, period_integral, unrecognized_report)
 from cmperiods.errors import DomainError
-from cmperiods.numkernel import PrecisionContext, log_gamma
+from cmperiods.numkernel import PrecisionContext, delta_lattice, log_gamma
 from cmperiods.quadforms import (Discriminant, QuadForm, class_number, class_number_dirichlet,
-                                  is_fundamental, reduced_forms)
+                                  form_to_lattice, is_fundamental, reduced_forms)
 
 
 def test_make_report_thresholds(ctx):
@@ -58,6 +59,49 @@ def test_period_integral_single_class_formula(ctx):
                        for a in range(1, 7))
         expect = 2 * mp.pi / 7 * mp.exp(glog)
         assert abs(val - expect) < ctx.eps(15) * expect
+
+
+_PRIMES_3MOD4 = [p for p in range(7, 200, 4) if is_prime(p)]
+
+
+# each precision's list ends in a class whose period the closed form would
+# round differently if it skipped one of the direct path's roundings:
+# (1, 1, 150) at p = 599 if it rounded a real Delta's square, (7, 5, 12)
+# at p = 311 if it took the square root unrounded, (6, 1, 15) at p = 359
+# if it rounded the square to nearest rather than down
+@pytest.mark.parametrize("prec, primes", [(30, _PRIMES_3MOD4), (60, _PRIMES_3MOD4 + [599]),
+                                          (120, _PRIMES_3MOD4 + [311]),
+                                          (300, _PRIMES_3MOD4[:8] + [359])],
+                         ids=["30", "60", "120", "300"])
+def test_class_periods_are_the_direct_periods_to_the_last_bit(prec, primes):
+    # each period from the closed form equals the expression on the complex
+    # delta_lattice value, (|Delta(a)| / p^3)^(1/6) a sqrt(p), exactly: the
+    # text report of periods prints the digits agreed by the sum of their
+    # logs, which moves with the last bit of any one of them
+    ctx = PrecisionContext(prec)
+    for p in primes:
+        group, periods = class_periods(p, ctx)
+        assert list(group) == list(reduced_forms(p))
+        with ctx.workprec():
+            for f, val in zip(group, periods):
+                delta = delta_lattice(form_to_lattice(f, ctx), ctx)
+                direct = mp.power(abs(delta) / p ** 3, mp.mpf(1) / 6) * f.a * mp.sqrt(p)
+                assert val == direct == period_integral(f, p, ctx), (p, f.tuple())
+
+
+@pytest.mark.parametrize("prec", [30, 120])
+def test_cs_verify_lhs_is_the_sum_of_direct_pairs_to_the_last_bit(prec):
+    # only the principal pair is two delta_lattice values; the other classes'
+    # closed form, rounded where the direct product is, gives the same sum
+    ctx = PrecisionContext(prec)
+    for d in range(3, 201):
+        if not is_fundamental(d):
+            continue
+        with ctx.workprec():
+            direct = mp.mpf(0)
+            for f in reduced_forms(d):
+                direct += log_delta_pair(f, ctx)
+        assert cs_verify(d, ctx).lhs == direct, d
 
 
 def test_period_integral_domain():

@@ -9,7 +9,7 @@ from mpmath import mp
 from cmperiods import numkernel
 from cmperiods.errors import DomainError, PoleError, PrecisionError
 from cmperiods.numkernel import (Lattice, PrecisionContext, delta_lattice, delta_q_terms,
-                                 hurwitz_zeta, log_gamma, to_mpf)
+                                 delta_norm, hurwitz_zeta, log_gamma, to_mpf)
 from cmperiods.quadforms import (form_to_lattice, inverse_ideal_lattice, is_fundamental,
                                   reduced_forms)
 
@@ -489,6 +489,43 @@ def test_delta_q_terms_float_bound_against_mpf(target):
                 exact = int(mp.ceil((mp.dps + 10) * numkernel._LN10 / (2 * mp.pi * im_tau))) + 1
                 got = delta_q_terms(im_tau, mp.dps)
             assert exact <= got <= exact + 1, (d, f.tuple(), exact, got)
+
+
+_DELTA_NORM_CASES = ([(target, d) for target in (60, 300) for d in _FUNDAMENTAL_200]
+                     + [(60, 1999), (60, 9995), (1000, 23), (1000, 199)])
+
+
+@pytest.mark.parametrize("target,d", _DELTA_NORM_CASES,
+                         ids=[f"{t}-{d}" for t, d in _DELTA_NORM_CASES])
+def test_delta_norm_against_pair_and_qp(target, d):
+    # every reduced form's Delta(a) Delta(a^-1) in closed form, against two
+    # values at the tau that form_to_lattice builds (sqrt(d) and the
+    # division by 2a rounded at working precision): mpmath's q-Pochhammer
+    # prod (1 - q^n) = qp(q) at working + 20 digits, and the product of the
+    # two delta_lattice values of the form's and the inverse ideal's
+    # lattice, taken at the ten digits past working precision that
+    # delta_lattice carries.  Logs are compared, whose error scales with
+    # their largest term, size = 1 + 2 pi sqrt(d)/a
+    ctx = PrecisionContext(target)
+    work = ctx.working_digits
+    with ctx.workprec():
+        sqrt_d = mp.sqrt(d)
+    for f in reduced_forms(d):
+        tau = form_to_lattice(f, ctx).tau
+        with ctx.workprec(10):
+            got = mp.log(delta_norm(f, sqrt_d, ctx))
+            pair = mp.log(delta_lattice(form_to_lattice(f, ctx), ctx)
+                          * delta_lattice(inverse_ideal_lattice(f, ctx), ctx))
+        with mp.workdps(work + 20):
+            q = mp.expjpi(2 * tau)
+            ref = mp.log(abs((2 * mp.pi) ** 12 * q * mp.qp(q) ** 24) ** 2 / f.a ** 12)
+            size = 1 + 2 * mp.pi * sqrt_d / f.a
+            # both kernels carry 10 digits past working precision and
+            # round each term there: either may lose one of them (the
+            # worst seen is 0.39 units of 10^-(work + 10) size against
+            # qp, 0.66 against the pair)
+            assert abs(got - ref) < mp.mpf(10) ** -(work + 9) * size, f.tuple()
+            assert abs(got - pair) < mp.mpf(10) ** -(work + 9) * size, f.tuple()
 
 
 @settings(max_examples=30, deadline=None)
