@@ -32,13 +32,10 @@ The kernels and their arguments:
   (40 lattices, built before timing); the cold call is the first of them;
 - ``numkernel.delta_norm``, Delta(a) Delta(a^-1) from one pentagonal
   series, rounded to working precision and its log taken, as
-  ``cs_verify`` takes each class's term, per class over every reduced
-  form a of the same discriminants (20 classes, sqrt(d) taken before
-  timing, as ``cs_verify`` takes it once per discriminant); the cold
-  call is the first of them.  A tree without ``delta_norm`` is timed on
-  ``csperiods.log_delta_pair``, the two ``delta_lattice`` values, their
-  lattices and the log that it replaces for each class but the
-  principal one;
+  ``csperiods.log_delta_pair`` takes each class's term, per class over
+  every reduced form a of the same discriminants (20 classes, sqrt(d)
+  taken before timing, as ``cs_verify`` takes it once per
+  discriminant); the cold call is the first of them;
 - ``lseries.character_gamma_sum`` per sum, sum eps(a) log Gamma(a/d)
   over 0 < a < d, at d in 123, 139, 163 and 199, the log Gamma memo
   cleared as for ``log_gamma``, so that a sum that reads it computes its
@@ -71,9 +68,9 @@ least this bench resolves at 60 digits.  At 300 digits a pass of the
 slower kernels takes longer than PASS_SECONDS, so they get MIN_PASSES.
 Only public names are used (``log_gamma`` and its ``cache_clear``,
 ``delta_lattice``, ``delta_norm``, ``PrecisionContext``,
-``character_gamma_sum`` from ``lseries``, ``log_delta_pair`` from
-``csperiods``, ``psi_M``, and ``reduced_forms``, ``form_to_lattice`` and
-``inverse_ideal_lattice`` from ``quadforms``), and ``epstein._e1`` or
+``character_gamma_sum`` from ``lseries``, ``psi_M``, and
+``reduced_forms``, ``form_to_lattice`` and ``inverse_ideal_lattice``
+from ``quadforms``), and ``epstein._e1`` or
 its predecessor, so any two versions of the kernels compare.  The script
 is not under ``tests/`` and tier-1 does not collect it.
 """
@@ -138,16 +135,13 @@ kernel, fresh = delta_lattice, lambda: None
 args = [lat(f, ctx) for d in %r for f in reduced_forms(d)
         for lat in (form_to_lattice, inverse_ideal_lattice)]
 """ % (DISCS,)),
-    "delta_norm": ("numkernel.delta_norm, rounded and its log, per class, d in %s "
-                   "(csperiods.log_delta_pair on a tree without it), ms"
+    "delta_norm": ("numkernel.delta_norm, rounded and its log, per class, d in %s, ms"
                    % ", ".join(map(str, DISCS)), """
 from mpmath import mp
-from cmperiods import numkernel
-from cmperiods.csperiods import log_delta_pair
-norm = getattr(numkernel, "delta_norm", None)
+from cmperiods.numkernel import delta_norm
 def kernel(x, ctx):
     with ctx.workprec():
-        return mp.log(+norm(*x, ctx)) if norm else log_delta_pair(x[0], ctx)
+        return mp.log(+delta_norm(*x, ctx))
 fresh = lambda: None
 with ctx.workprec():
     args = [(f, mp.sqrt(d)) for d in %r for f in reduced_forms(d)]

@@ -21,16 +21,17 @@ the same requests, in one fresh interpreter with that directory first on
   prints each class's period to 30 digits and the digits agreed by the
   sum of their logs, so these bytes may not move at all;
 - ``kronecker --json`` over every class of d = 3, 4, 7, 8, 23, 47, 71
-  and 163 at 30, 60 and 120 digits, and of d = 7 and 23 at 300;
+  and 163 at 30, 60 and 120 digits, of d = 7 and 23 at 300, and of
+  d = 3, 4 and 7 at 600;
 - ``verify-cs --json`` for every fundamental d <= 200 (62 values) at 30
   and 120 digits, for d = 23, 163 and 199 at 300, for d = 23 and 163
   at 600, for d = 199 at 1000, and for d = 1999 at 300 and 600 and
   d = 9995 at 60 and 300, where the character moments of the folded
-  log-Gamma sum are longest (h(-9995) = 40 classes, 39 of them by
+  log-Gamma sum are longest (h(-9995) = 40 classes, all 40 by
   ``delta_norm``);
 - ``faltings --json`` at p = 163 at 600 digits, and ``periods --json`` at
-  p = 199 at 1000 digits: the pentagonal series of ``delta_lattice``
-  gains most there;
+  p = 199 at 1000 digits: the pentagonal series of ``delta_norm`` is
+  longest there;
 - ``hecke --prec 60 --json`` on every reduced form (a, b, c) of every
   prime p = 3 mod 4 from 7 to 1019 (87 primes, 851 forms) and on its
   translate (a, b + 2a, a + b + c), which is the same class but not
@@ -41,7 +42,7 @@ the same requests, in one fresh interpreter with that directory first on
   forks, and ``--threads`` must not change a byte;
 - every golden request of ``tests/test_cli.py`` (``GOLDEN_RUNS``);
 
-3,218 requests in all, 26 of them from the ``kronecker`` list, 134
+3,221 requests in all, 29 of them from the ``kronecker`` list, 134
 from the ``verify-cs`` list, 46 from the text ``periods`` list and
 1,702 from the ``hecke`` list.
 
@@ -86,6 +87,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PRECS = (30, 60, 120)
 PERIODS_TEXT_PRECS = (60, 120)  # periods without --json
 KRONECKER_DS = (3, 4, 7, 8, 23, 47, 71, 163)
+KRONECKER_HIGH = ((7, 300), (23, 300), (3, 600), (4, 600), (7, 600))  # (d, digits)
 VERIFY_CS_PRECS = (30, 120)
 VERIFY_CS_300 = (23, 163, 199)
 VERIFY_CS_600 = (23, 163)
@@ -172,7 +174,8 @@ def requests() -> list[list[str]]:
             for prec in PERIODS_TEXT_PRECS for p in _primes_3mod4(7, 199)]
     out += [["kronecker", "--d", str(d), "--prec", str(prec), "--json"]
             for prec in PRECS for d in KRONECKER_DS]
-    out += [["kronecker", "--d", str(d), "--prec", "300", "--json"] for d in (7, 23)]
+    out += [["kronecker", "--d", str(d), "--prec", str(prec), "--json"]
+            for d, prec in KRONECKER_HIGH]
     out += [["verify-cs", "--d", str(d), "--prec", str(prec), "--json"]
             for prec in VERIFY_CS_PRECS for d in _fundamental(200)]
     out += [["verify-cs", "--d", str(d), "--prec", "300", "--json"] for d in VERIFY_CS_300]

@@ -61,10 +61,10 @@ def _cmd_verify_cs(args, ctx):
     return [cs_verify(args.d, ctx)], []
 
 
-def _kronecker_class(disc, i, f, ctx):
+def _kronecker_class(disc, i, f, sqrt_d, ctx):
     jet = epstein_jet(f, ctx)
     with ctx.workprec():
-        rhs = -log_delta_pair(f, ctx) / 12
+        rhs = -log_delta_pair(f, sqrt_d, ctx) / 12
     return make_report(f"kronecker-limit d={disc.d} class={i}",
                        {"d": disc.d, "class": i, "form": list(f.tuple())},
                        jet.deriv, rhs, ctx)
@@ -79,7 +79,9 @@ def _cmd_kronecker(args, ctx):
         if not 0 <= args.class_index < len(forms):
             raise DomainError(f"--class must be in 0..{len(forms) - 1} for d={disc.d}")
         picked = [(args.class_index, forms[args.class_index])]
-    return [_kronecker_class(disc, i, f, ctx) for i, f in picked], []
+    with ctx.workprec():
+        sqrt_d = mp.sqrt(disc.d)
+    return [_kronecker_class(disc, i, f, sqrt_d, ctx) for i, f in picked], []
 
 
 def _periods(p, ctx):

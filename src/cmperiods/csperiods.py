@@ -12,19 +12,18 @@ The lattice of a^-1 is Z + Z(-conj tau) when that of a is
 a(Z + Z tau), so Delta(a^-1) = a^12 conj Delta(a) and each term on the
 left is the real a^12 |Delta(a)|^2 (Weil, *Elliptic Functions according
 to Eisenstein and Kronecker*): ``numkernel.delta_norm`` takes it from
-one pentagonal series per class, and the same number gives the class's
-period (|Delta(a)| / p^3)^(1/6) a sqrt(p)
-(``class_periods``).  Taken for every class, that identity would leave
-nothing to check on the left but its size, so ``cs_verify`` computes
-the principal class's pair directly, as the product of two
-``delta_lattice`` values (``log_delta_pair``), and refuses it unless it
-is positive real: h + 1 series per discriminant in place of 2h.
+one pentagonal series per class, for ``cs_verify`` and the Kronecker
+limit formula (``log_delta_pair``), and the same number gives the
+class's period (|Delta(a)| / p^3)^(1/6) a sqrt(p) (``class_periods``).
 
-The closed form is evaluated at the lattice point the direct product
-uses and carries the same ten digits past working precision, and each
-value is rounded to working precision where the direct path rounds it
-(the pair before its log, |Delta(a)| as ``abs`` rounds a complex
-number), so every sum, and every printed digit, is the direct one.
+``numkernel.delta_lattice`` and the lattice builders of ``quadforms``
+compute Delta(a) and Delta(a^-1) one at a time; no check runs them,
+and the tests keep them as the oracle of the closed form.  The closed
+form is evaluated at the lattice point they use and carries the same
+ten digits past working precision, and each value is rounded to
+working precision where the direct path rounds it (the pair before its
+log, |Delta(a)| as ``abs`` rounds a complex number), so every sum, and
+every printed digit, is the direct one.
 """
 
 from __future__ import annotations
@@ -38,9 +37,8 @@ from mpmath.libmp import mpf_pos, round_down
 
 from .errors import ConsistencyError, DomainError
 from .lseries import character_gamma_sum, dirichlet_jet
-from .numkernel import PrecisionContext, delta_lattice, delta_norm, error_digits
-from .quadforms import (Discriminant, QuadForm, class_number_dirichlet,
-                        form_to_lattice, inverse_ideal_lattice, reduced_forms)
+from .numkernel import PrecisionContext, delta_norm, error_digits
+from .quadforms import Discriminant, QuadForm, class_number_dirichlet, reduced_forms
 
 
 @dataclass(frozen=True)
@@ -95,16 +93,15 @@ def unrecognized_report(name: str, inputs: dict, lhs) -> IdentityReport:
     return IdentityReport(name, inputs, lhs, "unrecognized", 0, False)
 
 
-def log_delta_pair(f: QuadForm, ctx: PrecisionContext):
-    """log(Delta(a) Delta(a^-1)) for the class a of f; ConsistencyError unless positive real."""
+def log_delta_pair(f: QuadForm, sqrt_d, ctx: PrecisionContext):
+    """log(Delta(a) Delta(a^-1)) for the class a of f, sqrt_d = sqrt(-f.disc).
+
+    The pair from ``delta_norm`` is rounded to working precision, where
+    the direct path rounds the product of two ``delta_lattice`` values,
+    and then its log is taken.
+    """
     with ctx.workprec():
-        z = (delta_lattice(form_to_lattice(f, ctx), ctx)
-             * delta_lattice(inverse_ideal_lattice(f, ctx), ctx))
-        im_tol = mp.mpf(10) ** (5 - ctx.target_digits)
-        if not (abs(mp.im(z)) <= im_tol * abs(z) and mp.re(z) > 0):
-            raise ConsistencyError(
-                f"Delta(a) Delta(a^-1) is not positive real for {f.tuple()}")
-        return mp.log(mp.re(z))
+        return mp.log(+delta_norm(f, sqrt_d, ctx))
 
 
 def cs_verify(d, ctx: PrecisionContext) -> IdentityReport:
@@ -114,11 +111,7 @@ def cs_verify(d, ctx: PrecisionContext) -> IdentityReport:
     group = reduced_forms(disc)
     with ctx.workprec():
         sqrt_d = mp.sqrt(d)
-        lhs = log_delta_pair(group.principal, ctx)
-        for f in group.forms[1:]:
-            # rounded to working precision before its log, as
-            # log_delta_pair rounds its product
-            lhs += mp.log(+delta_norm(f, sqrt_d, ctx))
+        lhs = sum((log_delta_pair(f, sqrt_d, ctx) for f in group), mp.mpf(0))
         rhs = (12 * group.h * mp.log(2 * mp.pi / d)
                + 6 * disc.w * character_gamma_sum(disc, ctx))
     return make_report(f"chowla-selberg d={d}", {"d": d}, lhs, rhs, ctx)

@@ -29,12 +29,12 @@ shift point N = ceil(1.2 dps) (Brent and Zimmermann, *Modern Computer
 Arithmetic*, ch. 4), from one run of Stirling's series at z = N in fixed
 point, on Python integers scaled by 2^(prec + 20): each term is carried
 from the last by a ratio c_k / c_(k-1) of its coefficients
-B_2k / (2k (2k-1)), kept per precision, and 1/z^2, two integer
-multiplications.  ``log_gamma`` sums the table at |t| <= 1/2 by Horner's
-rule and takes off the log of an exact shift product; the folded
-character sum of ``lseries`` reads the odd coefficients about a small
-point J (``_log_gamma_odd``), the table's values at N plus exact finite
-sums over J <= j < N.
+B_2k / (2k (2k-1)) and 1/z^2, two integer multiplications.
+``log_gamma`` sums the table at |t| <= 1/2 by Horner's rule and takes
+off the log of an exact shift product; the folded character sum of
+``lseries`` reads the odd coefficients about a small point J
+(``_log_gamma_odd``), the table's values at N plus exact finite sums
+over J <= j < N.
 
 The discriminant sums prod (1 - q^n) as Euler's pentagonal series
 sum_k (-1)^k q^(k(3k-1)/2) (1 + q^k) (Hardy and Wright, section 19.9),
@@ -46,7 +46,8 @@ precision.  q itself is e^(i pi 2tau) (``mp.expjpi``), whose argument
 is reduced mod 2 exactly, with no multiple of pi to cancel.
 ``delta_norm`` sums the same series (``_euler_series``) for
 Delta(a) Delta(a^-1) = a^-12 |Delta(tau)|^2, in real numbers: the norm
-of the sum and of q, and no complex 24th power.
+of the sum and of q, and no complex 24th power.  Every check runs
+``delta_norm``; ``delta_lattice`` is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ _EM_TERM_CAP = 100000  # the Euler-Maclaurin series turns and grows long before
 _LOG_GAMMA_MEMO = 8192
 # the largest argument of log_gamma: the smallest shift point N
 _LOG_GAMMA_MAX = 60
-# Stirling coefficient tables kept, one per binary working precision
+# tables kept, one per binary working precision: the Taylor tables of
+# log Gamma and (2 pi)^12
 _STIRLING_TABLES = 16
 # bits carried below the working precision by the fixed-point loops of
 # Stirling's series, the pentagonal series of Delta and epstein's
@@ -156,19 +158,6 @@ def error_digits(err) -> int:
 
 
 @lru_cache(maxsize=_STIRLING_TABLES)
-def _stirling_coefficients(prec):
-    """Ratios c_k / c_(k-1) of c_k = B_2k / (2k (2k-1)), keyed by k >= 2.
-
-    Each is an integer scaled by 2^(prec + _GUARD_BITS), the scale of
-    ``_stirling_terms`` at binary precision prec.  Filled lazily up
-    to the largest k used so far: the series stops far below its 4*dps
-    cap, and building that many Bernoulli numbers up front takes seconds
-    at 300 digits.
-    """
-    return {}
-
-
-@lru_cache(maxsize=_STIRLING_TABLES)
 def _two_pi_pow12(prec):
     """(2 pi)^12, the constant of the discriminant's q-series, at binary precision prec."""
     return (2 * mp.pi) ** 12
@@ -197,7 +186,6 @@ def _stirling_terms(z, limit):
     the scale while c_k grows.
     """
     wp = mp.prec + _GUARD_BITS
-    ratios = _stirling_coefficients(mp.prec)
     inv_z2 = (1 << wp) // (z * z)
     term = (1 << wp) // (12 * z)
     for k in range(2, 4 * mp.dps + 1):
@@ -205,10 +193,7 @@ def _stirling_terms(z, limit):
         smallest = abs(term)
         if smallest < limit:
             return
-        r = ratios.get(k)
-        if r is None:
-            r = ratios[k] = _stirling_ratio(k, wp)
-        term = (term * r >> wp) * inv_z2 >> wp
+        term = (term * _stirling_ratio(k, wp) >> wp) * inv_z2 >> wp
         if abs(term) >= smallest:
             break  # the series has turned: no later term is smaller
     # the smallest term bounds the best this series can do at z
@@ -547,10 +532,13 @@ def delta_norm(f, sqrt_d, ctx: PrecisionContext):
         a^-12 |Delta(tau)|^2 = (2 pi)^24 |q|^2 |E(q)|^48 / a^12,
 
     |E(q)|^2 the norm e_re^2 + e_im^2 of the Gaussian integer of
-    ``_euler_series``: no complex 24th power and no log.  q and the
-    series are the ones ``delta_lattice`` sums for the lattice of a, so
-    the value is the product of the two ``delta_lattice`` values to the
-    ten digits past working precision that both carry, and it is
+    ``_euler_series``: no complex 24th power and no log.  It is the one
+    Delta kernel the checks run: Chowla-Selberg and the Kronecker limit
+    formula take the log of the pair (``csperiods.log_delta_pair``), the
+    periods its square root over a^12.  q and the series are the ones
+    ``delta_lattice`` sums for the lattice of a, so the value is the
+    product of the two ``delta_lattice`` values, the tests' oracle, to
+    the ten digits past working precision that both carry, and it is
     returned at that precision for the caller to round.
     """
     with ctx.workprec():

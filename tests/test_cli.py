@@ -8,7 +8,7 @@ from mpmath import mp
 
 from cmperiods import cli, csperiods, epstein, numkernel
 from cmperiods.arith import is_prime
-from cmperiods.errors import ConsistencyError, PrecisionError
+from cmperiods.errors import PrecisionError
 from cmperiods.quadforms import Discriminant, class_number
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -129,42 +129,25 @@ def test_kronecker_precision_failure_reports_digits(capsys, monkeypatch):
     assert re.search(r"continued fraction stalled \(achieved \d+ digits\)", err)
 
 
-@pytest.mark.parametrize("command", ["kronecker", "verify-cs"])
-def test_delta_pair_must_be_positive_real(capsys, monkeypatch, command):
-    # Delta(a) Delta(a^-1) is positive real; turning each factor by i
-    # makes it negative real, which both identities must refuse
-    real = csperiods.delta_lattice
-    monkeypatch.setattr(csperiods, "delta_lattice", lambda lat, ctx: 1j * real(lat, ctx))
-    code, out, err = run(capsys, command, "--d", "7", "--prec", "60")
-    assert (code, out) == (1, "")
-    assert err.startswith("identity violation: Delta(a) Delta(a^-1) is not positive real")
+DELTA_SIDE_RUNS = [("verify-cs", "--d", "chowla-selberg d=7"),
+                   ("kronecker", "--d", "kronecker-limit d=7 class=0"),
+                   ("periods", "--p", "period-product p=7"),
+                   ("faltings", "--p", "faltings-height p=7")]
 
 
-@pytest.mark.parametrize("d", [4, 7, 23, 199])
-def test_principal_pair_is_checked_not_assumed(capsys, monkeypatch, d):
-    # only the principal class's pair is two delta_lattice values; turning
-    # the inverse lattice's one by 10^-30 radians leaves Delta(a) Delta(a^-1)
-    # off the real axis by 10^25 times the 10^-55 it allows at 60 digits,
-    # and a check that took the pair's closed form for every class would
-    # not see it
-    real_inverse, real_delta = csperiods.inverse_ideal_lattice, csperiods.delta_lattice
-    inverse = []
-
-    def marked_inverse(f, ctx):
-        inverse.append(real_inverse(f, ctx))
-        return inverse[-1]
-
-    def turned_delta(lat, ctx):
-        val = real_delta(lat, ctx)
-        return val * mp.expj(mp.mpf(10) ** -30) if any(lat is m for m in inverse) else val
-
-    monkeypatch.setattr(csperiods, "inverse_ideal_lattice", marked_inverse)
-    monkeypatch.setattr(csperiods, "delta_lattice", turned_delta)
-    with pytest.raises(ConsistencyError, match="not positive real"):
-        csperiods.cs_verify(d, numkernel.PrecisionContext(60))
-    code, out, err = run(capsys, "verify-cs", "--d", str(d), "--prec", "60")
-    assert (code, out) == (1, "")
-    assert err.startswith("identity violation: Delta(a) Delta(a^-1) is not positive real")
+@pytest.mark.parametrize("command, flag, check", DELTA_SIDE_RUNS,
+                         ids=[cmd for cmd, _, _ in DELTA_SIDE_RUNS])
+def test_identity_fails_when_the_delta_side_is_off(capsys, monkeypatch, command, flag, check):
+    # every command reads Delta(a) Delta(a^-1) from delta_norm; off by
+    # 10^-30 relative, the Delta side of each identity misses its other
+    # side by far more than the 10^-40 allowed at 60 digits
+    real = csperiods.delta_norm
+    monkeypatch.setattr(csperiods, "delta_norm",
+                        lambda *args: real(*args) * (1 + mp.mpf(10) ** -30))
+    code, out, err = run(capsys, command, flag, "7", "--prec", "60", "--json")
+    [row] = json.loads(out)
+    assert (code, err) == (1, "")
+    assert row["check"] == check and row["pass"] is False
 
 
 def count_delta_lattice(monkeypatch):
@@ -181,21 +164,20 @@ def count_delta_lattice(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("d", [7, 23, 199, 1999])
-def test_verify_cs_computes_one_direct_pair(capsys, monkeypatch, d):
-    # h + 1 series per discriminant: the principal pair directly, the
-    # other h - 1 classes by one series each, none of them delta_lattice
-    calls = count_delta_lattice(monkeypatch)
-    assert run(capsys, "verify-cs", "--d", str(d), "--prec", "30")[0] == 0
-    assert len(calls) == 2
+NO_DELTA_LATTICE_RUNS = [*(("verify-cs", "--d", d) for d in (7, 23, 199, 1999)),
+                         *(("kronecker", "--d", d) for d in (7, 23)),
+                         *((cmd, "--p", p) for cmd in ("periods", "faltings")
+                           for p in (7, 23, 199))]
 
 
-@pytest.mark.parametrize("command", ["periods", "faltings"])
-@pytest.mark.parametrize("p", [7, 23, 199])
-def test_periods_and_faltings_call_no_delta_lattice(capsys, monkeypatch, command, p):
-    # a period's |Delta(a)|^2 is Delta(a) Delta(a^-1) / a^12, one series per class
+@pytest.mark.parametrize("command, flag, n", NO_DELTA_LATTICE_RUNS,
+                         ids=[f"{n}-{cmd}" for cmd, _, n in NO_DELTA_LATTICE_RUNS])
+def test_periods_and_faltings_call_no_delta_lattice(capsys, monkeypatch, command, flag, n):
+    # nor does any other command: each class's Delta(a) Delta(a^-1), and
+    # a period's |Delta(a)|^2 = Delta(a) Delta(a^-1) / a^12, is one
+    # delta_norm series; delta_lattice is the tests' oracle
     calls = count_delta_lattice(monkeypatch)
-    assert run(capsys, command, "--p", str(p), "--prec", "30")[0] == 0
+    assert run(capsys, command, flag, str(n), "--prec", "30")[0] == 0
     assert calls == []
 
 
@@ -291,15 +273,13 @@ def test_fermat_request_validates_p_once(capsys, monkeypatch, rst, kind):
 def test_fermat_and_verify_cs_share_one_stirling_table(capsys):
     # the Tate certificate's log_gamma and the folded character sum of
     # verify-cs read one Taylor table of log Gamma per precision, so the
-    # two requests at one --prec run one Stirling loop on one ratio table
+    # two requests at one --prec run one Stirling loop
     from cmperiods import numkernel
-    for cache in (numkernel._stirling_coefficients, numkernel._log_gamma_taylor,
-                  numkernel._log_gamma_odd, numkernel.log_gamma):
+    for cache in (numkernel._log_gamma_taylor, numkernel._log_gamma_odd, numkernel.log_gamma):
         cache.cache_clear()
     for argv in (["fermat", "--p", "7", "--rst", "1,1,5"], ["verify-cs", "--d", "7"]):
         code, _, _ = run(capsys, "--json", "--prec", "45", *argv)
         assert code == 0
-    assert numkernel._stirling_coefficients.cache_info().currsize == 1
     assert numkernel._log_gamma_taylor.cache_info().currsize == 1
 
 
@@ -479,7 +459,7 @@ assert cli._cs_worker is tracing.traced_cs_worker
 assert cli.ProcessPoolExecutor is tracing.TracedPool
 requests = [
     (["verify-cs", "--d", "7"], {"csperiods.cs_verify", "csperiods.make_report",
-                                 "numkernel.delta_lattice", "quadforms.reduced_forms"}),
+                                 "quadforms.reduced_forms"}),
     (["fermat", "--p", "7", "--rst", "1,1,5"], {
         "fermat.cm_type", "fermat.tate_twist_certificate", "fermat.beta_period",
         "csperiods.m_invariant", "csperiods.make_report", "relint.recognize_rational",

@@ -1,16 +1,19 @@
+from argparse import Namespace
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+from cmperiods import cli
 from cmperiods.arith import is_prime
 from cmperiods.csperiods import (class_periods, cs_verify, exact_report, faltings_height_L,
-                                 faltings_height_periods, log_delta_pair, m_invariant,
-                                 make_report, period_integral, unrecognized_report)
+                                 faltings_height_periods, m_invariant, make_report,
+                                 period_integral, unrecognized_report)
 from cmperiods.errors import DomainError
 from cmperiods.numkernel import PrecisionContext, delta_lattice, log_gamma
 from cmperiods.quadforms import (Discriminant, QuadForm, class_number, class_number_dirichlet,
-                                  form_to_lattice, is_fundamental, reduced_forms)
+                                  form_to_lattice, inverse_ideal_lattice, is_fundamental,
+                                  reduced_forms)
 
 
 def test_make_report_thresholds(ctx):
@@ -89,10 +92,19 @@ def test_class_periods_are_the_direct_periods_to_the_last_bit(prec, primes):
                 assert val == direct == period_integral(f, p, ctx), (p, f.tuple())
 
 
+def direct_log_pair(f, ctx):
+    """log(Delta(a) Delta(a^-1)) from the two delta_lattice values, rounded to working precision."""
+    with ctx.workprec():
+        z = (delta_lattice(form_to_lattice(f, ctx), ctx)
+             * delta_lattice(inverse_ideal_lattice(f, ctx), ctx))
+        return mp.log(mp.re(z))
+
+
 @pytest.mark.parametrize("prec", [30, 120])
 def test_cs_verify_lhs_is_the_sum_of_direct_pairs_to_the_last_bit(prec):
-    # only the principal pair is two delta_lattice values; the other classes'
-    # closed form, rounded where the direct product is, gives the same sum
+    # each class's pair is one delta_norm series, rounded where the product
+    # of the two delta_lattice values is: the sum of logs and each
+    # Kronecker row's -log(pair)/12 are the direct ones to the last bit
     ctx = PrecisionContext(prec)
     for d in range(3, 201):
         if not is_fundamental(d):
@@ -100,8 +112,13 @@ def test_cs_verify_lhs_is_the_sum_of_direct_pairs_to_the_last_bit(prec):
         with ctx.workprec():
             direct = mp.mpf(0)
             for f in reduced_forms(d):
-                direct += log_delta_pair(f, ctx)
+                direct += direct_log_pair(f, ctx)
         assert cs_verify(d, ctx).lhs == direct, d
+    for d in (3, 4, 7, 8, 23, 47, 71, 163):
+        reports, _ = cli._cmd_kronecker(Namespace(d=d, class_index=None), ctx)
+        for f, rep in zip(reduced_forms(d), reports, strict=True):
+            with ctx.workprec():
+                assert rep.rhs == -direct_log_pair(f, ctx) / 12, (d, f.tuple())
 
 
 def test_period_integral_domain():

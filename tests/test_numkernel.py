@@ -161,9 +161,10 @@ def test_log_gamma_miss_runs_no_stirling_loop(monkeypatch):
 
 
 def test_stirling_table_kept_per_precision():
-    # each working precision has its own coefficient table, so a table
-    # filled at 60 digits is never read at 300, nor the other way round
-    numkernel._stirling_coefficients.cache_clear()
+    # each working precision has its own Taylor tables, so a table built
+    # at 60 digits is never read at 300, nor the other way round
+    numkernel._log_gamma_taylor.cache_clear()
+    numkernel._log_gamma_odd.cache_clear()
     for target in (60, 300, 60, 300):
         log_gamma.cache_clear()
         ctx = PrecisionContext(target)
