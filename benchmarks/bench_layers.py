@@ -49,6 +49,11 @@ The kernels and their arguments:
   continued fraction (x = 40.5 and 90) and the series (x = 10 and
   39.5); the cold call is the first x.  A tree without ``_e1`` is timed
   on ``_upper_gamma(0, x, e^-x)``, the same loops at s = 0;
+- ``csperiods.make_report`` per call, on lhs = 1/7 and rhs = lhs (1 +
+  10^-j) at j = 1, 4, 7, ... up to ten past working digits, so that
+  every count of digits agreed is met and the last few rows agree to
+  all of them; the cold call, at j = 1, also pays for whatever the
+  digits count builds at that precision;
 - ``heckechar.psi_M`` over every reduced form of p = 1019 (13 classes),
   at 60 digits only, since it computes in exact integers: h - 1
   ``ideal_product`` steps and one form reduction per call; the cold
@@ -68,7 +73,8 @@ least this bench resolves at 60 digits.  At 300 digits a pass of the
 slower kernels takes longer than PASS_SECONDS, so they get MIN_PASSES.
 Only public names are used (``log_gamma`` and its ``cache_clear``,
 ``delta_lattice``, ``delta_norm``, ``PrecisionContext``,
-``character_gamma_sum`` from ``lseries``, ``psi_M``, and
+``character_gamma_sum`` from ``lseries``, ``make_report`` from
+``csperiods``, ``psi_M``, and
 ``reduced_forms``, ``form_to_lattice`` and ``inverse_ideal_lattice``
 from ``quadforms``), and ``epstein._e1`` or
 its predecessor, so any two versions of the kernels compare.  The script
@@ -171,6 +177,16 @@ for name, regime, points in (("e1_cf", "continued fraction", ("40.5", "90")),
                              ("e1_series", "series", ("10", "39.5"))):
     WORKERS[name] = ("epstein._e1 per call, %s, x in %s, at target + 10 digits, ms"
                      % (regime, ", ".join(points)), E1 % (points,))
+
+WORKERS["make_report"] = ("csperiods.make_report per call, rel_err 10^-j, "
+                          "j = 1, 4, ... to working digits + 10, ms", """
+from mpmath import mp
+from cmperiods.csperiods import make_report
+kernel, fresh = (lambda x, ctx: make_report("x", {}, *x, ctx)), lambda: None
+with ctx.workprec():
+    args = [(mp.mpf(1) / 7, mp.mpf(1) / 7 * (1 + mp.mpf(10) ** -j))
+            for j in range(1, ctx.working_digits + 11, 3)]
+""")
 
 WORKERS["psi_M"] = ("heckechar.psi_M per call over the reduced forms of p = %d, ms" % PSI_P, """
 from cmperiods.heckechar import psi_M

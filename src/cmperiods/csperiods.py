@@ -70,15 +70,16 @@ def _side_text(x, ctx):
 def make_report(name: str, inputs: dict, lhs, rhs, ctx: PrecisionContext) -> IdentityReport:
     """Compare two numbers by relative error.
 
-    digits_agreed is floor(-log10(rel_err)), at most working digits;
-    passing means agreement to target - 20 digits.
+    digits_agreed is floor(-log10(rel_err)), exact (``error_digits``),
+    at most working digits; the check passes when digits_agreed >=
+    target - 20, one rule for both fields.
     """
     with ctx.workprec():
         abs_err = abs(lhs - rhs)
         scale = max(abs(lhs), abs(rhs))
         rel_err = abs_err / scale if scale > 0 else abs_err
         digits = min(ctx.working_digits, error_digits(rel_err)) if rel_err else ctx.working_digits
-        passed = rel_err < mp.mpf(10) ** (20 - ctx.target_digits)
+        passed = digits >= ctx.target_digits - 20
         return IdentityReport(name, inputs, +lhs, +rhs, digits, passed)
 
 

@@ -27,14 +27,19 @@ log Gamma is evaluated in one place: ``_log_gamma_taylor`` keeps, per
 working precision, the Taylor coefficients of log Gamma(N + t) about the
 shift point N = ceil(1.2 dps) (Brent and Zimmermann, *Modern Computer
 Arithmetic*, ch. 4), from one run of Stirling's series at z = N in fixed
-point, on Python integers scaled by 2^(prec + 20): each term is carried
-from the last by a ratio c_k / c_(k-1) of its coefficients
-B_2k / (2k (2k-1)) and 1/z^2, two integer multiplications.
+point, on Python integers scaled by 2^(prec + 20): each term
+c_k / z^(2k-1), c_k = B_2k / (2k (2k-1)), is one exact floor, from the
+tangent numbers T_k of one integer triangle per process (ibid., section
+4.7.2), which does not depend on the precision.
 ``log_gamma`` sums the table at |t| <= 1/2 by Horner's rule and takes
 off the log of an exact shift product; the folded character sum of
 ``lseries`` reads the odd coefficients about a small point J
 (``_log_gamma_odd``), the table's values at N plus exact finite sums
-over J <= j < N.
+over J <= j < N.  ``error_digits``, the digits an error leaves, is
+counted in integers too.  No shipped path asks mpmath for a Bernoulli
+number or a decimal log, each of which costs a fresh process a cache
+per precision; only the ``hurwitz_zeta`` oracle still reads mpmath's
+Bernoulli numbers.
 
 The discriminant sums prod (1 - q^n) as Euler's pentagonal series
 sum_k (-1)^k q^(k(3k-1)/2) (1 + q^k) (Hardy and Wright, section 19.9),
@@ -57,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
-from math import ceil, log2, log10, pi, prod
+from math import ceil, floor, log2, log10, pi, prod
 from operator import floordiv
 
 from mpmath import mp
@@ -75,7 +80,12 @@ __all__ = [
 ]
 
 _LN10 = 2.302585092994046
+_LOG10_2 = 0.30102999566398120
 _EM_TERM_CAP = 100000  # the Euler-Maclaurin series turns and grows long before
+# the tangent numbers T_1, T_2, ... of Stirling's series and the last
+# column of the triangle that gives them (``_tangent_numbers``), from T_1 = 1
+_TANGENTS = [1]
+_TANGENT_COLUMN = [1]
 # log-Gamma values kept, at a few hundred bytes each; only the fermat
 # requests fill it (see the module docstring)
 _LOG_GAMMA_MEMO = 8192
@@ -153,8 +163,24 @@ def to_mpf(x):
 
 
 def error_digits(err) -> int:
-    """Decimal digits an error of size err > 0 leaves: floor(-log10 err), at least 0."""
-    return max(0, int(-mp.log10(err)))
+    """Decimal digits an error err > 0, an mpf, leaves: floor(-log10 err), at least 0.
+
+    Exact, in integers: with err = man 2^exp, a float estimate of k is
+    moved until 10^k man <= 2^-exp < 10^(k+1) man.  Zero, a negative err,
+    inf and nan raise DomainError.
+    """
+    sign, man, exp, _ = err._mpf_
+    if sign or not man:  # zero, inf and nan have no mantissa
+        raise DomainError("error_digits requires a finite err > 0")
+    if exp >= 0:
+        return 0
+    one = 1 << -exp  # err <= 10^-k when 10^k man <= one
+    k = max(0, floor(-exp * _LOG10_2 - log10(man)))
+    while k and 10 ** k * man > one:
+        k -= 1
+    while 10 ** (k + 1) * man <= one:
+        k += 1
+    return k
 
 
 @lru_cache(maxsize=_STIRLING_TABLES)
@@ -163,39 +189,57 @@ def _two_pi_pow12(prec):
     return (2 * mp.pi) ** 12
 
 
-def _stirling_ratio(k, wp):
-    """c_k / c_(k-1) as an integer scaled by 2^wp.
+def _tangent_numbers(n):
+    """The list of the tangent numbers T_1, T_2, ..., at least n of them.
 
-    Formed at the ambient precision, where mpmath keeps its Bernoulli
-    numbers: an error relative to the ratio is one relative to the terms,
-    which are below 1/(12 z), not one on the scale 2^-wp.
+    tan x = sum_k T_k x^(2k-1) / (2k-1)!, and |B_2k| = 2k T_k / (4^k (4^k - 1)).
+    They come from Brent and Zimmermann's integer triangle (*Modern
+    Computer Arithmetic*, section 4.7.2), one column per T_k: column j
+    starts at (j - 1)!; pass i, 2 <= i <= j, takes its entry to
+    (j - i) x (entry of column j - 1 at pass i) + (j - i + 2) x (its own
+    entry at pass i - 1); and T_j is its entry at pass j.  The last
+    column is kept, so the list grows by its new columns only, O(j)
+    small-integer multiplications each, and never shrinks: one list per
+    process, for every precision.
     """
-    r = (mp.bernoulli(2 * k) / mp.bernoulli(2 * k - 2)
-         * ((2 * k - 2) * (2 * k - 3)) / ((2 * k) * (2 * k - 1)))
-    return int(mp.ldexp(r, wp))
+    column = _TANGENT_COLUMN
+    while len(_TANGENTS) < n:
+        j = len(column)  # the new column is j + 1
+        new = [j * column[0]]
+        for i in range(1, j):
+            new.append((j - i) * column[i] + (j - i + 2) * new[-1])
+        new.append(2 * new[-1])
+        column[:] = new
+        _TANGENTS.append(new[-1])
+    return _TANGENTS
 
 
 def _stirling_terms(z, limit):
     """The terms c_k / z^(2k-1), k >= 1, of Stirling's tail at an integer z > 0.
 
-    Each is an integer scaled by 2^wp, wp = prec + _GUARD_BITS; the last
-    one yielded is the first below limit on that scale, and for z > 0 the
-    remainder after a term is bounded by the next one.  Each term is
-    carried from the last: term_k = term_(k-1) * (c_k / c_(k-1)) / z^2.
-    Forming c_k / z^(2k-1) instead would let the powers of 1/z underflow
-    the scale while c_k grows.
+    c_k = B_2k / (2k (2k-1)).  Each is an integer scaled by 2^wp,
+    wp = prec + _GUARD_BITS, the exact floor of
+
+        (-1)^(k+1) T_k 2^wp / (4^k (4^k - 1) (2k - 1) z^(2k-1))
+
+    from the tangent numbers (``_tangent_numbers``); the last one yielded
+    is the first below limit on that scale, and for z > 0 the remainder
+    after a term is bounded by the next one.
     """
     wp = mp.prec + _GUARD_BITS
-    inv_z2 = (1 << wp) // (z * z)
-    term = (1 << wp) // (12 * z)
-    for k in range(2, 4 * mp.dps + 1):
+    smallest = None
+    zpow, four = z, 4  # z^(2k-1) and 4^k
+    for k in count(1):
+        num = _tangent_numbers(k)[k - 1] << wp
+        term = (num if k % 2 else -num) // (four * (four - 1) * (2 * k - 1) * zpow)
+        if smallest is not None and abs(term) >= smallest:
+            break  # the series has turned: no later term is smaller
         yield term
         smallest = abs(term)
         if smallest < limit:
             return
-        term = (term * _stirling_ratio(k, wp) >> wp) * inv_z2 >> wp
-        if abs(term) >= smallest:
-            break  # the series has turned: no later term is smaller
+        zpow *= z * z
+        four <<= 2
     # the smallest term bounds the best this series can do at z
     raise PrecisionError("Stirling series did not reach the error budget",
                          achieved_digits=error_digits(mp.mpf((smallest, -wp))))
@@ -220,7 +264,8 @@ def _log_gamma_taylor(prec):
     gives (-1)^m sum_k C(2k - 2 + m, m) s_k to N^m g_m.  With the s_k
     put at j = 2k - 2 and zeros between, that is sum_j C(j + m, m) s_j,
     the first entry of the (m + 1)-fold suffix sums (the hockey-stick
-    identity): one Stirling loop at N, then additions only.
+    identity): one Stirling loop at N, each s_k one exact floor
+    (``_stirling_terms``), then additions only.
 
     The table stops at the first m >= 2 where 2^_TAYLOR_PHI_BITS terms
     g_m t^m, |t| <= 1/2, stay below 2^-(prec + _GUARD_BITS): the later

@@ -24,6 +24,22 @@ def test_make_report_thresholds(ctx):
         assert not bad.passed
 
 
+@pytest.mark.parametrize("target", [60, 120, 300])
+def test_make_report_passes_by_its_digits(target):
+    # one rule decides both fields: rel_err at the mpf nearest
+    # 10^-(target - 20) and one unit of working precision either side
+    # (rhs = 1 - rel_err, exact, so that rel_err is the error itself)
+    ctx = PrecisionContext(target)
+    with ctx.workprec():
+        x = mp.mpf(10) ** (20 - target)
+        ulp = mp.ldexp(1, mp.mag(x) - mp.prec)
+        errs = [x, mp.fsub(x, ulp, exact=True), mp.fadd(x, ulp, exact=True)]
+        reps = [make_report("x", {}, mp.mpf(1), mp.fsub(1, e, exact=True), ctx) for e in errs]
+    assert {rep.passed for rep in reps} == {True, False}
+    for rep in reps:
+        assert rep.passed == (rep.digits_agreed >= target - 20)
+
+
 def test_report_row(ctx):
     rep = cs_verify(Discriminant(7), ctx)
     row = rep.row(ctx)

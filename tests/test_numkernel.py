@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import count
+from math import floor
 
 import mpmath
 import pytest
@@ -235,6 +237,86 @@ def test_stirling_shortfall_reports_smallest_term():
         with pytest.raises(PrecisionError) as err:
             list(numkernel._stirling_terms(5, 1))
     assert err.value.achieved_digits == 14
+
+
+def _bernoulli(n):
+    return Fraction(*map(int, mpmath.bernfrac(n)))
+
+
+def test_tangent_numbers_give_bernoulli_numbers():
+    # |B_2k| = 2k T_k / (4^k (4^k - 1)), B_2k of sign (-1)^(k+1), exactly
+    tangents = numkernel._tangent_numbers(60)
+    for k in range(1, 61):
+        got = Fraction((-1) ** (k + 1) * 2 * k * tangents[k - 1], 4 ** k * (4 ** k - 1))
+        assert got == _bernoulli(2 * k), k
+
+
+@pytest.mark.parametrize("target", [60, 300, 1000])
+def test_stirling_terms_are_exact_floors(target):
+    # the loop of the Taylor table, at its shift point and scale, against
+    # floor(c_k 2^wp / N^(2k-1)), c_k = B_2k / (2k (2k-1)), in fractions,
+    # to the first term below 2 units
+    with PrecisionContext(target).workprec(10):
+        prec, dps = mp.prec, mp.dps
+    shift = -(-6 * dps // 5)
+    with mp.workprec(prec + numkernel._TAYLOR_GUARD_BITS):
+        wp = mp.prec + numkernel._GUARD_BITS
+        got = list(numkernel._stirling_terms(shift, 2))
+    want = []
+    for k in count(1):
+        c = _bernoulli(2 * k) / (2 * k * (2 * k - 1))
+        want.append(floor(c * 2 ** wp / shift ** (2 * k - 1)))
+        if abs(want[-1]) < 2:
+            break
+    assert got == want
+
+
+def test_tangent_numbers_grow_once_for_the_largest_table(monkeypatch):
+    # one list for every precision: after the table at 330 digits, the
+    # table at 90 digits reads it and adds no tangent number
+    monkeypatch.setattr(numkernel, "_TANGENTS", [1])
+    monkeypatch.setattr(numkernel, "_TANGENT_COLUMN", [1])
+    numkernel._log_gamma_taylor.cache_clear()
+    precs = []
+    for dps in (330, 90):
+        with mp.workdps(dps):
+            precs.append(mp.prec)
+    numkernel._log_gamma_taylor(precs[0])
+    grown = list(numkernel._TANGENTS)
+    assert len(grown) > 1
+    numkernel._log_gamma_taylor(precs[1])
+    assert numkernel._TANGENTS == grown
+
+
+def _digits_oracle(x):
+    """floor(-log10 x) for an mpf 0 < x, at least 0, in fractions."""
+    f = Fraction(int(x.man)) * Fraction(2) ** int(x.exp)
+    k = 0
+    while 10 ** (k + 1) * f <= 1:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("target", [60, 300])
+def test_error_digits_against_fractions(target, rng):
+    # random errors, and both neighbours of the mpf nearest 10^-k, k up
+    # to working digits, one unit of working precision away
+    ctx = PrecisionContext(target)
+    with ctx.workprec():
+        points = [mp.mpf(rng.random()) * mp.mpf(10) ** -rng.randrange(ctx.working_digits + 20)
+                  for _ in range(500)]
+        for k in range(ctx.working_digits + 1):
+            x = mp.mpf(10) ** -k
+            ulp = mp.ldexp(1, mp.mag(x) - mp.prec)
+            points += [x, mp.fsub(x, ulp, exact=True), mp.fadd(x, ulp, exact=True)]
+    for x in points:
+        assert numkernel.error_digits(x) == _digits_oracle(x), x
+
+
+def test_error_digits_refuses_non_positive_and_non_finite():
+    for x in (mp.mpf(0), -mp.mpf(10) ** -5, mp.inf, -mp.inf, mp.nan):
+        with pytest.raises(DomainError):
+            numkernel.error_digits(x)
 
 
 # the shift point N = ceil(1.2 dps) at 1000 digits
