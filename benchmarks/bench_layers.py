@@ -21,10 +21,12 @@ records, for each kernel,
 
 The kernels and their arguments:
 
-- ``log_gamma`` over a/199, 0 < a < 199, the memo cleared before the
-  untimed pass and again before each timed pass, so that every call
-  computes: a Horner sum over the Taylor table of log Gamma at the
-  shift point and one shift product; the cold call is log Gamma(1/199),
+- ``log_gamma`` over a/199, 0 < a < 199, the log-Gamma memos
+  (``log_gamma``'s and, where the tree has it, the parts memo
+  ``numkernel._log_gamma_parts``) cleared before the untimed pass and
+  again before each timed pass, so that every call computes: a Horner
+  sum over the Taylor table of log Gamma at the shift point and one
+  shift product; the cold call is log Gamma(1/199),
   and it includes that table (``numkernel._log_gamma_taylor``), the one
   the folded ``character_gamma_sum`` also reads;
 - ``delta_lattice`` over the lattices of Delta(a) and Delta(a^-1) for
@@ -37,7 +39,7 @@ The kernels and their arguments:
   taken before timing, as ``cs_verify`` takes it once per
   discriminant); the cold call is the first of them;
 - ``lseries.character_gamma_sum`` per sum, sum eps(a) log Gamma(a/d)
-  over 0 < a < d, at d in 123, 139, 163 and 199, the log Gamma memo
+  over 0 < a < d, at d in 123, 139, 163 and 199, the log-Gamma memos
   cleared as for ``log_gamma``, so that a sum that reads it computes its
   terms; the cold call is the sum at d = 123, and it includes the tables
   that every later sum at that precision reads: the Taylor table of
@@ -54,6 +56,12 @@ The kernels and their arguments:
   every count of digits agreed is met and the last few rows agree to
   all of them; the cold call, at j = 1, also pays for whatever the
   digits count builds at that precision;
+- ``fermat.tate_twist_certificate`` per call over twelve evenly spaced
+  mixed triples at p = 19, the log-Gamma memos cleared before each
+  pass, so that a pass computes Gamma at each argument once, as a fresh
+  process does for its requests at one p; the cold call is the first
+  triple, and it includes the Taylor table of log Gamma at the shift
+  point;
 - ``heckechar.psi_M`` over every reduced form of p = 1019 (13 classes),
   at 60 digits only, since it computes in exact integers: h - 1
   ``ideal_product`` steps and one form reduction per call; the cold
@@ -74,11 +82,12 @@ slower kernels takes longer than PASS_SECONDS, so they get MIN_PASSES.
 Only public names are used (``log_gamma`` and its ``cache_clear``,
 ``delta_lattice``, ``delta_norm``, ``PrecisionContext``,
 ``character_gamma_sum`` from ``lseries``, ``make_report`` from
-``csperiods``, ``psi_M``, and
+``csperiods``, ``tate_twist_certificate``, ``psi_M``, and
 ``reduced_forms``, ``form_to_lattice`` and ``inverse_ideal_lattice``
-from ``quadforms``), and ``epstein._e1`` or
-its predecessor, so any two versions of the kernels compare.  The script
-is not under ``tests/`` and tier-1 does not collect it.
+from ``quadforms``), ``epstein._e1`` or its predecessor, and
+``numkernel._log_gamma_parts`` where a tree has it, so any two versions
+of the kernels compare.  The script is not under ``tests/`` and tier-1
+does not collect it.
 """
 
 from __future__ import annotations
@@ -97,6 +106,18 @@ DEN = 199
 DISCS = (23, 71, 163, 199)
 SUM_DISCS = (123, 139, 163, 199)
 PSI_P = 1019
+TATE_P = 19
+
+
+def _mixed_triples(p, n):
+    """n evenly spaced mixed triples at p: r + s + t = 0 mod p, eps(r) + eps(s) + eps(t) = +-1."""
+    squares = {a * a % p for a in range(1, p)}
+    triples = [(r, s, (-r - s) % p) for r in range(1, p) for s in range(1, p)
+               if (r + s) % p and abs(sum(1 if x in squares else -1
+                                          for x in (r, s, (-r - s) % p))) == 1]
+    return triples[::len(triples) // n][:n]
+
+
 # timed warm passes per sample, the fastest kept: as many as fit in
 # PASS_SECONDS, and at least MIN_PASSES
 PASS_SECONDS = 0.2
@@ -106,9 +127,13 @@ PRELUDE = """
 import json, sys, time
 from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
+from cmperiods import numkernel
 from cmperiods.numkernel import PrecisionContext, delta_lattice, log_gamma
 from cmperiods.quadforms import form_to_lattice, inverse_ideal_lattice, reduced_forms
 ctx = PrecisionContext(int(sys.argv[2]))
+memos = [getattr(numkernel, name) for name in ("log_gamma", "_log_gamma_parts")
+         if hasattr(numkernel, name)]
+clear_memos = lambda: [memo.cache_clear() for memo in memos]
 """
 
 # each worker binds kernel, args and fresh (what makes the next pass compute)
@@ -132,7 +157,7 @@ print(json.dumps({"cold_ms": cold * 1e3, "warm_ms": min(warm) * 1e3}))
 
 WORKERS = {
     "log_gamma": ("numkernel.log_gamma per call over a/%d, ms" % DEN, """
-kernel, fresh = log_gamma, log_gamma.cache_clear
+kernel, fresh = log_gamma, clear_memos
 args = [Fraction(a, %d) for a in range(1, %d)]
 """ % (DEN, DEN)),
     "delta_lattice": ("numkernel.delta_lattice per call over Delta(a), Delta(a^-1), "
@@ -155,7 +180,7 @@ with ctx.workprec():
     "character_gamma_sum": ("lseries.character_gamma_sum per sum, d in %s, ms"
                             % ", ".join(map(str, SUM_DISCS)), """
 from cmperiods.lseries import character_gamma_sum
-kernel, fresh = character_gamma_sum, log_gamma.cache_clear
+kernel, fresh = character_gamma_sum, clear_memos
 args = %r
 """ % (SUM_DISCS,)),
 }
@@ -187,6 +212,13 @@ with ctx.workprec():
     args = [(mp.mpf(1) / 7, mp.mpf(1) / 7 * (1 + mp.mpf(10) ** -j))
             for j in range(1, ctx.working_digits + 11, 3)]
 """)
+
+WORKERS["tate_twist_certificate"] = ("fermat.tate_twist_certificate per call over 12 mixed "
+                                     "triples at p = %d, ms" % TATE_P, """
+from cmperiods.fermat import tate_twist_certificate
+kernel, fresh = (lambda rst, ctx: tate_twist_certificate(%d, *rst, ctx)), clear_memos
+args = %r
+""" % (TATE_P, _mixed_triples(TATE_P, 12)))
 
 WORKERS["psi_M"] = ("heckechar.psi_M per call over the reduced forms of p = %d, ms" % PSI_P, """
 from cmperiods.heckechar import psi_M

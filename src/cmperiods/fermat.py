@@ -15,6 +15,7 @@ once per request.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -22,17 +23,11 @@ from mpmath import mp
 
 from .csperiods import IdentityReport, m_invariant, make_report, unrecognized_report
 from .errors import ConsistencyError, DomainError
-from .numkernel import PrecisionContext, log_gamma, to_mpf
+from .numkernel import PrecisionContext, gamma_product, to_mpf
 from .quadforms import Discriminant, class_number_dirichlet
 from .relint import recognize_rational, recognize_sqrtp
 
 _MAX_DEN = 10 ** 12
-
-
-def frac(x) -> Fraction:
-    """Fractional part <x> in [0, 1), exact on rationals."""
-    f = Fraction(x)
-    return f - (f.numerator // f.denominator)
 
 
 @dataclass(frozen=True)
@@ -102,51 +97,42 @@ def cm_type(p, r, s, t) -> CMTypeRecord:
 
 
 def beta_period(p, r, s, t, ctx: PrecisionContext):
-    """log of prod over QRs a of B(<ar/p>, <as/p>).
+    """prod over QRs a of B(<ar/p>, <as/p>), at working + 10 digits.
 
     The beta factor is Gamma(u)Gamma(v)/Gamma(u+v) with the true sum
     u + v, which may lie in (1, 2); reducing it mod 1 would silently
-    drop the rational factor this module is after.
+    drop the rational factor this module is after.  The factors over all
+    a are one ``gamma_product``: weight +1 at u and at v and -1 at u + v,
+    equal arguments merged.
     """
     disc, r, s, t = _check_triple(p, r, s, t)
     p = disc.d
-    with ctx.workprec():
-        total = mp.mpf(0)
-        for a in range(1, p):
-            if disc.epsilon(a) != 1:
-                continue
-            u = frac(Fraction(a * r, p))
-            v = frac(Fraction(a * s, p))
-            total += (log_gamma(u, ctx) + log_gamma(v, ctx)
-                      - log_gamma(u + v, ctx))
-        return total
+    weights = Counter()  # on the numerators over p: u = (a r mod p)/p
+    for a in range(1, p):
+        if disc.epsilon(a) == 1:
+            u, v = a * r % p, a * s % p
+            weights[u] += 1
+            weights[v] += 1
+            weights[u + v] -= 1
+    return gamma_product({Fraction(k, p): c for k, c in weights.items()}, ctx)
 
 
-def _residue_gamma_sum(disc, ctx: PrecisionContext):
-    """sum of log Gamma(a/p) over the residues eps(a) = 1, at working precision.
-
-    Added in order of a, each working + 10 digit value of ``log_gamma``
-    rounded to working precision first: the Tate certificates' recorded
-    digits rest on that rounding.
-    """
+def _residue_gamma_product(disc, ctx: PrecisionContext):
+    """prod of Gamma(a/p) over the residues eps(a) = 1, at working + 10 digits."""
     p = disc.d
-    with ctx.workprec():
-        total = mp.mpf(0)
-        for a in range(1, p):
-            if disc.epsilon(a) == 1:
-                total += +log_gamma(Fraction(a, p), ctx)
-        return total
+    return gamma_product({Fraction(a, p): 1 for a in range(1, p) if disc.epsilon(a) == 1},
+                         ctx)
 
 
-def _certify(name, inputs, log_ratio, kind, p, m, ctx) -> RatioCertificate:
+def _certify(name, inputs, ratio, kind, p, m, ctx) -> RatioCertificate:
     with ctx.workprec():
-        ratio = mp.exp(log_ratio)
+        ratio = +ratio
         if kind == "rational":
             rec = recognize_rational(ratio, _MAX_DEN, ctx)
         else:
             rec = recognize_sqrtp(ratio, p, _MAX_DEN, ctx)
         if rec is None:
-            return RatioCertificate(unrecognized_report(name, inputs, +ratio), kind,
+            return RatioCertificate(unrecognized_report(name, inputs, ratio), kind,
                                     None, 0, m)
         exact, text = to_mpf(rec), str(rec)
         if kind == "sqrtp":
@@ -158,8 +144,10 @@ def _certify(name, inputs, log_ratio, kind, p, m, ctx) -> RatioCertificate:
 def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificate:
     """Certify the beta period against the QR Gamma product.
 
-    Needs a mixed triple, eps(r) + eps(s) + eps(t) = +-1.  At +1 the
-    ratio is rational; at -1 it is rational * sqrt(p).  The m-invariant
+    Needs a mixed triple, eps(r) + eps(s) + eps(t) = +-1.  With B the
+    beta period and G the residue Gamma product, the ratio is B/G at +1,
+    a rational, and B G / (2 pi)^((p-1)/2) at -1, a rational * sqrt(p);
+    it is formed at working + 10 digits and rounded to working once.  The m-invariant
     rides along as the twist exponent the comparison is taken at.
     """
     disc, r, s, t = _check_triple(p, r, s, t)
@@ -169,10 +157,10 @@ def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificat
         raise DomainError("tate certificate needs eps(r)+eps(s)+eps(t) = +-1")
     m = m_invariant(disc)
     name, inputs = f"tate-twist p={p} rst={r},{s},{t}", {"p": p, "rst": [r, s, t]}
-    with ctx.workprec():
-        logb = beta_period(disc, r, s, t, ctx)
-        qr = _residue_gamma_sum(disc, ctx)
+    b = beta_period(disc, r, s, t, ctx)
+    g = _residue_gamma_product(disc, ctx)
+    with ctx.workprec(10):
         if e == 1:
-            return _certify(name, inputs, logb - qr, "rational", p, m, ctx)
-        log_ratio = logb + qr - mp.mpf(p - 1) / 2 * mp.log(2 * mp.pi)
-        return _certify(name, inputs, log_ratio, "sqrtp", p, m, ctx)
+            return _certify(name, inputs, b / g, "rational", p, m, ctx)
+        ratio = b * g / (2 * mp.pi) ** ((p - 1) // 2)
+        return _certify(name, inputs, ratio, "sqrtp", p, m, ctx)

@@ -13,8 +13,9 @@ sum eps(a) a^m, and the exact shift products of J factors per a, rounded
 to working precision as they are multiplied.  J comes from a cost model
 of the work per a, and the shift point of the table from ``numkernel``.
 A sum takes two mpf logs, no sine and no ``log_gamma`` call, at
-working + 10 digits.  The Fermat certificates sum log Gamma over the
-residues alone, through the ``log_gamma`` memo (``fermat``).
+working + 10 digits.  The Fermat certificates take the product of
+Gamma(a/p) over the residues alone, one ``numkernel.gamma_product`` with
+no log (``fermat``).
 """
 
 from __future__ import annotations

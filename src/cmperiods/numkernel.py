@@ -10,18 +10,23 @@ Arithmetic is backed by mpmath (mpf/mpc); the special functions themselves
 are implemented here: one Taylor table of log Gamma per precision for
 log-gamma, Euler-Maclaurin for Hurwitz zeta, and Euler's pentagonal
 series for the modular discriminant.  Every function is pure, so callers
-may fan work out across processes freely.  ``log_gamma`` takes an int or
-a Fraction x with 0 < x <= 60, as every caller passes (all below 2), and
-is memoized for the life of the process, per (argument type, argument
-value, PrecisionContext): the Fermat certificates sum log Gamma over the
-same rationals a/p again and again, and a hit returns the very mpf the
-kernel computed.  The folded character sum of ``lseries`` does not call
-it, so neither ``verify-cs``, ``periods``, ``faltings`` nor ``suite``
-fills the memo.  Every mixed ``fermat`` triple at p = 7, 11 and 19 at
-one precision leaves 62 distinct arguments, and a tate-sweep campaign of
-perfbench, at three precisions, 168; the arguments of one request are
-fractions k/p, so the 8,192 values the memo holds leave room for many
-primes and precisions.
+may fan work out across processes freely.  ``log_gamma`` and
+``gamma_product`` take an int or a Fraction x with 0 < x <= 60, as every
+caller passes (all below 2).  Both read the parts of log Gamma(x), an
+exact Horner integer and a shift product (``_log_gamma_parts``), which
+are memoized for the life of the process per (argument value, binary
+precision): the Fermat certificates take Gamma at the same rationals a/p
+again and again.  ``gamma_product`` turns the parts of a product of
+Gamma powers into one exp and no log, which is all the certificates run;
+``log_gamma``, which the tests and the acceptance battery call, keeps its
+own memo per (argument type, argument value, PrecisionContext), where a
+hit returns the very mpf the kernel computed.  The folded character sum
+of ``lseries`` reads neither, so neither ``verify-cs``, ``periods``,
+``faltings`` nor ``suite`` fills the memos.  Every mixed ``fermat``
+triple at p = 7, 11 and 19 at one precision leaves 62 distinct
+arguments, and a tate-sweep campaign of perfbench, at three precisions,
+168; the arguments of one request are fractions k/p, so the 8,192 parts
+the memo holds leave room for many primes and precisions.
 
 log Gamma is evaluated in one place: ``_log_gamma_taylor`` keeps, per
 working precision, the Taylor coefficients of log Gamma(N + t) about the
@@ -31,8 +36,9 @@ point, on Python integers scaled by 2^(prec + 20): each term
 c_k / z^(2k-1), c_k = B_2k / (2k (2k-1)), is one exact floor, from the
 tangent numbers T_k of one integer triangle per process (ibid., section
 4.7.2), which does not depend on the precision.
-``log_gamma`` sums the table at |t| <= 1/2 by Horner's rule and takes
-off the log of an exact shift product; the folded character sum of
+``_log_gamma_parts`` sums the table at |t| <= 1/2 by Horner's rule and
+forms the exact shift product that ``log_gamma`` takes the log of and
+``gamma_product`` divides by; the folded character sum of
 ``lseries`` reads the odd coefficients about a small point J
 (``_log_gamma_odd``), the table's values at N plus exact finite sums
 over J <= j < N.  ``error_digits``, the digits an error leaves, is
@@ -66,7 +72,7 @@ from math import ceil, floor, log2, log10, pi, prod
 from operator import floordiv
 
 from mpmath import mp
-from mpmath.libmp import prec_to_dps
+from mpmath.libmp import from_man_exp, prec_to_dps
 
 from .errors import DomainError, PoleError, PrecisionError
 
@@ -74,6 +80,7 @@ __all__ = [
     "PrecisionContext",
     "Lattice",
     "log_gamma",
+    "gamma_product",
     "hurwitz_zeta",
     "delta_lattice",
     "delta_norm",
@@ -86,8 +93,9 @@ _EM_TERM_CAP = 100000  # the Euler-Maclaurin series turns and grows long before
 # column of the triangle that gives them (``_tangent_numbers``), from T_1 = 1
 _TANGENTS = [1]
 _TANGENT_COLUMN = [1]
-# log-Gamma values kept, at a few hundred bytes each; only the fermat
-# requests fill it (see the module docstring)
+# log-Gamma values, and log-Gamma parts, kept by each memo, at a few
+# hundred bytes each; only the fermat requests fill the parts (see the
+# module docstring)
 _LOG_GAMMA_MEMO = 8192
 # the largest argument of log_gamma: the smallest shift point N
 _LOG_GAMMA_MAX = 60
@@ -404,34 +412,88 @@ def _shift_product(n, m, lo, hi):
     return _shift_product(n, m, lo, mid) * _shift_product(n, m, mid, hi)
 
 
+def _gamma_domain(x):
+    """Raise DomainError unless x is an int or a Fraction with 0 < x <= 60."""
+    if not isinstance(x, (int, Fraction)):
+        raise DomainError("log_gamma takes an int or a Fraction")
+    # in integers: the denominator is positive
+    if x.numerator <= 0:
+        raise DomainError("log_gamma requires x > 0")
+    if x.numerator > _LOG_GAMMA_MAX * x.denominator:
+        raise DomainError(f"log_gamma requires x <= {_LOG_GAMMA_MAX}")
+
+
+@lru_cache(maxsize=_LOG_GAMMA_MEMO)
+def _log_gamma_parts(x, prec):
+    """(acc, S) with log Gamma(x) = acc 2^-wp - log S, at binary precision prec.
+
+    wp = prec + _GUARD_BITS + _TAYLOR_GUARD_BITS.  With x = n/m,
+    i = round(x) and t = x - i, acc is the table of ``_log_gamma_taylor``
+    at N + t, summed by Horner's rule in integers, and S is
+    prod_{j < N - i} (x + j) = Gamma(N + t) / Gamma(x) (DLMF 5.5.1), the
+    exact integer prod (n + j*m) over m^(N - i), as an mpf at prec.  60 is
+    the least N (30 target and 10 guard digits), so i <= N.  Memoized per
+    (x, prec): ``log_gamma`` and ``gamma_product`` share the parts.
+    """
+    shift, table = _log_gamma_taylor(prec)
+    n, m = x.numerator, x.denominator
+    i = round(x)
+    tn, step = n - i * m, m * shift  # t/N = tn/step
+    acc = 0
+    for e in reversed(table):
+        acc = acc * tn // step + e
+    k = shift - i
+    with mp.workprec(prec):
+        return acc, mp.mpf(_shift_product(n, m, 0, k)) / mp.mpf(m) ** k
+
+
 @lru_cache(maxsize=_LOG_GAMMA_MEMO, typed=True)
 def log_gamma(x, ctx: PrecisionContext):
     """log Gamma(x) for an int or Fraction 0 < x <= 60, absolute error < 10**-target_digits.
 
-    With x = n/m, i = round(x) and t = x - i, log Gamma(x) is the table of
-    ``_log_gamma_taylor`` at N + t, summed by Horner's rule, less the log
-    of prod_{j < N - i} (x + j), the exact integer prod (n + j*m) over
-    m^(N - i).  60 is the least N (30 target and 10 guard digits), so i <= N.
+    acc 2^-wp - log S from ``_log_gamma_parts``, at working + 10 digits.
     Memoized per (type of x, x, ctx); errors are raised again on every call.
     """
-    if not isinstance(x, (int, Fraction)):
-        raise DomainError("log_gamma takes an int or a Fraction")
-    if x <= 0:
-        raise DomainError("log_gamma requires x > 0")
-    if x > _LOG_GAMMA_MAX:
-        raise DomainError(f"log_gamma requires x <= {_LOG_GAMMA_MAX}")
+    _gamma_domain(x)
     with ctx.workprec(10):
-        shift, table = _log_gamma_taylor(mp.prec)
-        wp = mp.prec + _GUARD_BITS + _TAYLOR_GUARD_BITS
-        n, m = x.numerator, x.denominator
-        i = round(x)
-        tn, step = n - i * m, m * shift  # t/N = tn/step
-        acc = 0
-        for e in reversed(table):
-            acc = acc * tn // step + e
-        k = shift - i
-        shifted = mp.mpf(_shift_product(n, m, 0, k)) / mp.mpf(m) ** k
-        return mp.mpf((acc, -wp)) - mp.log(shifted)
+        acc, shifted = _log_gamma_parts(x, mp.prec)
+        return mp.mpf((acc, -(mp.prec + _GUARD_BITS + _TAYLOR_GUARD_BITS))) - mp.log(shifted)
+
+
+def gamma_product(weights, ctx: PrecisionContext):
+    """prod Gamma(x)^c over a map {x: c}, x an int or Fraction 0 < x <= 60, c an int.
+
+    Returned at working + 10 digits.  Zero weights are skipped; a caller
+    merges equal arguments into one weight (a dict holds each once).  From
+    the parts (acc, S) of each x (``_log_gamma_parts``),
+
+        prod Gamma(x)^c = exp(sum c acc 2^-wp) / prod S^c:
+
+    one exact integer sum, the powers S^c and one ``mp.exp``, and no log.
+    Error budget, relative, at the binary precision prec of working + 10
+    digits: each acc is within its table's length of units of 2^-wp,
+    wp = prec + 52, and the exp reads its argument exactly, so the exp
+    adds about one ulp; each power and product of the S^c adds at most
+    about 3 ulps per unit of sum |c|.  The Fermat certificates have
+    sum |c| <= 3(p - 1)/2, far inside the 10 extra digits for any p the
+    CLI takes.  Raises DomainError, as ``log_gamma`` does, for an x
+    outside its domain.
+    """
+    with ctx.workprec(10):
+        prec = mp.prec
+        total, num, den = 0, mp.mpf(1), mp.mpf(1)
+        for x, c in weights.items():
+            _gamma_domain(x)
+            if not c:
+                continue
+            acc, shifted = _log_gamma_parts(x, prec)
+            total += c * acc
+            if c > 0:
+                den *= shifted ** c
+            else:
+                num *= shifted ** -c
+        arg = mp.make_mpf(from_man_exp(total, -(prec + _GUARD_BITS + _TAYLOR_GUARD_BITS)))
+        return mp.exp(arg) * num / den
 
 
 def hurwitz_zeta(x, s, ctx: PrecisionContext):

@@ -131,6 +131,9 @@ def certify_mixed_triples(ctx):
             assert cert.recognized is not None, f"p={p} rst={(r, s, t)}"
             assert cert.passed, f"p={p} rst={(r, s, t)}"
             assert cert.height < 10 ** 8, f"p={p} rst={(r, s, t)}"
+            # the ratio is formed 10 digits past working precision and
+            # rounded once, so it agrees with its exact value to all of them
+            assert cert.report.digits_agreed == ctx.working_digits, f"p={p} rst={(r, s, t)}"
 
 
 def test_criterion_08_tate_certificates(ctx):

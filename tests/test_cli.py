@@ -1,9 +1,13 @@
+import io
 import json
 import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from cmperiods import cli, csperiods, epstein, numkernel
@@ -271,11 +275,12 @@ def test_fermat_request_validates_p_once(capsys, monkeypatch, rst, kind):
 
 
 def test_fermat_and_verify_cs_share_one_stirling_table(capsys):
-    # the Tate certificate's log_gamma and the folded character sum of
-    # verify-cs read one Taylor table of log Gamma per precision, so the
-    # two requests at one --prec run one Stirling loop
+    # the Tate certificate's Gamma products and the folded character sum
+    # of verify-cs read one Taylor table of log Gamma per precision, so
+    # the two requests at one --prec run one Stirling loop
     from cmperiods import numkernel
-    for cache in (numkernel._log_gamma_taylor, numkernel._log_gamma_odd, numkernel.log_gamma):
+    for cache in (numkernel._log_gamma_taylor, numkernel._log_gamma_odd,
+                  numkernel._log_gamma_parts, numkernel.log_gamma):
         cache.cache_clear()
     for argv in (["fermat", "--p", "7", "--rst", "1,1,5"], ["verify-cs", "--d", "7"]):
         code, _, _ = run(capsys, "--json", "--prec", "45", *argv)
@@ -360,6 +365,63 @@ MALFORMED = [
     "--threads 0 class --d 7",
     "--out /nonexistent/dir/x class --d 7",
 ]
+
+
+def _is_mixed_fermat_request(p, rst):
+    """Whether --p p --rst rst names a mixed triple at a prime p = 3 mod 4, p > 3."""
+    if p <= 3 or p % 4 != 3 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        return False
+    try:
+        r, s, t = map(int, rst.split(","))
+    except ValueError:  # not three parts, or a part that is not an integer
+        return False
+    if 0 in (r % p, s % p, t % p) or (r + s + t) % p:
+        return False
+    return abs(sum(1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in (r, s, t))) == 1
+
+
+@st.composite
+def fermat_argv(draw):
+    # p prime = 3 mod 4 about half the time; r + s + t = 0 mod p about
+    # two thirds of the time, zeros and non-mixed triples included
+    p = draw(st.one_of(st.sampled_from([7, 11, 19, 23, 43, 47, 163, 199]),
+                       st.integers(2, 200)))
+    if draw(st.integers(0, 2)):
+        r, s = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        rst = f"{r},{s},{(-r - s) % p + p * draw(st.integers(-1, 1))}"
+    else:
+        part = st.one_of(st.integers(-3 * p, 3 * p).map(str),
+                         st.sampled_from(["", "a", "1.5", "x1", " 2", "1e3"]))
+        rst = ",".join(draw(st.lists(part, min_size=1, max_size=4)))
+    return p, rst, draw(st.integers(30, 130))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fermat_argv())
+def test_fermat_fuzz_exit_codes(request):
+    # random fermat argv: anything but a mixed triple at a prime p = 3 mod 4
+    # exits 2 with one error line, and nothing raises.  A mixed triple
+    # passes its two CM-type rows and exits 0 at p <= 43.  From p = 47 on
+    # it may exit 1, its Tate row failed, or 3, the recognizer short of
+    # digits: many exact Tate ratios there have a height above the
+    # recognizer's 10^12 (p = 163, rst 1,2,160 has one of 89 digits), and
+    # 575 of the 1,518 mixed triples at p = 47 fail at 30 digits
+    p, rst, prec = request
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["--json", "--prec", str(prec), "fermat", "--p", str(p),
+                         f"--rst={rst}"])
+    if not _is_mixed_fermat_request(p, rst):
+        assert (code, out.getvalue()) == (2, ""), (p, rst, prec)
+        assert err.getvalue().startswith("error: ")
+    elif code == 3:
+        assert p >= 47 and out.getvalue() == ""
+        assert err.getvalue().startswith("precision failure: ")
+    else:
+        rows = json.loads(out.getvalue())
+        assert [row["pass"] for row in rows[:2]] == [True, True]
+        assert code == (0 if rows[2]["pass"] else 1), (p, rst, prec)
+        assert code == 0 or p >= 47, (p, rst, prec)
 
 
 def test_exit_code_domain_errors(capsys):
@@ -463,7 +525,7 @@ requests = [
     (["fermat", "--p", "7", "--rst", "1,1,5"], {
         "fermat.cm_type", "fermat.tate_twist_certificate", "fermat.beta_period",
         "csperiods.m_invariant", "csperiods.make_report", "relint.recognize_rational",
-        "quadforms.class_number_dirichlet", "numkernel.log_gamma"}),
+        "quadforms.class_number_dirichlet"}),
 ]
 for i, (argv, expected) in enumerate(requests):
     tracing.start_request(i)

@@ -2,11 +2,11 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
 from mpmath import mp
 
+from cmperiods import cli, fermat, numkernel
 from cmperiods.errors import DomainError
-from cmperiods.fermat import (CMTypeRecord, beta_period, cm_type, epsilon_rst, frac,
+from cmperiods.fermat import (CMTypeRecord, beta_period, cm_type, epsilon_rst,
                               tate_twist_certificate)
 from cmperiods.numkernel import PrecisionContext
 from cmperiods.quadforms import Discriminant, class_number_dirichlet
@@ -16,19 +16,6 @@ from cmperiods.relint import recognize_sqrtp
 def all_triples(p):
     return [(r, s, (-r - s) % p) for r in range(1, p) for s in range(1, p)
             if (r + s) % p != 0]
-
-
-def test_frac_examples():
-    assert frac(Fraction(10, 7)) == Fraction(3, 7)
-    assert frac(1) == 0
-    assert frac(Fraction(-1, 7)) == Fraction(6, 7)
-
-
-@given(st.fractions(max_denominator=10 ** 6))
-def test_frac_properties(q):
-    f = frac(q)
-    assert 0 <= f < 1
-    assert (q - f).denominator == 1
 
 
 def test_cm_type_example():
@@ -65,12 +52,12 @@ def test_phi_complement():
 
 
 def test_beta_period_direct(ctx):
-    logb = beta_period(7, 1, 1, 5, ctx)
+    b = beta_period(7, 1, 1, 5, ctx)
     with mp.workdps(200):
         seventh = mp.mpf(1) / 7
         direct = (mp.beta(seventh, seventh) * mp.beta(2 * seventh, 2 * seventh)
                   * mp.beta(4 * seventh, 4 * seventh))
-        assert abs(mp.exp(logb) - direct) < mp.mpf(10) ** -100 * direct
+        assert abs(b - direct) < mp.mpf(10) ** -100 * direct
 
 
 def mp_gamma_period(p, rst, dps):
@@ -87,9 +74,9 @@ def test_beta_gamma_ratio_recognized(ctx):
     # rational multiple of sqrt(7); the Gamma period is mpmath's
     hi = ctx.working_digits + 20
     with ctx.workprec():
-        r157 = mp.exp(beta_period(7, 1, 1, 5, ctx) - mp_gamma_period(7, (1, 1, 5), hi))
+        r157 = beta_period(7, 1, 1, 5, ctx) / mp.exp(mp_gamma_period(7, (1, 1, 5), hi))
         assert recognize_sqrtp(r157, 7, 10 ** 8, ctx) == Fraction(7)
-        r133 = mp.exp(beta_period(7, 1, 3, 3, ctx) - mp_gamma_period(7, (1, 3, 3), hi))
+        r133 = beta_period(7, 1, 3, 3, ctx) / mp.exp(mp_gamma_period(7, (1, 3, 3), hi))
         assert recognize_sqrtp(r133, 7, 10 ** 8, ctx) == Fraction(49, 2)
 
 
@@ -139,3 +126,59 @@ def test_domain_errors(ctx):
         beta_period(13, 1, 1, 11, ctx)
     with pytest.raises(DomainError):
         tate_twist_certificate(7, 1, 2, 4, ctx)
+
+
+def test_fermat_request_takes_no_log(monkeypatch, capsys):
+    # once the Taylor table of a precision is built, a fermat request
+    # forms the beta period and the residue product from the parts of
+    # log Gamma, misses included: no log_gamma call, no mp.log, and one
+    # mp.exp per product
+    argv = ["--prec", "120", "fermat", "--p", "19", "--rst", "1,2,16"]
+    assert cli.main(argv) == 0  # builds the table
+    numkernel._log_gamma_parts.cache_clear()
+    calls = {}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((numkernel, "log_gamma"), (mp, "log"), (mp, "exp")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert not hasattr(fermat, "log_gamma")
+    assert calls == {"exp": 2}
+
+
+def test_rational_tate_rows_carry_no_gamma_content(monkeypatch):
+    # at eps = +1 the Horner parts of the beta period and of the residue
+    # product are equal (their t = x - round(x) agree as multisets), so
+    # B/G is the exact ratio of their shift products, whatever the table
+    # holds: 2^-40 added to log Gamma(N), entry 0 of the Taylor table,
+    # fails every sqrt(p) certificate at p = 7, 11 and 19 and no
+    # rational one.  The rational rows pass by construction.
+    ctx = PrecisionContext(60)
+    table = numkernel._log_gamma_taylor
+
+    def mutated(prec):
+        shift, coeffs = table(prec)
+        wp = prec + numkernel._GUARD_BITS + numkernel._TAYLOR_GUARD_BITS
+        return shift, (coeffs[0] + (1 << (wp - 40)),) + coeffs[1:]
+
+    memos = (numkernel._log_gamma_parts, numkernel.log_gamma)
+    for memo in memos:
+        memo.cache_clear()
+    monkeypatch.setattr(numkernel, "_log_gamma_taylor", mutated)
+    passed = {1: set(), -1: set()}
+    try:
+        for p in (7, 11, 19):
+            for r, s, t in all_triples(p):
+                e = epsilon_rst(p, r, s, t)
+                if abs(e) == 1:
+                    passed[e].add(tate_twist_certificate(p, r, s, t, ctx).passed)
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+    assert passed == {1: {True}, -1: {False}}

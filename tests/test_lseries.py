@@ -5,7 +5,7 @@ from mpmath import mp
 
 from cmperiods import numkernel
 from cmperiods.errors import DomainError
-from cmperiods.fermat import _residue_gamma_sum
+from cmperiods.fermat import _residue_gamma_product
 from cmperiods.lseries import SZeroJet, character_gamma_sum, dirichlet_jet
 from cmperiods.numkernel import PrecisionContext, log_gamma, to_mpf
 from cmperiods.quadforms import (Discriminant, class_number, is_fundamental,
@@ -105,14 +105,19 @@ RESIDUE_PRIMES = (7, 11, 19, 23, 163)
 
 @pytest.mark.parametrize("prec", [30, 300])
 def test_character_gamma_sum_against_mpmath(prec):
-    # the folded sum, and the residue sum of the Fermat certificates;
-    # oracle: mpmath's loggamma, summed by fsum at working + 20 digits
+    # the folded sum, and the log of the residue product of the Fermat
+    # certificates; oracle: mpmath's loggamma, summed by fsum at
+    # working + 20 digits
     ctx = PrecisionContext(prec)
     cases = [(d, False) for d in (3, 4, 7, 8, 15, 20, 23, 163)]
     cases += [(p, True) for p in RESIDUE_PRIMES]
     for d, residues_only in cases:
         disc = Discriminant(d)
-        got = (_residue_gamma_sum if residues_only else character_gamma_sum)(disc, ctx)
+        if residues_only:
+            with mp.workdps(ctx.working_digits + 20):
+                got = mp.log(_residue_gamma_product(disc, ctx))
+        else:
+            got = character_gamma_sum(disc, ctx)
         weights = [(a, disc.epsilon(a)) for a in range(1, d)]
         with mp.workdps(ctx.working_digits + 20):
             ref = mp.fsum(e * mp.loggamma(mp.mpf(a) / d) for a, e in weights
@@ -122,13 +127,15 @@ def test_character_gamma_sum_against_mpmath(prec):
 
 @pytest.mark.parametrize("prec", [30, 300])
 def test_character_gamma_sum_halves_obey_gauss_multiplication(prec):
-    # with R the residue sum and chi the character sum, R + (R - chi) is
-    # sum over all a < p of log Gamma(a/p) = ((p-1)/2) log(2 pi) - (1/2) log p
+    # with R the log of the residue product and chi the character sum,
+    # R + (R - chi) is sum over all a < p of log Gamma(a/p)
+    # = ((p-1)/2) log(2 pi) - (1/2) log p
     ctx = PrecisionContext(prec)
     for p in RESIDUE_PRIMES:
-        r = _residue_gamma_sum(Discriminant(p), ctx)
+        product = _residue_gamma_product(Discriminant(p), ctx)
         chi = character_gamma_sum(p, ctx)
         with ctx.workprec():
+            r = mp.log(product)
             gauss = mp.mpf(p - 1) / 2 * mp.log(2 * mp.pi) - mp.log(p) / 2
             assert abs(2 * r - chi - gauss) < mp.mpf(10) ** -(prec + 10), p
 

@@ -195,20 +195,87 @@ def test_log_gamma_one_seventh_product_oracle():
         assert abs(log_gamma(Fraction(1, 7), ctx) - oracle) < ctx.eps()
 
 
-def test_beta_on_fractions_reuses_the_log_gamma_memo(ctx):
-    # the beta period of fermat sums log Gamma(u) + log Gamma(v)
-    # - log Gamma(u + v) over Fraction arguments; a second call on the same
-    # triple finds every one of them in the memo
+def test_beta_on_fractions_reuses_the_log_gamma_parts_memo(ctx):
+    # the beta period of fermat is one gamma_product over the Fraction
+    # arguments u, v and u + v; a second call on the same triple finds
+    # the parts of every one of them in the memo
     from cmperiods.fermat import beta_period
-    log_gamma.cache_clear()
+    parts = numkernel._log_gamma_parts
+    parts.cache_clear()
     beta_period(7, 1, 1, 5, ctx)
-    first = log_gamma.cache_info()
+    first = parts.cache_info()
     # u = v = a/7 and u + v = 2a/7 over the residues a = 1, 2, 4: nine
-    # calls on four arguments, 1/7, 2/7, 4/7 and 8/7
-    assert (first.hits, first.misses) == (5, 4)
+    # factors merged onto four arguments, 1/7, 2/7, 4/7 and 8/7
+    assert (first.hits, first.misses) == (0, 4)
     beta_period(7, 1, 1, 5, ctx)
-    after = log_gamma.cache_info()
-    assert (after.hits - first.hits, after.misses - first.misses) == (9, 0)
+    after = parts.cache_info()
+    assert (after.hits - first.hits, after.misses - first.misses) == (4, 0)
+
+
+def _residues(p):
+    return [a for a in range(1, p) if pow(a, (p - 1) // 2, p) == 1]
+
+
+def _beta_terms(p, r, s):
+    """The factors (x, c) of fermat's beta period at (r, s), one per Gamma, unmerged."""
+    terms = []
+    for a in _residues(p):
+        u, v = Fraction(a * r % p, p), Fraction(a * s % p, p)
+        terms += [(u, 1), (v, 1), (u + v, -1)]
+    return terms
+
+
+def _merged(terms):
+    weights = {}
+    for x, c in terms:
+        weights[x] = weights.get(x, 0) + c
+    return weights
+
+
+@pytest.mark.parametrize("target, primes", [(30, (7, 19, 163, 1019)), (300, (7, 19, 163)),
+                                            (1000, (7,))], ids=["30", "300", "1000"])
+def test_gamma_product_against_mpmath(target, primes):
+    # the beta and residue maps of fermat, and a map with a zero weight,
+    # a weight -2 at an x in (1, 2) and an int argument, against the exp
+    # of the fsum of c loggamma(x) over the unmerged factors, by mpmath at
+    # working + 20 digits (the beta map merges duplicates: at p = 7, the
+    # nine factors of (1, 1, 5) fall on four arguments)
+    ctx = PrecisionContext(target)
+    for p in primes:
+        residues = [(Fraction(a, p), 1) for a in _residues(p)]
+        maps = [_beta_terms(p, 1, 2), _beta_terms(p, 1, 1), residues,
+                residues + [(Fraction(2 * p - 1, p), -2), (Fraction(3, p), 0), (3, 1)]]
+        with mp.workdps(ctx.working_digits + 20):
+            refs = {}
+            for terms in maps:
+                for x, _ in terms:
+                    if x not in refs:
+                        refs[x] = mp.loggamma(mp.mpf(x.numerator) / x.denominator)
+        for terms in maps:
+            got = numkernel.gamma_product(_merged(terms), ctx)
+            with mp.workdps(ctx.working_digits + 20):
+                ref = mp.exp(mp.fsum(c * refs[x] for x, c in terms))
+                assert abs(got - ref) < mp.mpf(10) ** -ctx.working_digits * ref, (p, terms)
+
+
+@pytest.mark.parametrize("target", [30, 300, 1000])
+def test_gamma_product_gauss_multiplication(target):
+    # prod_{0<a<p} Gamma(a/p) = (2 pi)^((p-1)/2) / sqrt(p) (DLMF 5.5.6),
+    # a closed-form oracle that reaches p = 1019 at 1000 digits
+    ctx = PrecisionContext(target)
+    for p in (163, 1019):
+        got = numkernel.gamma_product({Fraction(a, p): 1 for a in range(1, p)}, ctx)
+        with mp.workdps(ctx.working_digits + 20):
+            ref = (2 * mp.pi) ** ((p - 1) // 2) / mp.sqrt(p)
+            assert abs(got - ref) < mp.mpf(10) ** -ctx.working_digits * ref, p
+
+
+def test_gamma_product_domain(ctx):
+    # log_gamma's domain, on every argument of the map, whatever its weight
+    for bad in (0, Fraction(-1, 7), 61, Fraction(421, 7), 0.5):
+        for weight in (1, 0):
+            with pytest.raises(DomainError):
+                numkernel.gamma_product({Fraction(1, 7): 1, bad: weight}, ctx)
 
 
 def test_hurwitz_zeta_values(ctx):
