@@ -112,7 +112,8 @@ def _cmd_fermat(args, ctx):
              f"u = {rec.u}, v = {rec.v}, eps(r,s,t) = {eps}"]
     inputs = {"p": args.p, "rst": [rec.rst[0], rec.rst[1], rec.rst[2]]}
     cert = tate_twist_certificate(disc, r, s, t, ctx)
-    lines.append(f"tate ratio recognized: {_cert_text(cert)} (height {cert.height}, m = {cert.m})")
+    exact = f"{cert.recognized}{'*sqrt(p)' if cert.kind == 'sqrtp' else ''}"
+    lines.append(f"tate ratio recognized: {exact} (height {cert.height}, m = {cert.m})")
     rst = ",".join(map(str, rec.rst))
     reports = [
         exact_report(f"cm-type-size p={args.p} rst={rst}", inputs,
@@ -122,12 +123,6 @@ def _cmd_fermat(args, ctx):
         cert.report,
     ]
     return reports, lines
-
-
-def _cert_text(cert):
-    if cert.recognized is None:
-        return "no"
-    return str(cert.recognized) + ("*sqrt(p)" if cert.kind == "sqrtp" else "")
 
 
 def _cmd_hecke(args, ctx):

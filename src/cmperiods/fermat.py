@@ -2,10 +2,18 @@
 
 For a prime p = 3 mod 4 and a triple (r, s, t) with r + s + t = 0 mod p,
 the exponents a with <ar/p> + <as/p> + <at/p> = 1 form a CM type.  The
-associated period products are Euler beta values; their comparison with
-the product of Gamma(a/p) over the residues a yields ratios that are
-exactly rational, or rational multiples of sqrt(p), and the Tate-twist
-certificate here pins those down.
+associated period products are Euler beta values.  Let G_sigma be the
+product of Gamma(a/p) over the residues eps(a) = sigma, e = eps(r) +
+eps(s) + eps(t) = +-1, u = ar mod p and v = as mod p.  By
+Gamma(x + 1) = x Gamma(x) (DLMF 5.5.1) the beta period is B = Q G_e, with
+
+    Q = prod p / (u + v - p) over the residues a with u + v > p,
+
+the residues outside the CM type, and by Gauss multiplication (DLMF
+5.5.6) B G_-e / (2 pi)^((p-1)/2) = Q / sqrt(p).  The Tate-twist
+certificate compares that ratio, times sqrt(p) at e = +1, with its
+closed form, so both signs run every Gamma(a/p) through the Taylor
+table of log Gamma.
 
 Each public function takes p as an int or as the Discriminant that
 ``Discriminant.prime`` returned, and checks the triple once; a caller
@@ -18,16 +26,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import prod
 
 from mpmath import mp
 
-from .csperiods import IdentityReport, m_invariant, make_report, unrecognized_report
+from .csperiods import IdentityReport, m_invariant, make_report
 from .errors import ConsistencyError, DomainError
 from .numkernel import PrecisionContext, gamma_product, to_mpf
 from .quadforms import Discriminant, class_number_dirichlet
-from .relint import recognize_rational, recognize_sqrtp
-
-_MAX_DEN = 10 ** 12
 
 
 @dataclass(frozen=True)
@@ -41,19 +47,18 @@ class CMTypeRecord:
 
 @dataclass(frozen=True)
 class RatioCertificate:
-    """A period ratio, its recognized exact value, and the check comparing them.
+    """A period ratio, its exact value, and the check comparing them.
 
-    kind is "rational" (ratio = recognized) or "sqrtp" (ratio =
-    recognized * sqrt(p)).  height is max(|numerator|, denominator).
-    report.lhs is the ratio; report.rhs names the exact value, or is
-    "unrecognized".
+    kind is "rational" (ratio = recognized, e = +1) or "sqrtp" (ratio =
+    recognized * sqrt(p), e = -1), recognized is the closed form Q or Q/p
+    and height is max(|numerator|, denominator).  report.lhs is the ratio.
     """
 
     report: IdentityReport
     kind: str
-    recognized: Fraction | None
+    recognized: Fraction
     height: int
-    m: Fraction | None
+    m: Fraction
 
     @property
     def passed(self) -> bool:
@@ -117,38 +122,23 @@ def beta_period(p, r, s, t, ctx: PrecisionContext):
     return gamma_product({Fraction(k, p): c for k, c in weights.items()}, ctx)
 
 
-def _residue_gamma_product(disc, ctx: PrecisionContext):
-    """prod of Gamma(a/p) over the residues eps(a) = 1, at working + 10 digits."""
+def _residue_gamma_product(disc, sigma, ctx: PrecisionContext):
+    """prod of Gamma(a/p) over the residues eps(a) = sigma, at working + 10 digits."""
     p = disc.d
-    return gamma_product({Fraction(a, p): 1 for a in range(1, p) if disc.epsilon(a) == 1},
+    return gamma_product({Fraction(a, p): 1 for a in range(1, p) if disc.epsilon(a) == sigma},
                          ctx)
 
 
-def _certify(name, inputs, ratio, kind, p, m, ctx) -> RatioCertificate:
-    with ctx.workprec():
-        ratio = +ratio
-        if kind == "rational":
-            rec = recognize_rational(ratio, _MAX_DEN, ctx)
-        else:
-            rec = recognize_sqrtp(ratio, p, _MAX_DEN, ctx)
-        if rec is None:
-            return RatioCertificate(unrecognized_report(name, inputs, ratio), kind,
-                                    None, 0, m)
-        exact, text = to_mpf(rec), str(rec)
-        if kind == "sqrtp":
-            exact, text = exact * mp.sqrt(p), f"{text}*sqrt({p})"
-        rep = replace(make_report(name, inputs, ratio, exact, ctx), rhs=text)
-        return RatioCertificate(rep, kind, rec, max(abs(rec.numerator), rec.denominator), m)
-
-
 def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificate:
-    """Certify the beta period against the QR Gamma product.
+    """Certify the beta period against Gauss multiplication and its closed form.
 
-    Needs a mixed triple, eps(r) + eps(s) + eps(t) = +-1.  With B the
-    beta period and G the residue Gamma product, the ratio is B/G at +1,
-    a rational, and B G / (2 pi)^((p-1)/2) at -1, a rational * sqrt(p);
-    it is formed at working + 10 digits and rounded to working once.  The m-invariant
-    rides along as the twist exponent the comparison is taken at.
+    Needs a mixed triple, e = eps(r) + eps(s) + eps(t) = +-1.  With B
+    the beta period and G_-e the Gamma product over the residues of sign
+    -e, the ratio B G_-e / (2 pi)^((p-1)/2), times sqrt(p) at e = +1, is
+    formed at working + 10 digits and rounded to working once; it is
+    compared with Q at +1 and (Q/p) sqrt(p) at -1 (module docstring).
+    The m-invariant rides along as the twist exponent the comparison is
+    taken at.
     """
     disc, r, s, t = _check_triple(p, r, s, t)
     p = disc.d
@@ -158,9 +148,17 @@ def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificat
     m = m_invariant(disc)
     name, inputs = f"tate-twist p={p} rst={r},{s},{t}", {"p": p, "rst": [r, s, t]}
     b = beta_period(disc, r, s, t, ctx)
-    g = _residue_gamma_product(disc, ctx)
+    g = _residue_gamma_product(disc, -e, ctx)
     with ctx.workprec(10):
-        if e == 1:
-            return _certify(name, inputs, b / g, "rational", p, m, ctx)
         ratio = b * g / (2 * mp.pi) ** ((p - 1) // 2)
-        return _certify(name, inputs, ratio, "sqrtp", p, m, ctx)
+        if e == 1:
+            ratio *= mp.sqrt(p)
+    uvs = (a * r % p + a * s % p for a in range(1, p) if disc.epsilon(a) == 1)
+    q = prod((Fraction(p, uv - p) for uv in uvs if uv > p), start=Fraction(1))
+    exact, kind = (q, "rational") if e == 1 else (q / p, "sqrtp")
+    with ctx.workprec():
+        value, text = to_mpf(exact), str(exact)
+        if e == -1:
+            value, text = value * mp.sqrt(p), f"{text}*sqrt({p})"
+        rep = replace(make_report(name, inputs, +ratio, value, ctx), rhs=text)
+    return RatioCertificate(rep, kind, exact, max(abs(exact.numerator), exact.denominator), m)

@@ -1,13 +1,19 @@
 """Recognition of numerical constants as exact quantities.
 
-Rational recognition is sound and complete inside its window: a best
-rational approximation with denominator <= max_den lying within
-1/(2*max_den^2) of x is the only such candidate, so a hit is a proof
-sketch and a miss is a certificate of absence at that height.  Both
-need x known to within that window, so a larger |x| raises
-PrecisionError.  A value of the form q*sqrt(p) is divided by sqrt(p)
-and recognized the same way.  No integer-relation search (PSLQ) is
-shipped: every check knows the exact shape of the value it expects.
+Rational recognition is complete inside its window: a best rational
+approximation with denominator <= max_den lying within 1/(2*max_den^2)
+of x is the only such candidate, so a miss is a certificate of absence
+at that height.  A hit is a proof only when the true value is known to
+have height at most max_den: a value of greater height can lie inside
+the window of a smaller fraction.  The Fermat Tate ratio of p = 163,
+rst 41,86,36, 89 digits over 63, agrees to 50 digits with a fraction
+of 39 digits over 12, which max_den = 10^12 accepts at 60 digits.  Hit
+and miss alike need x known to within that window, so a larger |x|
+raises PrecisionError.  A value of the form q*sqrt(p) is divided by
+sqrt(p) and recognized the same way.  No integer-relation search (PSLQ)
+is shipped: every check knows the exact shape of the value it expects,
+and only the ``recognize`` command reads a value back; the Fermat
+certificates compare with their closed form.
 """
 
 from __future__ import annotations

@@ -253,7 +253,8 @@ def test_fermat_rows_name_the_reduced_triple(capsys):
 def test_fermat_request_validates_p_once(capsys, monkeypatch, rst, kind):
     # the Discriminant checked at the entry is passed inward, so one
     # request costs the primality tests of one Discriminant.prime(p);
-    # recognize_sqrtp checks its own p once more
+    # the certificate's exact side is a closed form, so no recognizer
+    # runs and tests p again
     from cmperiods import arith, quadforms, relint
     calls = {"arith": 0, "quadforms": 0, "relint": 0}
     real = arith.is_prime
@@ -271,7 +272,7 @@ def test_fermat_request_validates_p_once(capsys, monkeypatch, rst, kind):
     tate = json.loads(out)[2]
     assert tate["pass"] and ("sqrt(19)" in tate["rhs_log"]) == (kind == "sqrtp")
     assert calls["arith"] + calls["quadforms"] == one_validation, calls
-    assert calls["relint"] == (kind == "sqrtp")
+    assert calls["relint"] == 0
 
 
 def test_fermat_and_verify_cs_share_one_stirling_table(capsys):
@@ -401,11 +402,9 @@ def fermat_argv(draw):
 def test_fermat_fuzz_exit_codes(request):
     # random fermat argv: anything but a mixed triple at a prime p = 3 mod 4
     # exits 2 with one error line, and nothing raises.  A mixed triple
-    # passes its two CM-type rows and exits 0 at p <= 43.  From p = 47 on
-    # it may exit 1, its Tate row failed, or 3, the recognizer short of
-    # digits: many exact Tate ratios there have a height above the
-    # recognizer's 10^12 (p = 163, rst 1,2,160 has one of 89 digits), and
-    # 575 of the 1,518 mixed triples at p = 47 fail at 30 digits
+    # passes its two CM-type rows and its Tate row and exits 0 at every p,
+    # 47, 163 and 199 included: the Tate row compares with a closed form,
+    # whatever the height of the exact ratio
     p, rst, prec = request
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -414,14 +413,10 @@ def test_fermat_fuzz_exit_codes(request):
     if not _is_mixed_fermat_request(p, rst):
         assert (code, out.getvalue()) == (2, ""), (p, rst, prec)
         assert err.getvalue().startswith("error: ")
-    elif code == 3:
-        assert p >= 47 and out.getvalue() == ""
-        assert err.getvalue().startswith("precision failure: ")
     else:
         rows = json.loads(out.getvalue())
-        assert [row["pass"] for row in rows[:2]] == [True, True]
-        assert code == (0 if rows[2]["pass"] else 1), (p, rst, prec)
-        assert code == 0 or p >= 47, (p, rst, prec)
+        assert code == 0, (p, rst, prec)
+        assert [row["pass"] for row in rows] == [True, True, True], (p, rst, prec)
 
 
 def test_exit_code_domain_errors(capsys):
@@ -524,8 +519,8 @@ requests = [
                                  "quadforms.reduced_forms"}),
     (["fermat", "--p", "7", "--rst", "1,1,5"], {
         "fermat.cm_type", "fermat.tate_twist_certificate", "fermat.beta_period",
-        "csperiods.m_invariant", "csperiods.make_report", "relint.recognize_rational",
-        "quadforms.class_number_dirichlet"}),
+        "csperiods.m_invariant", "csperiods.make_report", "quadforms.class_number_dirichlet"}),
+    (["recognize", "--value", "0.75"], {"relint.recognize_rational"}),
 ]
 for i, (argv, expected) in enumerate(requests):
     tracing.start_request(i)

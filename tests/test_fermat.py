@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -10,7 +11,7 @@ from cmperiods.fermat import (CMTypeRecord, beta_period, cm_type, epsilon_rst,
                               tate_twist_certificate)
 from cmperiods.numkernel import PrecisionContext
 from cmperiods.quadforms import Discriminant, class_number_dirichlet
-from cmperiods.relint import recognize_sqrtp
+from cmperiods.relint import recognize_rational, recognize_sqrtp
 
 
 def all_triples(p):
@@ -152,13 +153,11 @@ def test_fermat_request_takes_no_log(monkeypatch, capsys):
     assert calls == {"exp": 2}
 
 
-def test_rational_tate_rows_carry_no_gamma_content(monkeypatch):
-    # at eps = +1 the Horner parts of the beta period and of the residue
-    # product are equal (their t = x - round(x) agree as multisets), so
-    # B/G is the exact ratio of their shift products, whatever the table
-    # holds: 2^-40 added to log Gamma(N), entry 0 of the Taylor table,
-    # fails every sqrt(p) certificate at p = 7, 11 and 19 and no
-    # rational one.  The rational rows pass by construction.
+def test_every_tate_row_carries_gamma_content(monkeypatch):
+    # both signs compare B G_-e / (2 pi)^((p-1)/2) with the closed form,
+    # and B G_-e holds the product of all Gamma(a/p), which no shift
+    # product cancels: 2^-40 added to log Gamma(N), entry 0 of the
+    # Taylor table, fails every mixed triple at p = 7, 11 and 19
     ctx = PrecisionContext(60)
     table = numkernel._log_gamma_taylor
 
@@ -181,4 +180,72 @@ def test_rational_tate_rows_carry_no_gamma_content(monkeypatch):
     finally:
         for memo in memos:
             memo.cache_clear()
-    assert passed == {1: {True}, -1: {False}}
+    assert passed == {1: {False}, -1: {False}}
+
+
+def shift_rational(p, r, s):
+    """Q = prod over residues a of p/(p - (at mod p)) where <ar> + <as> + <at> = 2p."""
+    t = (-r - s) % p
+    q = Fraction(1)
+    for a in range(1, p):
+        if pow(a, (p - 1) // 2, p) == 1 and a * r % p + a * s % p + a * t % p == 2 * p:
+            q *= Fraction(p, p - a * t % p)
+    return q
+
+
+def mixed_triples(p):
+    def eps(x):
+        return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
+    return [rst for rst in all_triples(p) if abs(sum(map(eps, rst))) == 1]
+
+
+@pytest.mark.parametrize("rst, prec", [((1, 2, 160), 120), ((41, 86, 36), 60),
+                                       ((1, 9, 153), 70)])
+def test_tate_ratio_of_89_digit_height_passes(capsys, rst, prec):
+    # Q of these triples has an 89-digit numerator; a recognizer capped
+    # at height 10^12 found no rational for the first, and for the other
+    # two a wrong one that agreed to 50 and 49 digits, which passed the
+    # second at 60 digits and failed the third at 70
+    argv = ["--json", "--prec", str(prec), "fermat", "--p", "163",
+            "--rst", ",".join(map(str, rst))]
+    assert cli.main(argv) == 0
+    row = json.loads(capsys.readouterr().out)[2]
+    e = epsilon_rst(163, *rst)
+    q = shift_rational(163, *rst[:2])
+    assert row["rhs_log"] == (str(q) if e == 1 else f"{q / 163}*sqrt(163)")
+    assert row["pass"] and row["digits_agreed"] == PrecisionContext(prec).working_digits
+
+
+def test_closed_form_is_what_the_recognizer_reads():
+    # the recognizer is sound at these heights (all below 10^8): on every
+    # mixed triple at p = 7, 11 and 19 it reads the closed form back from
+    # the numeric ratio
+    ctx60 = PrecisionContext(60)
+    for p in (7, 11, 19):
+        for r, s, t in mixed_triples(p):
+            cert = tate_twist_certificate(p, r, s, t, ctx60)
+            assert cert.recognized == shift_rational(p, r, s) / (1 if cert.kind == "rational" else p)
+            if cert.kind == "rational":
+                rec = recognize_rational(cert.report.lhs, 10 ** 12, ctx60)
+            else:
+                rec = recognize_sqrtp(cert.report.lhs, p, 10 ** 12, ctx60)
+            assert rec == cert.recognized, (p, r, s, t)
+
+
+@pytest.mark.parametrize("p, stride", [(7, 1), (19, 3), (47, 19), (163, 389)])
+def test_closed_form_against_mpmath_loggamma(p, stride):
+    # log Q = log B - log G_e, with B and G_e summed from mpmath's
+    # loggamma at working + 20 digits
+    ctx = PrecisionContext(60)
+    disc = Discriminant(p)
+    residues = [a for a in range(1, p) if disc.epsilon(a) == 1]
+    with mp.workdps(ctx.working_digits + 20):
+        for r, s, t in mixed_triples(p)[::stride]:
+            e = epsilon_rst(p, r, s, t)
+            log_b = mp.fsum(mp.loggamma(mp.mpf(a * r % p) / p) + mp.loggamma(mp.mpf(a * s % p) / p)
+                            - mp.loggamma(mp.mpf(a * r % p + a * s % p) / p) for a in residues)
+            log_g = mp.fsum(mp.loggamma(mp.mpf(a) / p) for a in range(1, p)
+                            if disc.epsilon(a) == e)
+            q = tate_twist_certificate(p, r, s, t, ctx).recognized
+            log_q = mp.log(q.numerator) - mp.log(q.denominator) + (0 if e == 1 else mp.log(p))
+            assert abs(log_b - log_g - log_q) < mp.mpf(10) ** -ctx.working_digits, (p, r, s, t)

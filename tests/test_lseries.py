@@ -115,7 +115,7 @@ def test_character_gamma_sum_against_mpmath(prec):
         disc = Discriminant(d)
         if residues_only:
             with mp.workdps(ctx.working_digits + 20):
-                got = mp.log(_residue_gamma_product(disc, ctx))
+                got = mp.log(_residue_gamma_product(disc, 1, ctx))
         else:
             got = character_gamma_sum(disc, ctx)
         weights = [(a, disc.epsilon(a)) for a in range(1, d)]
@@ -132,7 +132,7 @@ def test_character_gamma_sum_halves_obey_gauss_multiplication(prec):
     # = ((p-1)/2) log(2 pi) - (1/2) log p
     ctx = PrecisionContext(prec)
     for p in RESIDUE_PRIMES:
-        product = _residue_gamma_product(Discriminant(p), ctx)
+        product = _residue_gamma_product(Discriminant(p), 1, ctx)
         chi = character_gamma_sum(p, ctx)
         with ctx.workprec():
             r = mp.log(product)

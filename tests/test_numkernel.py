@@ -145,8 +145,11 @@ def test_log_gamma_domain_edges_against_mpmath(ctx):
 def test_log_gamma_miss_runs_no_stirling_loop(monkeypatch):
     # every log Gamma reads the one Taylor table of its precision: once
     # the table is built, a memo miss sums it and one shift product, and
-    # runs no Stirling loop
+    # runs no Stirling loop.  The memos are cleared first, so the first
+    # call reaches the table whatever earlier requests left in them
     ctx = PrecisionContext(60)
+    numkernel._log_gamma_parts.cache_clear()
+    log_gamma.cache_clear()
     log_gamma(Fraction(1, 7), ctx)  # builds the table
     loops = []
     stirling_terms = numkernel._stirling_terms
