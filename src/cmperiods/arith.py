@@ -1,7 +1,8 @@
 """Exact integer number theory: primality, factoring, divisors, linear congruences.
 
-Desk-scale inputs only (factors found by trial division up to 10^6, then
-Pollard rho with Brent cycling).  Everything here is deterministic.
+Factoring takes n <= MAX_N = 10^12 only, by trial division up to 10^6;
+primality is Miller-Rabin with deterministic bases.  Everything here is
+deterministic.
 """
 
 from __future__ import annotations
@@ -37,61 +38,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
-    # Brent's cycle variant; n must be composite and odd.
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        f = lambda x: (x * x + c) % n
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = f(y)
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = f(y)
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = f(ys)
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"pollard rho failed on {n}")
+# the largest n factorize takes: trial division to 10^6 factors it
+MAX_N = 10 ** 12
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {p: exponent}; n must be positive."""
-    if n <= 0:
-        raise DomainError("factorize requires n > 0")
+    """Prime factorization as {p: exponent} for 1 <= n <= MAX_N.
+
+    Trial division while f^2 <= n: a cofactor left above 1 has no
+    divisor up to its square root, so it is prime.
+    """
+    if not 1 <= n <= MAX_N:
+        raise DomainError(f"factorize requires 1 <= n <= {MAX_N}")
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 7
-    while f * f <= n and f < 10 ** 6:
+    f = 2
+    while f * f <= n:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
-        f += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m)
-        stack.extend((d, m // d))
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out[n] = 1
     return out
 
 

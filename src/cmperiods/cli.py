@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from mpmath import mp
 
+from .arith import MAX_N
 from .csperiods import (IdentityReport, class_periods, cs_verify, exact_report,
                         faltings_height_L, faltings_height_periods, log_delta_pair,
                         m_invariant, make_report, unrecognized_report)
@@ -176,8 +178,8 @@ def _m_invariant_holds(p):
 
 def _cmd_suite(args, ctx):
     maxd = args.max_d
-    if maxd < 3:
-        raise DomainError("--max-d must be at least 3")
+    if not 3 <= maxd <= MAX_N:
+        raise DomainError(f"--max-d must be in 3..{MAX_N}")
     ds = [d for d in range(3, maxd + 1) if is_fundamental(d)]
     reports = []
 
@@ -196,9 +198,12 @@ def _cmd_suite(args, ctx):
     tail = [rep for p in _PERIOD_PRIMES if p <= maxd for rep in _periods(p, ctx)[0]]
     tail += [rep for p in _FALTINGS_PRIMES if p <= maxd for rep in _faltings(p, ctx)[0]]
     tasks = [(d, ctx.target_digits) for d in ds]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            chunk = -(-len(tasks) // args.threads)
+    # a fork pool starts all its workers at the first submit: no more
+    # than there are tasks or cores
+    workers = min(args.threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = -(-len(tasks) // workers)
             reports.extend(pool.map(_cs_worker, tasks, chunksize=chunk))
     else:
         reports.extend(_cs_worker(t) for t in tasks)
@@ -279,6 +284,10 @@ def _render(rep) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # argparse reads "--flag=--" as the empty list and calls no type on it
+    if [] in vars(args).values():
+        print("error: a flag given as --flag=-- has no value", file=sys.stderr)
+        return 2
     if args.prec < 30:
         print("error: --prec must be at least 30", file=sys.stderr)
         return 2

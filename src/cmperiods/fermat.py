@@ -23,6 +23,7 @@ once per request.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -138,7 +139,8 @@ def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificat
     formed at working + 10 digits and rounded to working once; it is
     compared with Q at +1 and (Q/p) sqrt(p) at -1 (module docstring).
     The m-invariant rides along as the twist exponent the comparison is
-    taken at.
+    taken at.  Raises DomainError, before any Gamma product, when Q has
+    more digits than CPython converts to text (from p of about 4,800).
     """
     disc, r, s, t = _check_triple(p, r, s, t)
     p = disc.d
@@ -147,17 +149,22 @@ def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificat
         raise DomainError("tate certificate needs eps(r)+eps(s)+eps(t) = +-1")
     m = m_invariant(disc)
     name, inputs = f"tate-twist p={p} rst={r},{s},{t}", {"p": p, "rst": [r, s, t]}
+    uvs = (a * r % p + a * s % p for a in range(1, p) if disc.epsilon(a) == 1)
+    q = prod((Fraction(p, uv - p) for uv in uvs if uv > p), start=Fraction(1))
+    exact, kind = (q, "rational") if e == 1 else (q / p, "sqrtp")
+    try:
+        text = str(exact)
+    except ValueError as exc:  # CPython's guard against quadratic int-to-str time
+        raise DomainError(f"the closed form of the tate ratio at p={p} has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
     b = beta_period(disc, r, s, t, ctx)
     g = _residue_gamma_product(disc, -e, ctx)
     with ctx.workprec(10):
         ratio = b * g / (2 * mp.pi) ** ((p - 1) // 2)
         if e == 1:
             ratio *= mp.sqrt(p)
-    uvs = (a * r % p + a * s % p for a in range(1, p) if disc.epsilon(a) == 1)
-    q = prod((Fraction(p, uv - p) for uv in uvs if uv > p), start=Fraction(1))
-    exact, kind = (q, "rational") if e == 1 else (q / p, "sqrtp")
     with ctx.workprec():
-        value, text = to_mpf(exact), str(exact)
+        value = to_mpf(exact)
         if e == -1:
             value, text = value * mp.sqrt(p), f"{text}*sqrt({p})"
         rep = replace(make_report(name, inputs, +ratio, value, ctx), rhs=text)

@@ -70,6 +70,7 @@ from functools import lru_cache
 from itertools import accumulate, count
 from math import ceil, floor, log2, log10, pi, prod
 from operator import floordiv
+from typing import ClassVar
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, prec_to_dps
@@ -97,7 +98,7 @@ _TANGENT_COLUMN = [1]
 # hundred bytes each; only the fermat requests fill the parts (see the
 # module docstring)
 _LOG_GAMMA_MEMO = 8192
-# the largest argument of log_gamma: the smallest shift point N
+# the largest argument of log_gamma: below the smallest shift point N, 72
 _LOG_GAMMA_MAX = 60
 # tables kept, one per binary working precision: the Taylor tables of
 # log Gamma and (2 pi)^12
@@ -124,17 +125,16 @@ _SHIFT_LEAF = 64
 class PrecisionContext:
     """Requested accuracy: results carry absolute error < 10**-target_digits.
 
-    ``guard_digits`` extra digits are used internally to absorb rounding.
+    ``guard_digits``, a constant 20, extra digits are used internally to
+    absorb rounding; the kernels' error budgets are written for it.
     """
 
     target_digits: int = 120
-    guard_digits: int = 20
+    guard_digits: ClassVar[int] = 20
 
     def __post_init__(self):
         if self.target_digits < 30:
             raise DomainError("target_digits must be at least 30")
-        if self.guard_digits < 10:
-            raise DomainError("guard_digits must be at least 10")
 
     @property
     def working_digits(self) -> int:
@@ -431,8 +431,8 @@ def _log_gamma_parts(x, prec):
     i = round(x) and t = x - i, acc is the table of ``_log_gamma_taylor``
     at N + t, summed by Horner's rule in integers, and S is
     prod_{j < N - i} (x + j) = Gamma(N + t) / Gamma(x) (DLMF 5.5.1), the
-    exact integer prod (n + j*m) over m^(N - i), as an mpf at prec.  60 is
-    the least N (30 target and 10 guard digits), so i <= N.  Memoized per
+    exact integer prod (n + j*m) over m^(N - i), as an mpf at prec.  The
+    least N is 72 (30 target and 20 guard digits), so i <= 60 < N.  Memoized per
     (x, prec): ``log_gamma`` and ``gamma_product`` share the parts.
     """
     shift, table = _log_gamma_taylor(prec)

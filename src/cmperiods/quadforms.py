@@ -18,7 +18,7 @@ from math import gcd, isqrt
 
 from mpmath import mp
 
-from .arith import divisors, is_prime, is_squarefree, solve_linmod
+from .arith import MAX_N, divisors, is_prime, is_squarefree, solve_linmod
 from .errors import ConsistencyError, DomainError
 from .numkernel import Lattice, PrecisionContext
 
@@ -73,11 +73,17 @@ def is_fundamental(d: int) -> bool:
 
 @dataclass(frozen=True)
 class Discriminant:
-    """The field Q(sqrt(-d)); d > 0 with -d fundamental."""
+    """The field Q(sqrt(-d)); 0 < d <= MAX_N = 10^12 with -d fundamental.
+
+    The bound is the domain of every check: ``factorize`` reaches it by
+    trial division to 10^6, and the checks sum over every a < d.
+    """
 
     d: int
 
     def __post_init__(self) -> None:
+        if self.d > MAX_N:
+            raise DomainError(f"{self.d} is above the domain bound {MAX_N} of d and p")
         if not is_fundamental(self.d):
             raise DomainError(f"-d is not a fundamental discriminant for d = {self.d}")
 
@@ -228,10 +234,6 @@ class ClassGroup:
     @property
     def h(self) -> int:
         return len(self.forms)
-
-    @property
-    def principal(self) -> QuadForm:
-        return self.forms[0]
 
     def __iter__(self):
         return iter(self.forms)

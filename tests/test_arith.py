@@ -1,8 +1,10 @@
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmperiods.arith import divisors, factorize, is_prime, is_squarefree, solve_linmod
+from cmperiods.arith import MAX_N, divisors, factorize, is_prime, is_squarefree, solve_linmod
+from cmperiods.errors import DomainError
 
 
 def test_is_prime_small_table():
@@ -35,9 +37,15 @@ def test_factorize_roundtrip(n):
     assert prod == n
 
 
-def test_factorize_semiprime():
-    n = 1000003 * 1000033
-    assert factorize(n) == {1000003: 1, 1000033: 1}
+def test_factorize_up_to_the_bound():
+    # trial division to 10^6 factors every n <= MAX_N = 10^12: here the
+    # last trial divisor, 999983, sits just under 10^6 and leaves the prime
+    # 1000003.  Outside 1..MAX_N factorize raises
+    assert MAX_N == 10 ** 12
+    assert factorize(999983 * 1000003) == {999983: 1, 1000003: 1}
+    for n in (0, MAX_N + 1):
+        with pytest.raises(DomainError):
+            factorize(n)
 
 
 def test_divisors():

@@ -2,6 +2,7 @@ import io
 import json
 import re
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import isqrt
 from pathlib import Path
@@ -402,9 +403,10 @@ def fermat_argv(draw):
 def test_fermat_fuzz_exit_codes(request):
     # random fermat argv: anything but a mixed triple at a prime p = 3 mod 4
     # exits 2 with one error line, and nothing raises.  A mixed triple
-    # passes its two CM-type rows and its Tate row and exits 0 at every p,
-    # 47, 163 and 199 included: the Tate row compares with a closed form,
-    # whatever the height of the exact ratio
+    # passes its two CM-type rows and its Tate row and exits 0 at every
+    # p <= 200 drawn, 47, 163 and 199 included: the Tate row compares with
+    # a closed form, whatever the height of the exact ratio (from p of
+    # about 4,800 that form is too long to print, and the request exits 2)
     p, rst, prec = request
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -417,6 +419,177 @@ def test_fermat_fuzz_exit_codes(request):
         rows = json.loads(out.getvalue())
         assert code == 0, (p, rst, prec)
         assert [row["pass"] for row in rows] == [True, True, True], (p, rst, prec)
+
+
+def test_fermat_closed_form_past_the_digit_limit_exits_2(capsys, monkeypatch):
+    # at p = 5023 the closed form Q of rst = 1,1,5021 has more digits than
+    # CPython converts from an int to text (4,300): the request exits 2
+    # with one line naming p, before it forms any Gamma product
+    from cmperiods import fermat
+
+    def no_gamma_product(*args):
+        raise AssertionError("a Gamma product was formed")
+
+    monkeypatch.setattr(fermat, "gamma_product", no_gamma_product)
+    code, out, err = run(capsys, "fermat", "--p", "5023", "--rst", "1,1,5021", "--prec", "30")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "p=5023" in err and err.count("\n") == 1
+
+
+# d = 10^12 + 3; d = 3,999,999,999,988 = 4m with m = 999,999,999,997 = 1
+# mod 4 under the bound, so factoring m alone would find -d fundamental;
+# and the prime p = 1,000,000,000,039 = 3 mod 4
+ABOVE_THE_BOUND = [
+    *(f"{cmd} --d {d}" for cmd in ("class", "verify-cs", "kronecker")
+      for d in (10 ** 12 + 3, 3999999999988)),
+    *(f"{cmd} --p 1000000000039" for cmd in ("periods", "faltings")),
+    "fermat --p 1000000000039 --rst 1,1,1000000000037",
+    "hecke --p 1000000000039 --form 1,1,250000000010",
+    f"suite --max-d {10 ** 12 + 1}",
+]
+
+
+@pytest.mark.parametrize("argv", ABOVE_THE_BOUND)
+def test_above_the_domain_bound_exits_2_at_once(capsys, argv):
+    # d and p at most 10^12: above it every command exits 2 before any
+    # sum over a < d, which would run for months
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 0.5, argv
+    assert (code, out) == (2, ""), argv
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# every fundamental d <= 8 is a suite task: d = 3, 4, 7 and 8
+@pytest.mark.parametrize("threads, cores, workers", [(64, 16, 4), (64, 3, 3), (2, 16, 2),
+                                                     (64, 1, None), (64, None, None),
+                                                     (1, 16, None)])
+def test_suite_pool_is_no_larger_than_its_tasks_or_cores(capsys, monkeypatch, threads,
+                                                         cores, workers):
+    # a fork pool starts all max_workers processes at its first submit, so
+    # suite asks for min(--threads, tasks, cores) workers, and forms no
+    # pool when that is 1.  The pool here records its size and maps in
+    # this process; the output is that of --threads 1
+    argv = ["--json", "--prec", "30", "suite", "--max-d", "8", "--threads"]
+    code, serial, _ = run(capsys, *argv, "1")
+    assert code == 0
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append({"max_workers": max_workers})
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, tasks, chunksize):
+            pools[-1]["chunksize"] = chunksize
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    assert run(capsys, *argv, str(threads))[:2] == (0, serial)
+    assert pools == ([] if workers is None else
+                     [{"max_workers": workers, "chunksize": -(-4 // workers)}])
+
+
+# integers int() refuses
+_NOT_INTS = ["", "x", "1.5", "7e1", "0x7", "--"]
+_ABOVE_D = [10 ** 12 + 3, 3999999999988]
+_ABOVE_P = [1000000000039]
+
+
+@st.composite
+def cli_argv(draw):
+    """(argv, expected): random argv for one of the nine subcommands.
+
+    expected is 2 for a malformed integer, form or triple, a value of d,
+    p or --max-d above 10^12, a --prec below 30 or a --threads below 1,
+    and None where any exit code 0-3 may come.
+    """
+    two = False
+
+    def integer(lo, hi, above=(), valid=()):
+        # Hypothesis leans to small draws: the rare kinds are the large ones
+        nonlocal two
+        kind = draw(st.integers(0, 9))
+        if kind == 9:
+            two = True
+            return draw(st.sampled_from(_NOT_INTS))
+        if kind == 8 and above:
+            two = True
+            return str(draw(st.sampled_from(above)))
+        if kind < 4 and valid:
+            return str(draw(st.sampled_from(valid)))
+        return str(draw(st.integers(lo, hi)))
+
+    def int_list(n, lo, hi):
+        nonlocal two
+        parts = draw(st.lists(st.one_of(st.integers(lo, hi).map(str),
+                                        st.sampled_from(_NOT_INTS)), min_size=1, max_size=4))
+        two |= len(parts) != n or any(part in _NOT_INTS for part in parts)
+        return ",".join(parts)
+
+    prec = integer(30, 60)
+    two |= prec not in _NOT_INTS and int(prec) < 30
+    threads = integer(1, 2)
+    argv = [f"--prec={prec}", f"--threads={threads}"] + draw(st.sampled_from([[], ["--json"]]))
+    command = draw(st.sampled_from(["class", "verify-cs", "kronecker", "periods", "faltings",
+                                    "fermat", "hecke", "recognize", "suite"]))
+    argv.append(command)
+    if command in ("class", "verify-cs", "kronecker"):
+        argv.append(f"--d={integer(-5, 200, _ABOVE_D, [3, 4, 7, 8, 23, 71, 163, 199])}")
+        if command == "kronecker" and draw(st.booleans()):
+            argv.append(f"--class={integer(-1, 10)}")
+    elif command == "suite":
+        argv.append(f"--max-d={integer(-2, 30, [10 ** 12 + 1])}")
+    elif command == "recognize":
+        value = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6).map(str),
+                               st.floats().map(repr),
+                               st.sampled_from(["1/3", "0.75", "1e400", "nan", "x", ""])))
+        argv.append(f"--value={value}")
+        if draw(st.booleans()):
+            argv.append(f"--sqrtp={integer(-5, 200)}")
+    else:
+        p = integer(-5, 200, _ABOVE_P, [7, 11, 19, 23, 43, 47, 163, 199])
+        argv.append(f"--p={p}")
+        valid_p = p not in _NOT_INTS and 0 < int(p) <= 200
+        if command == "fermat":
+            if valid_p and draw(st.booleans()):
+                n = int(p)
+                r, s = draw(st.integers(0, n)), draw(st.integers(0, n))
+                argv.append(f"--rst={r},{s},{-r - s}")
+            else:
+                argv.append(f"--rst={int_list(3, -400, 400)}")
+        elif command == "hecke":
+            if valid_p and int(p) % 4 == 3 and draw(st.booleans()):
+                n, a = int(p), draw(st.integers(1, 8))
+                a, b = next(((a, b) for b in range(-a, a + 1) if (b * b + n) % (4 * a) == 0),
+                            (1, 1))
+                argv.append(f"--form={a},{b},{(b * b + n) // (4 * a)}")
+            else:
+                argv.append(f"--form={int_list(3, -60, 60)}")
+    return argv, 2 if two else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_cli_fuzz_exit_codes(request):
+    # random argv over all nine subcommands: exit 0-3 and no traceback;
+    # malformed input and input above the domain bound exit 2
+    argv, expected = request
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: a flag's value is not an int
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    if expected is not None:
+        assert (code, out.getvalue()) == (expected, ""), argv
 
 
 def test_exit_code_domain_errors(capsys):
