@@ -19,23 +19,25 @@ Z_Q'(0) is one series in E1(n*t0) = G(0, n*t0) plus elementary terms,
 decaying like e^(-n*t0).
 
 Nearly all the time goes into E1, which ``_e1`` evaluates by the power
-series below x = 40 and the Legendre continued fraction (modified Lentz)
-above; no other incomplete gamma is computed.  Both loops run in fixed
-point, on Python integers scaled by 2^(prec + 20) as in
-``numkernel``, with no mpf normalization per step; the result becomes an
-mpf once, where the loop ends.
+series below x = 40 and the Legendre continued fraction above; no other
+incomplete gamma is computed.  The fraction's depth is known before it
+runs, from the Gauss-Laguerre bound on its truncation error, so it is
+evaluated once, backward.  Both loops run in fixed point, on Python
+integers scaled by 2^(prec + 20) as in ``numkernel``, with no mpf
+normalization per step; the result becomes an mpf once, where the loop
+ends.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log, log1p
 
 from mpmath import mp
 
 from .errors import PrecisionError
 from .lseries import SZeroJet
-from .numkernel import _GUARD_BITS, PrecisionContext, error_digits
+from .numkernel import _GUARD_BITS, _LN10, PrecisionContext, error_digits
 from .quadforms import QuadForm
 
 _LOG10E = 0.4342944819032518
@@ -67,34 +69,40 @@ def theta_counts(f: QuadForm, limit: int) -> list[int]:
 
 
 def _e1_cf(x, expmx):
-    """E1(x) by Lentz evaluation of the Legendre continued fraction, large x.
+    """E1(x) by the Legendre continued fraction, large x, in one backward pass.
 
-    The loop runs on integers scaled by 2^wp, wp = prec + _GUARD_BITS:
-    the partial numerators a_j = -j^2 and denominators b_j = x + 2j + 1,
-    the Lentz pair (c, d) and the product f.
+    e^x E1(x) = 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))) with a_j = -j^2 and
+    b_j = x + 2j + 1.  The convergent with n denominators is the n-point
+    Gauss-Laguerre rule for the integral of e^-t/(x + t) over t > 0, so its
+    relative error is at most (x + 1)/(x L_n(-x)^2) (Gauss remainder, DLMF
+    3.5(v); Laguerre recurrence, DLMF 18.9).  The least n that brings it
+    below 10^-(dps+6), six digits past those due and four inside the
+    dps + 10 the loop carries, is found first, in floats, growing
+    log L_n(-x) by the ratio rho = L_n/L_(n-1); the fraction then runs
+    once, from b_(n-1) back to b_0, on integers scaled by 2^wp,
+    wp = prec + _GUARD_BITS.
     """
     dps = mp.dps
+    xv = float(x)
+    need = (dps + 6) * _LN10 + log1p(1 / xv)
+    n, rho, log_l = 1, 1 + xv, log1p(xv)
+    while 2 * log_l < need and n < _CF_CAP:
+        rho = (2 * n + 1 + xv - n / rho) / (n + 1)
+        n += 1
+        log_l += log(rho)
+    if 2 * log_l < need:
+        # the digits the bound proves at the cap
+        achieved = int((2 * log_l - log1p(1 / xv)) / _LN10)
+        raise PrecisionError("incomplete gamma continued fraction stalled",
+                             achieved_digits=achieved)
     with mp.workdps(dps + 10):
         wp = mp.prec + _GUARD_BITS
         one = 1 << wp
         xf = int(mp.ldexp(x, wp))
-        tol = int(mp.ldexp(mp.mpf(10) ** (-(dps + 6)), wp))
-        # a zero divisor becomes the smallest nonzero value, one unit
-        f = xf + one or 1
-        c = f
-        d = 0
-        for j in range(1, _CF_CAP):
-            aj = -j * j * one
-            bj = xf + (2 * j + 1) * one
-            d = (one * one) // (bj + (aj * d >> wp) or 1)
-            c = bj + (aj << wp) // c or 1
-            delta = c * d >> wp
-            f = f * delta >> wp
-            if abs(delta - one) < tol:
-                return +expmx / mp.mpf((f, -wp))
-        achieved = error_digits(mp.mpf((abs(delta - one), -wp)))
-    raise PrecisionError("incomplete gamma continued fraction stalled",
-                         achieved_digits=achieved)
+        tail = 0
+        for j in range(n - 1, 0, -1):
+            tail = (-j * j << 2 * wp) // (xf + (2 * j + 1) * one + tail)
+        return +expmx / mp.mpf((xf + one + tail, -wp))
 
 
 def _e1_series(x):

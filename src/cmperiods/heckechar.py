@@ -36,8 +36,6 @@ def psi_M(f: QuadForm, p) -> QuadInteger:
     if g != principal_form(p):
         raise ConsistencyError(f"class of {f.tuple()} does not have order dividing h={h}")
     beta = QuadInteger(2 * x * power.a - y * power.b, y, p)
-    if beta.norm != f.a ** h:
-        raise ConsistencyError("ideal power has the wrong norm")
     # p = 3 mod 4, so exactly one of beta.x/2 and -beta.x/2 is a square mod p
     if pow(beta.x * ((p + 1) // 2) % p, (p - 1) // 2, p) != 1:
         beta = -beta

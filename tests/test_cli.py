@@ -6,12 +6,13 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import isqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from cmperiods import cli, csperiods, epstein, numkernel
+from cmperiods import cli, csperiods, epstein, fermat, heckechar, numkernel
 from cmperiods.arith import is_prime
 from cmperiods.errors import PrecisionError
 from cmperiods.quadforms import Discriminant, class_number
@@ -295,6 +296,65 @@ def test_hecke(capsys):
     assert code == 0
     assert "(3, 1)" in out
     assert "[pass]" in out
+
+
+def _rows(out):
+    return {row["check"].split()[0]: row for row in json.loads(out)}
+
+
+def test_hecke_row_fails_on_a_wrong_generator(capsys, monkeypatch):
+    # psi_M does not check N(beta) = a^h itself: the hecke-psi row is the
+    # one place it is checked.  A reduction column off by one gives a
+    # beta of another norm, and the request exits 1 with its row failed
+    real = heckechar.reduce_with_column
+    def off_by_one(f):
+        g, x, y = real(f)
+        return g, x + 1, y
+    monkeypatch.setattr(heckechar, "reduce_with_column", off_by_one)
+    code, out, _ = run(capsys, "--json", "hecke", "--p", "23", "--form", "2,1,3")
+    assert code == 1
+    row = _rows(out)["hecke-psi"]
+    assert row["pass"] is False and row["lhs_log"] != row["rhs_log"] == "8"
+
+
+def _corrupt_inside_cm_type(monkeypatch, corrupt):
+    # cli's cm_type call sees its checked triple (disc, r, s, t) through
+    # corrupt; epsilon_rst and the Tate certificate see the true one
+    real_check, real_cm_type = fermat._check_triple, fermat.cm_type
+    def corrupt_cm_type(*args):
+        with monkeypatch.context() as m:
+            m.setattr(fermat, "_check_triple", lambda *a: corrupt(*real_check(*a)))
+            return real_cm_type(*args)
+    monkeypatch.setattr(cli, "cm_type", corrupt_cm_type)
+
+
+def test_cm_type_size_row_fails_on_a_wrong_cm_type(capsys, monkeypatch):
+    # cm_type does not check |phi| = (p-1)/2 itself: the cm-type-size row
+    # is the one place it is checked.  Inside cm_type, the triple 1, 1, 5
+    # at p = 7 becomes 1, 1, 6, whose phi is empty
+    _corrupt_inside_cm_type(monkeypatch, lambda disc, r, s, t: (disc, r, s, t + 1))
+    code, out, _ = run(capsys, "--json", "--prec", "30", "fermat", "--p", "7", "--rst", "1,1,5")
+    assert code == 1
+    rows = _rows(out)
+    assert (rows["cm-type-size"]["lhs_log"], rows["cm-type-size"]["rhs_log"]) == ("0", "3")
+    assert rows["cm-type-size"]["pass"] is False and rows["tate-twist"]["pass"] is True
+
+
+def test_cm_type_balance_row_fails_on_a_wrong_cm_type(capsys, monkeypatch):
+    # cm_type does not check u - v = h * eps itself: the cm-type-balance
+    # row is the one place it is checked.  Inside cm_type, the non-residue
+    # 3 of phi = (1, 2, 3) at p = 7, rst = 1, 1, 5 counts as a residue, so
+    # u - v = 3 misses h * eps = 1 while |phi| stays 3
+    def three_a_residue(disc, r, s, t):
+        skewed = SimpleNamespace(d=disc.d, epsilon=lambda a: 1 if a == 3 else disc.epsilon(a))
+        return skewed, r, s, t
+    _corrupt_inside_cm_type(monkeypatch, three_a_residue)
+    code, out, _ = run(capsys, "--json", "--prec", "30", "fermat", "--p", "7", "--rst", "1,1,5")
+    assert code == 1
+    rows = _rows(out)
+    assert (rows["cm-type-balance"]["lhs_log"], rows["cm-type-balance"]["rhs_log"]) == ("3", "1")
+    assert rows["cm-type-balance"]["pass"] is False
+    assert rows["cm-type-size"]["pass"] is True and rows["tate-twist"]["pass"] is True
 
 
 def test_hecke_request_validates_p_once(capsys, monkeypatch):

@@ -37,12 +37,30 @@ def test_theta_counts_dual_symmetry():
 
 
 def test_cf_stall_reports_digits(monkeypatch):
-    # five Lentz steps at x = 50 settle about eleven digits
+    # at the cap of five denominators the bound at x = 50,
+    # 51/(50 L_5(-50)^2) = 10^-13.2, proves 13 digits
     monkeypatch.setattr(epstein, "_CF_CAP", 5)
     with mp.workdps(30):
         with pytest.raises(PrecisionError) as err:
             _e1_cf(mp.mpf(50), mp.exp(-50))
-    assert err.value.achieved_digits == 11
+    assert err.value.achieved_digits == 13
+
+
+@pytest.mark.parametrize("x", ["1", "5", "40.5", "100"])
+def test_cf_truncation_bound_is_sharp(x):
+    # the convergent with n denominators is the n-point Gauss-Laguerre
+    # rule for e^x E1(x); its relative error is below (x + 1)/(x L_n(-x)^2),
+    # the bound _e1_cf takes its depth from, and within two digits of it
+    with mp.workdps(400):
+        xv = mp.mpf(x)
+        exact = mp.e1(xv) * mp.exp(xv)
+        for n in (5, 20, 60, 150):
+            tail = 0
+            for j in range(n - 1, 0, -1):
+                tail = -j * j / (xv + 2 * j + 1 + tail)
+            err = abs(1 / (xv + 1 + tail) - exact) / exact
+            bound = (xv + 1) / (xv * mp.laguerre(n, 0, -xv) ** 2)
+            assert err < bound < 100 * err, (x, n)
 
 
 def test_series_cap_reports_digits(monkeypatch):
@@ -92,8 +110,8 @@ def test_upper_gamma_1000_digits(x):
 def test_upper_gamma_loops_keep_guard_digits(x, guard):
     # each E1 loop, handed an exact e^-x, returns more digits than it is
     # due: the series carries at least 12 digits past its cancellation, the
-    # continued fraction runs at dps + 10 and stops at |delta - 1| below
-    # 10^-(dps+6); rounding in the loop must not eat into that margin
+    # continued fraction runs at dps + 10 to a depth whose truncation bound
+    # is below 10^-(dps+6); rounding in the loop must not eat into that margin
     dps = 1000
     with mp.workdps(dps + 40):
         xv = mp.mpf(x)
@@ -108,9 +126,12 @@ def test_upper_gamma_loops_keep_guard_digits(x, guard):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(30, 300), st.floats(0.1, 200, exclude_min=True, exclude_max=True))
+@given(st.integers(25, 300), st.floats(0.1, 800, exclude_min=True, exclude_max=True))
 def test_upper_gamma_against_mpmath_random(dps, x):
-    # E1 = Gamma(0, x) at random precision and x, both loops
+    # E1 = Gamma(0, x) at random precision and x, both loops, over the
+    # range _theta_sum calls it on: down to its 25-digit floor, and up to
+    # x ~ (dps + 12) ln 10 ~ 740 at 300 digits, where the continued
+    # fraction is shortest (8 denominators at x = 400 and 25 digits)
     _assert_e1_matches(dps, mp.mpf(x))
 
 
