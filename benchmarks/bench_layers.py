@@ -46,11 +46,14 @@ The kernels and their arguments:
   log Gamma at the shift point (``numkernel._log_gamma_taylor``) and,
   built from it, the table of the odd part of log Gamma about J
   (``numkernel._log_gamma_odd``);
-- ``epstein._e1(x, e^-x)``, the exponential integral E1 of the Epstein
-  theta sums, at target + 10 digits, one entry per regime: the
-  continued fraction (x = 40.5 and 90) and the series (x = 10 and
-  39.5); the cold call is the first x.  A tree without ``_e1`` is timed
-  on ``_upper_gamma(0, x, e^-x)``, the same loops at s = 0;
+- ``epstein.epstein_jet`` per jet, on the principal form of d = 7, 23
+  and 71, whose theta sums run to 86-1060 terms at these precisions:
+  the count array, the sum over n and the jet's last few mpf steps; the
+  cold call is the jet at d = 7, and it includes mpmath's constants at
+  that precision;
+- ``epstein.theta_counts`` per call, on every reduced form of d = 7, 23
+  and 71 (11 forms), to the limit the jet takes at target + 10 digits
+  past working precision, (dps + 12) ln 10/t0 + 4 with t0 = 2 pi/sqrt(d);
 - ``csperiods.make_report`` per call, on lhs = 1/7 and rhs = lhs (1 +
   10^-j) at j = 1, 4, 7, ... up to ten past working digits, so that
   every count of digits agreed is met and the last few rows agree to
@@ -84,9 +87,9 @@ Only public names are used (``log_gamma`` and its ``cache_clear``,
 ``character_gamma_sum`` from ``lseries``, ``make_report`` from
 ``csperiods``, ``tate_twist_certificate``, ``psi_M``, and
 ``reduced_forms``, ``form_to_lattice`` and ``inverse_ideal_lattice``
-from ``quadforms``), ``epstein._e1`` or its predecessor, and
-``numkernel._log_gamma_parts`` where a tree has it, so any two versions
-of the kernels compare.  The script is not under ``tests/`` and tier-1
+from ``quadforms``, ``epstein_jet`` and ``theta_counts`` from
+``epstein``), and ``numkernel._log_gamma_parts`` where a tree has it, so
+any two versions of the kernels compare.  The script is not under ``tests/`` and tier-1
 does not collect it.
 """
 
@@ -185,23 +188,24 @@ args = %r
 """ % (SUM_DISCS,)),
 }
 
-# epstein._e1(x, e^-x) at target + 10 digits, e^-x formed before timing as
-# the theta sum forms it; no memo to clear
-E1 = """
-from mpmath import mp
-from cmperiods import epstein
-e1 = getattr(epstein, "_e1", None) or (lambda x, em: epstein._upper_gamma(0, x, em))
-def kernel(arg, ctx):
-    with mp.workdps(ctx.target_digits + 10):
-        return e1(*arg)
+JET_DISCS = (7, 23, 71)
+WORKERS["epstein_jet"] = ("epstein.epstein_jet per jet, principal form of d in %s, ms"
+                          % ", ".join(map(str, JET_DISCS)), """
+from cmperiods.epstein import epstein_jet
+from cmperiods.quadforms import principal_form
+kernel, fresh = epstein_jet, lambda: None
+args = [principal_form(d) for d in %r]
+""" % (JET_DISCS,))
+WORKERS["theta_counts"] = ("epstein.theta_counts per form, every class of d in %s, "
+                           "to the jet's limit, ms" % ", ".join(map(str, JET_DISCS)), """
+from math import log, pi, sqrt
+from cmperiods.epstein import theta_counts
+def kernel(f, ctx):
+    dps = ctx.working_digits + 10
+    return theta_counts(f, int((dps + 12) * log(10) / (2 * pi / sqrt(-f.disc))) + 4)
 fresh = lambda: None
-with mp.workdps(ctx.target_digits + 10):
-    args = [(mp.mpf(x), mp.exp(-mp.mpf(x))) for x in %r]
-"""
-for name, regime, points in (("e1_cf", "continued fraction", ("40.5", "90")),
-                             ("e1_series", "series", ("10", "39.5"))):
-    WORKERS[name] = ("epstein._e1 per call, %s, x in %s, at target + 10 digits, ms"
-                     % (regime, ", ".join(points)), E1 % (points,))
+args = [f for d in %r for f in reduced_forms(d)]
+""" % (JET_DISCS,))
 
 WORKERS["make_report"] = ("csperiods.make_report per call, rel_err 10^-j, "
                           "j = 1, 4, ... to working digits + 10, ms", """

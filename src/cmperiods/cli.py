@@ -23,7 +23,7 @@ from .arith import MAX_N
 from .csperiods import (IdentityReport, class_periods, cs_verify, exact_report,
                         faltings_height_L, faltings_height_periods, log_delta_pair,
                         m_invariant, make_report, unrecognized_report)
-from .epstein import epstein_jet
+from .epstein import epstein_jet, epstein_jets
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .fermat import cm_type, epsilon_rst, tate_twist_certificate
 from .heckechar import psi_M
@@ -63,8 +63,7 @@ def _cmd_verify_cs(args, ctx):
     return [cs_verify(args.d, ctx)], []
 
 
-def _kronecker_class(disc, i, f, sqrt_d, ctx):
-    jet = epstein_jet(f, ctx)
+def _kronecker_class(disc, i, f, jet, sqrt_d, ctx):
     with ctx.workprec():
         rhs = -log_delta_pair(f, sqrt_d, ctx) / 12
     return make_report(f"kronecker-limit d={disc.d} class={i}",
@@ -77,13 +76,16 @@ def _cmd_kronecker(args, ctx):
     forms = list(reduced_forms(disc))
     if args.class_index is None:
         picked = list(enumerate(forms))
+        jets = epstein_jets(forms, ctx)  # one pass over n for every class
     else:
         if not 0 <= args.class_index < len(forms):
             raise DomainError(f"--class must be in 0..{len(forms) - 1} for d={disc.d}")
         picked = [(args.class_index, forms[args.class_index])]
+        jets = [epstein_jet(forms[args.class_index], ctx)]
     with ctx.workprec():
         sqrt_d = mp.sqrt(disc.d)
-    return [_kronecker_class(disc, i, f, sqrt_d, ctx) for i, f in picked], []
+    return [_kronecker_class(disc, i, f, jet, sqrt_d, ctx)
+            for (i, f), jet in zip(picked, jets)], []
 
 
 def _periods(p, ctx):
@@ -134,7 +136,7 @@ def _cmd_hecke(args, ctx):
     beta = psi_M(f, disc)
     h = class_number_dirichlet(disc)
     lines = [f"beta = ({beta.x}, {beta.y})   meaning ({beta.x} + {beta.y}*sqrt(-{args.p}))/2",
-             f"N(beta) = {beta.norm} = {a}^{h}"]
+             f"N(beta) = {beta.norm} {'=' if beta.norm == a ** h else '!='} {a}^{h}"]
     rep = exact_report(
         f"hecke-psi p={args.p} form={a},{b},{c} beta=({beta.x},{beta.y})",
         {"p": args.p, "form": [a, b, c]}, beta.norm, a ** h, ctx)

@@ -104,8 +104,9 @@ _LOG_GAMMA_MAX = 60
 # log Gamma and (2 pi)^12
 _STIRLING_TABLES = 16
 # bits carried below the working precision by the fixed-point loops of
-# Stirling's series, the pentagonal series of Delta and epstein's
-# incomplete gamma, for the rounding of each step
+# Stirling's series and the pentagonal series of Delta, for the rounding
+# of each step; epstein's theta sums carry them below 10^-(dps+12), and
+# each continued fraction below the bits its depth proves
 _GUARD_BITS = 20
 # bits the Taylor tables of log Gamma (about the shift point N, and the
 # odd one about J) carry over the 2^(prec + _GUARD_BITS) of Stirling's

@@ -128,6 +128,18 @@ def test_character_sum_precision_envelope(capsys, cmd, flag, n, prec):
     assert all(row["pass"] for row in rows)
 
 
+def test_kronecker_all_classes_match_each_class(capsys):
+    # the request over every class sums them in one pass over n; its rows
+    # are byte for byte those of one request per class
+    code, out, _ = run(capsys, "kronecker", "--d", "23", "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 3
+    for k, row in enumerate(rows):
+        code, one, _ = run(capsys, "kronecker", "--d", "23", "--class", str(k), "--json")
+        assert code == 0 and json.loads(one) == [row]
+
+
 def test_kronecker_precision_failure_reports_digits(capsys, monkeypatch):
     monkeypatch.setattr(epstein, "_CF_CAP", 2)
     code, _, err = run(capsys, "kronecker", "--d", "7", "--prec", "60")
@@ -295,6 +307,7 @@ def test_hecke(capsys):
     code, out, _ = run(capsys, "hecke", "--p", "23", "--form", "2,1,3")
     assert code == 0
     assert "(3, 1)" in out
+    assert "N(beta) = 8 = 2^3" in out
     assert "[pass]" in out
 
 
@@ -315,6 +328,10 @@ def test_hecke_row_fails_on_a_wrong_generator(capsys, monkeypatch):
     assert code == 1
     row = _rows(out)["hecke-psi"]
     assert row["pass"] is False and row["lhs_log"] != row["rhs_log"] == "8"
+    # the text report prints the two sides unequal, as its row fails them
+    code, out, _ = run(capsys, "hecke", "--p", "23", "--form", "2,1,3")
+    assert code == 1
+    assert f"N(beta) = {row['lhs_log']} != 2^3" in out
 
 
 def _corrupt_inside_cm_type(monkeypatch, corrupt):

@@ -1,13 +1,16 @@
 from fractions import Fraction
+from math import pi, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from cmperiods import epstein
-from cmperiods.epstein import _e1, _e1_cf, _e1_series, epstein_jet, theta_counts
+from cmperiods.epstein import (_cf_depth, _e1_cf, _scale_bits, _switch, _theta_sums,
+                               epstein_jet, epstein_jets, theta_counts)
 from cmperiods.errors import PrecisionError
-from cmperiods.numkernel import PrecisionContext, delta_lattice, log_gamma
+from cmperiods.lseries import dirichlet_jet
+from cmperiods.numkernel import _GUARD_BITS, _LN10, _LOG10_2, PrecisionContext, delta_lattice, log_gamma
 from cmperiods.quadforms import (Discriminant, QuadForm, form_to_lattice,
                                  inverse_ideal_lattice, principal_form, reduced_forms)
 
@@ -36,13 +39,23 @@ def test_theta_counts_dual_symmetry():
     assert theta_counts(f, 200) == theta_counts(g, 200)
 
 
+@pytest.mark.parametrize("d", [3, 4, 23, 71])
+def test_theta_counts_sum_over_classes(d):
+    # summed over the classes, r_f(n) counts the ideals of norm n, w at a
+    # time: w sum_{m | n} eps(m)
+    disc = Discriminant(d)
+    rows = [theta_counts(f, 300) for f in reduced_forms(disc)]
+    for n in range(1, 301):
+        ideals = sum(disc.epsilon(m) for m in range(1, n + 1) if n % m == 0)
+        assert sum(row[n] for row in rows) == disc.w * ideals, (d, n)
+
+
 def test_cf_stall_reports_digits(monkeypatch):
     # at the cap of five denominators the bound at x = 50,
-    # 51/(50 L_5(-50)^2) = 10^-13.2, proves 13 digits
+    # 51/(50 L_5(-50)^2) = 10^-13.2, proves 13 digits of the 30 asked
     monkeypatch.setattr(epstein, "_CF_CAP", 5)
-    with mp.workdps(30):
-        with pytest.raises(PrecisionError) as err:
-            _e1_cf(mp.mpf(50), mp.exp(-50))
+    with pytest.raises(PrecisionError) as err:
+        _cf_depth(50.0, int(30 / _LOG10_2))
     assert err.value.achieved_digits == 13
 
 
@@ -50,7 +63,7 @@ def test_cf_stall_reports_digits(monkeypatch):
 def test_cf_truncation_bound_is_sharp(x):
     # the convergent with n denominators is the n-point Gauss-Laguerre
     # rule for e^x E1(x); its relative error is below (x + 1)/(x L_n(-x)^2),
-    # the bound _e1_cf takes its depth from, and within two digits of it
+    # the bound _cf_depth takes the depth from, and within two digits of it
     with mp.workdps(400):
         xv = mp.mpf(x)
         exact = mp.e1(xv) * mp.exp(xv)
@@ -63,64 +76,84 @@ def test_cf_truncation_bound_is_sharp(x):
             assert err < bound < 100 * err, (x, n)
 
 
-def test_series_cap_reports_digits(monkeypatch):
-    # the last of 79 terms at x = 10 gives |term|*k ~ 1e-36, against a floor
-    # 20 cancellation-guard digits (2*10*log10(e) + 12) below the 10^-30
-    # the result is due
-    monkeypatch.setattr(epstein, "_SERIES_CAP", 80)
-    with mp.workdps(30):
-        with pytest.raises(PrecisionError) as err:
-            _e1_series(mp.mpf(10))
-    assert err.value.achieved_digits == 16
+def _limit(dps, d):
+    # the last n of the theta sum of d at dps digits, as epstein_jets takes it
+    return int((dps + 12) * _LN10 / (2 * pi / sqrt(d))) + 4
+
+
+def _terms(dps, d, ns, limit):
+    """E1(x) + e^-x/x at x = n t0, t0 = 2 pi/sqrt(d), for each n: one theta sum
+    of counts 1 at n alone, on rows that run to limit."""
+    with mp.workdps(dps):
+        return _theta_sums([[int(m == n) for m in range(limit + 1)] for n in ns], d)
+
+
+def _assert_terms_match(dps, d, ns, limit):
+    # a theta sum is due to a few units of 2^-W ~ 10^-(dps+18) per count
+    vals = _terms(dps, d, ns, limit)
+    with mp.workdps(dps + 40):
+        t0 = 2 * mp.pi / mp.sqrt(d)
+        for n, val in zip(ns, vals):
+            ref = mp.e1(n * t0) + mp.exp(-n * t0) / (n * t0)
+            assert abs(val - ref) < mp.mpf(10) ** -(dps + 16), (dps, n)
+
+
+# E1 = Gamma(0, x): the ids name (s, dps) and (x, s) with s = 0
+@pytest.mark.parametrize("dps", [25, 60, 300, 1000], ids=["0-25", "0-60", "0-300", "0-1000"])
+def test_upper_gamma_against_mpmath(dps):
+    # the terms of the theta sum of d = 7 on both sides of the switch N
+    # that _theta_sums derives at dps: the series up to N, the continued
+    # fraction past it, to the last n of the sum
+    d = 7
+    limit = _limit(dps, d)
+    top = _switch(2 * pi / sqrt(d), _scale_bits(dps), limit)
+    assert 1 < top < limit
+    _assert_terms_match(dps, d, [1, top - 1, top, top + 1, top + 2, limit], limit)
 
 
 E1_POINTS = ("0.5", "10", "39.5", "40.5", "90")
 
 
-def _assert_e1_matches(dps, xv):
-    # the result is due to a few units in the last place of dps digits
-    with mp.workdps(dps):
-        val = _e1(xv, mp.exp(-xv))
-    with mp.workdps(dps + 40):
-        ref = mp.e1(xv)
-        assert abs(val - ref) < mp.mpf(10) ** -(dps - 3) * ref, (dps, xv)
-
-
-# E1 = Gamma(0, x): the ids name (s, dps) and (x, s) with s = 0
-@pytest.mark.parametrize("dps", [60, 300], ids=["0-60", "0-300"])
-def test_upper_gamma_against_mpmath(dps):
-    # x runs across the switch to the continued fraction at _CF_MIN_X = 40
-    assert epstein._CF_MIN_X == 40
-    for x in E1_POINTS:
-        with mp.workdps(dps):
-            xv = mp.mpf(x)
-        _assert_e1_matches(dps, xv)
+def _disc_at(x):
+    # d = (2 pi/x)^2 puts the term n = 1 of its theta sum at x
+    with mp.workdps(1100):
+        return (2 * mp.pi / mp.mpf(x)) ** 2
 
 
 @pytest.mark.parametrize("x", E1_POINTS, ids=[f"{x}-0" for x in E1_POINTS])
 def test_upper_gamma_1000_digits(x):
-    # both fixed-point loops at 1000 digits: the series below _CF_MIN_X and
-    # the continued fraction above it
-    with mp.workdps(1000):
-        xv = mp.mpf(x)
-    _assert_e1_matches(1000, xv)
+    # one term at 1000 digits, its rows running to the limit of its d
+    d = _disc_at(x)
+    _assert_terms_match(1000, d, [1], _limit(1000, d))
 
 
-@pytest.mark.parametrize("x, guard", [("0.5", 11), ("10", 11), ("40.5", 4), ("90", 4)])
-def test_upper_gamma_loops_keep_guard_digits(x, guard):
-    # each E1 loop, handed an exact e^-x, returns more digits than it is
-    # due: the series carries at least 12 digits past its cancellation, the
-    # continued fraction runs at dps + 10 to a depth whose truncation bound
-    # is below 10^-(dps+6); rounding in the loop must not eat into that margin
+@pytest.mark.parametrize("x, guard, loop",
+                         [("0.5", 11, "series"), ("10", 11, "series"),
+                          ("40.5", 4, "fraction"), ("90", 4, "fraction")],
+                         ids=["0.5-11", "10-11", "40.5-4", "90-4"])
+def test_upper_gamma_loops_keep_guard_digits(x, guard, loop):
+    # each loop returns more digits than it is due, at 1000 digits.  The
+    # series holds E1(x) + e^-x/x to about 2^-W ~ 10^-(dps+18) absolute,
+    # at least 11 digits past 10^-dps relative for x <= 10.  The fraction
+    # runs on 2^-(b+20) to the depth whose truncation bound is below 2^-b,
+    # b the bits of 10^-(dps+6), and holds e^x E1(x) + 1/x relative;
+    # rounding in either loop must not eat into that margin
     dps = 1000
     with mp.workdps(dps + 40):
         xv = mp.mpf(x)
-        expmx, ref = mp.exp(-xv), mp.e1(xv)
-    with mp.workdps(dps):
-        if xv < epstein._CF_MIN_X:
-            val = _e1_series(xv)
-        else:
-            val = _e1_cf(xv, expmx)
+        ref = mp.e1(xv) + mp.exp(-xv) / xv
+    if loop == "series":
+        d = _disc_at(x)
+        limit = _limit(dps, d)
+        assert _switch(float(xv), _scale_bits(dps), limit) >= 1
+        val, = _terms(dps, d, [1], limit)
+    else:
+        bits = int((dps + 6) / _LOG10_2) + 1
+        with mp.workdps(dps + 40):
+            xf = int(mp.ldexp(xv, bits + _GUARD_BITS))
+        scaled = _e1_cf(xf, bits + _GUARD_BITS, _cf_depth(float(xv), bits))
+        with mp.workdps(dps + 40):
+            val = mp.ldexp(scaled, -(bits + _GUARD_BITS)) * mp.exp(-xv)
     with mp.workdps(dps + 40):
         assert abs(val - ref) < mp.mpf(10) ** -(dps + guard) * ref
 
@@ -128,11 +161,11 @@ def test_upper_gamma_loops_keep_guard_digits(x, guard):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(25, 300), st.floats(0.1, 800, exclude_min=True, exclude_max=True))
 def test_upper_gamma_against_mpmath_random(dps, x):
-    # E1 = Gamma(0, x) at random precision and x, both loops, over the
-    # range _theta_sum calls it on: down to its 25-digit floor, and up to
-    # x ~ (dps + 12) ln 10 ~ 740 at 300 digits, where the continued
-    # fraction is shortest (8 denominators at x = 400 and 25 digits)
-    _assert_e1_matches(dps, mp.mpf(x))
+    # one term of a theta sum at random precision and x, on either side of
+    # the switch: down to the 25 digits of the tests' floor, and up to
+    # x ~ (dps + 12) ln 10 ~ 720 at 300 digits, the last term of a sum
+    d = _disc_at(x)
+    _assert_terms_match(dps, d, [1], _limit(dps, d))
 
 
 def mp_epstein(f, s):
@@ -224,6 +257,24 @@ def test_jet_inverse_class_symmetry(ctx):
     b = epstein_jet(QuadForm(2, -1, 3), ctx)
     assert abs(a.value - b.value) < ctx.eps(10)
     assert abs(a.deriv - b.deriv) < ctx.eps(10)
+
+
+def test_jets_class_sum_matches_dirichlet_jet():
+    # sum_f Z_f(s) = w zeta(s) L(eps, s) with zeta(0) = -1/2,
+    # zeta'(0) = -log(2 pi)/2 and L(eps, 0) = 2h/w, so
+    # sum_f Z_f'(0) = -h log(2 pi) - (w/2) L'(eps, 0): the jets of one
+    # shared pass over the seven classes of d = 71 against the Gamma side
+    # of dirichlet_jet, with no Delta in it
+    ctx = PrecisionContext(60)
+    disc = Discriminant(71)
+    group = reduced_forms(disc)
+    jets = epstein_jets(list(group), ctx)
+    lder = dirichlet_jet(disc, ctx).deriv
+    with ctx.workprec():
+        lhs = mp.fsum(j.deriv for j in jets)
+        rhs = -group.h * mp.log(2 * mp.pi) - disc.w * lder / 2
+        assert group.h == 7 and all(j.value == -1 for j in jets)
+        assert abs(lhs - rhs) < ctx.eps(-15)
 
 
 def test_jet_class_sum_matches_product_jet(ctx, mp_zeta_l_jet):
