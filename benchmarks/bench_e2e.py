@@ -8,7 +8,13 @@ Each ``--tree LABEL=DIR`` names a source directory holding the
 one request in a fresh interpreter with that directory first on
 ``sys.path``: the package is imported untimed, and ``cmperiods.cli.main``
 is timed on the request's argument vector with ``--json``, its output
-kept in memory.  The requests are
+kept in memory.  The first row is start-up alone: ``import
+cmperiods.cli`` and ``cli.build_parser()``, timed in a fresh interpreter
+that has imported only ``json``, ``sys`` and ``time``; it includes
+compiling the package whenever no ``__pycache__`` is written
+(``PYTHONDONTWRITEBYTECODE``).  A sample of it takes about 50 ms, so each
+pair takes ``STARTUP_SAMPLES`` of them per tree, the trees taking turns.
+The requests are
 
 - the cost table of ``ROADMAP.md``: ``verify-cs --d 163``,
   ``faltings --p 163``, ``periods --p 199``, ``kronecker --d 7``,
@@ -44,7 +50,9 @@ TABLE = (("verify-cs", "--d", "163"), ("faltings", "--p", "163"), ("periods", "-
 TABLE_DIGITS = (60, 120, 300, 600, 1000)
 ALL_CLASS = (("kronecker", "--d", "23"), ("kronecker", "--d", "71"))
 ALL_CLASS_DIGITS = (300, 600)
-REQUESTS = ([(*r, "--prec", str(t)) for r in TABLE for t in TABLE_DIGITS]
+STARTUP = ("import", "cmperiods.cli", "+", "build_parser()")
+STARTUP_SAMPLES = 5
+REQUESTS = ([STARTUP] + [(*r, "--prec", str(t)) for r in TABLE for t in TABLE_DIGITS]
             + [(*r, "--prec", str(t)) for r in ALL_CLASS for t in ALL_CLASS_DIGITS])
 
 WORKER = """
@@ -58,9 +66,19 @@ with contextlib.redirect_stdout(out):
 print(json.dumps({"s": time.perf_counter() - t, "exit": code}))
 """
 
+STARTUP_WORKER = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+t = time.perf_counter()
+from cmperiods import cli
+cli.build_parser()
+print(json.dumps({"s": time.perf_counter() - t, "exit": 0}))
+"""
+
 
 def sample(src: str, request: tuple) -> dict:
-    out = subprocess.run([sys.executable, "-c", WORKER, src, *request, "--json"],
+    argv = [STARTUP_WORKER, src] if request == STARTUP else [WORKER, src, *request, "--json"]
+    out = subprocess.run([sys.executable, "-c", *argv],
                          capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -85,13 +103,14 @@ def main(argv=None) -> int:
     for rnd in range(args.pairs):
         order = list(trees) if rnd % 2 == 0 else list(reversed(trees))
         for request in REQUESTS:
-            for label in order:
+            for label in order * (STARTUP_SAMPLES if request == STARTUP else 1):
                 got = sample(os.path.abspath(trees[label]), request)
                 seconds[request][label].append(got["s"])
                 exits[request][label].add(got["exit"])
         print(f"pair {rnd + 1}/{args.pairs} done", file=sys.stderr)
     result = {
-        "bench": "cli.main per request with --json, fresh interpreter, import untimed, s",
+        "bench": "cli.main per request with --json, fresh interpreter, import untimed, s; "
+                 "the first row times the import and build_parser() alone",
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count(),
                     "mpmath": subprocess.run([sys.executable, "-c",

@@ -135,11 +135,16 @@ def _cmd_hecke(args, ctx):
     disc = Discriminant.prime(args.p)
     beta = psi_M(f, disc)
     h = class_number_dirichlet(disc)
-    lines = [f"beta = ({beta.x}, {beta.y})   meaning ({beta.x} + {beta.y}*sqrt(-{args.p}))/2",
-             f"N(beta) = {beta.norm} {'=' if beta.norm == a ** h else '!='} {a}^{h}"]
-    rep = exact_report(
-        f"hecke-psi p={args.p} form={a},{b},{c} beta=({beta.x},{beta.y})",
-        {"p": args.p, "form": [a, b, c]}, beta.norm, a ** h, ctx)
+    power = a ** h
+    try:  # every int the request prints, before any line is made
+        x, y, norm, _ = map(str, (beta.x, beta.y, beta.norm, power))
+    except ValueError as exc:  # CPython's guard against quadratic int-to-str time
+        raise DomainError(f"beta = psi_M({a},{b},{c}) at p={args.p}, or its norm, has more "
+                          f"than {sys.get_int_max_str_digits()} digits") from exc
+    lines = [f"beta = ({x}, {y})   meaning ({x} + {y}*sqrt(-{args.p}))/2",
+             f"N(beta) = {norm} {'=' if beta.norm == power else '!='} {a}^{h}"]
+    rep = exact_report(f"hecke-psi p={args.p} form={a},{b},{c} beta=({x},{y})",
+                       {"p": args.p, "form": [a, b, c]}, beta.norm, power, ctx)
     return [rep], lines
 
 

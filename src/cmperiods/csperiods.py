@@ -28,9 +28,8 @@ every printed digit, is the direct one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from mpmath import mp
 from mpmath.libmp import mpf_pos, round_down
@@ -41,8 +40,7 @@ from .numkernel import PrecisionContext, delta_norm, error_digits
 from .quadforms import Discriminant, QuadForm, class_number_dirichlet, reduced_forms
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """One identity check: its two sides, their agreement and the verdict.
 
     Every report row comes from here.  Sides are mpf numbers (printed to

@@ -43,7 +43,9 @@ series takes for one more n, both counted before either loop runs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from heapq import merge
 from itertools import accumulate, repeat
 from math import ceil, exp, isqrt, lgamma, log, log1p, log2, pi, prod, sqrt
 from operator import add, mul
@@ -86,6 +88,12 @@ def theta_counts(f: QuadForm, limit: int) -> list[int]:
                 counts[q] += 2
         y += 1
     return counts
+
+
+def _represented(counts):
+    """The n with counts[n] > 0, by increasing n, and those counts: one row of ``_theta_sums``."""
+    ns = [n for n, r in enumerate(counts) if r]
+    return ns, [counts[n] for n in ns]
 
 
 def _cf_depth(x, bits):
@@ -189,10 +197,11 @@ def _term_bits(x, w):
     return max(_GUARD_BITS, w - int(x * _LOG2E)) + _GUARD_BITS
 
 
-def _theta_sums(rows, d):
-    """sum_{0<n<len(r)} r(n) [E1(n t0) + e^(-n t0)/(n t0)] for each r in rows.
+def _theta_sums(rows, d, limit):
+    """sum_n r(n) [E1(n t0) + e^(-n t0)/(n t0)] for each row of rows.
 
-    t0 = 2 pi/sqrt(d), d > 0 real; the counts of rows run to one limit.
+    t0 = 2 pi/sqrt(d), d > 0 real; a row is a pair of lists, the n with
+    r(n) > 0 by increasing n, 0 < n <= limit, and their r(n).
     Each sum is an mpf exact on the scale 2^-W of ``_scale_bits`` at the
     ambient dps, within a few units of it per unit of count.  The terms
     n <= N are the series' four pieces on the scale 2^-S, S = W + the bits
@@ -207,7 +216,6 @@ def _theta_sums(rows, d):
     scale 2^-E, E = W + the bits of the limit, carried by one product
     per n from e^(-N t0).
     """
-    limit = len(rows[0]) - 1
     w = _scale_bits(mp.dps)
     t0f = 2 * pi / sqrt(d)
     top = _switch(t0f, w, limit)
@@ -230,10 +238,11 @@ def _theta_sums(rows, d):
         u = (u * xi >> p) // (k + 1)
         c = (2 * k + 1) * u // k >> (p - s)
         table.append(c if k % 2 else -c)
-    sums = []
-    for row in rows:
-        ns = [n for n in range(1, top + 1) if row[n]]
-        rs = [row[n] for n in ns]
+    sums, tails = [], []
+    for i, (ns, rs) in enumerate(rows):
+        cut = bisect_right(ns, top)
+        tails.append(zip(ns[cut:], repeat(i), rs[cut:]))
+        ns, rs = ns[:cut], rs[:cut]
         moments = [0] * k_terms  # M_k = sum r(n) n^k, k = 1..K
         for n, r in zip(ns, rs):
             moments = list(map(add, moments, accumulate(repeat(n, k_terms - 1), mul,
@@ -247,15 +256,16 @@ def _theta_sums(rows, d):
         acc = (sum(rs) * head - logs + inverse.numerator * inv_t0 // inverse.denominator
                + series // top ** k_terms)
         sums.append(acc >> (s - w))
-    for n in range(top + 1, limit + 1):
-        carry = carry * step >> e
-        weights = [row[n] for row in rows]
-        if any(weights):
-            x = n * t0f
+    at = top  # the n that carry and term are at
+    for n, i, r in merge(*tails):  # the terms n > N of every row, by increasing n
+        if n > at:
+            for _ in range(n - at):
+                carry = carry * step >> e
+            at, x = n, n * t0f
             bits = _term_bits(x, w)
             value = _e1_cf(n * t0i >> (p - bits), bits, _cf_depth(x, bits - _GUARD_BITS))
             term = carry * value >> (e + bits - w)
-            sums = [acc + r * term for acc, r in zip(sums, weights)]
+        sums[i] += r * term
     return [mp.make_mpf(from_man_exp(acc, -w)) for acc in sums]
 
 
@@ -275,7 +285,7 @@ def epstein_jets(forms, ctx: PrecisionContext) -> list[SZeroJet]:
     with mp.workdps(ctx.working_digits + 10):
         t0 = 2 * mp.pi / mp.sqrt(d)
         limit = int((mp.dps + 12) * _LN10 / float(t0)) + 4
-        totals = _theta_sums([theta_counts(f, limit) for f in forms], d)
+        totals = _theta_sums([_represented(theta_counts(f, limit)) for f in forms], d, limit)
         derivs = [total - 1 - mp.log(t0) - mp.euler for total in totals]
     with ctx.workprec():
         return [SZeroJet(value=mp.mpf(-1), deriv=+deriv, value_exact=Fraction(-1))

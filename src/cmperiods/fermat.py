@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -37,8 +37,7 @@ from .numkernel import PrecisionContext, gamma_product, to_mpf
 from .quadforms import Discriminant
 
 
-@dataclass(frozen=True)
-class CMTypeRecord:
+class CMTypeRecord(NamedTuple):
     p: int
     rst: tuple
     phi: tuple
@@ -46,8 +45,7 @@ class CMTypeRecord:
     v: int
 
 
-@dataclass(frozen=True)
-class RatioCertificate:
+class RatioCertificate(NamedTuple):
     """A period ratio, its exact value, and the check comparing them.
 
     kind is "rational" (ratio = recognized, e = +1) or "sqrtp" (ratio =
@@ -162,5 +160,5 @@ def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificat
         value = to_mpf(exact)
         if e == -1:
             value, text = value * mp.sqrt(p), f"{text}*sqrt({p})"
-        rep = replace(make_report(name, inputs, +ratio, value, ctx), rhs=text)
+        rep = make_report(name, inputs, +ratio, value, ctx)._replace(rhs=text)
     return RatioCertificate(rep, kind, exact, max(abs(exact.numerator), exact.denominator), m)

@@ -20,12 +20,11 @@ no log (``fermat``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import prod
 from operator import add, mul, sub
-from typing import Any
+from typing import Any, NamedTuple
 
 from mpmath import mp
 
@@ -35,8 +34,7 @@ from .numkernel import (_GUARD_BITS, _TAYLOR_GUARD_BITS, PrecisionContext,
 from .quadforms import Discriminant, class_number_dirichlet
 
 
-@dataclass(frozen=True)
-class SZeroJet:
+class SZeroJet(NamedTuple):
     """Value and first s-derivative of a Dirichlet series at s = 0."""
 
     value: Any

@@ -64,13 +64,12 @@ of the sum and of q, and no complex 24th power.  Every check runs
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
 from math import ceil, floor, log2, log10, pi, prod
 from operator import floordiv
-from typing import ClassVar
+from typing import NamedTuple
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, prec_to_dps
@@ -122,20 +121,20 @@ _ODD_FACTOR_COST = 0.4
 _SHIFT_LEAF = 64
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(NamedTuple("PrecisionContext", [("target_digits", int)])):
     """Requested accuracy: results carry absolute error < 10**-target_digits.
 
     ``guard_digits``, a constant 20, extra digits are used internally to
     absorb rounding; the kernels' error budgets are written for it.
     """
 
-    target_digits: int = 120
-    guard_digits: ClassVar[int] = 20
+    __slots__ = ()
+    guard_digits = 20
 
-    def __post_init__(self):
-        if self.target_digits < 30:
+    def __new__(cls, target_digits: int = 120):
+        if target_digits < 30:
             raise DomainError("target_digits must be at least 30")
+        return tuple.__new__(cls, (target_digits,))
 
     @property
     def working_digits(self) -> int:
@@ -150,18 +149,17 @@ class PrecisionContext:
         return mp.mpf(10) ** (-(self.target_digits - shift))
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple("Lattice", [("tau", object), ("scale", object)])):
     """Complex lattice scale*(Z + Z*tau) with tau in the upper half plane."""
 
-    tau: object
-    scale: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (mp.im(self.tau) > 0):
+    def __new__(cls, tau, scale):
+        if not (mp.im(tau) > 0):
             raise DomainError("lattice tau must have positive imaginary part")
-        if mp.mpc(self.scale) == 0:
+        if mp.mpc(scale) == 0:
             raise DomainError("lattice scale must be nonzero")
+        return tuple.__new__(cls, (tau, scale))
 
 
 def to_mpf(x):

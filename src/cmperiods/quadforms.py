@@ -11,10 +11,10 @@ coefficient: f(x, y) = a of the reduced form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -71,21 +71,57 @@ def is_fundamental(d: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Discriminant:
+class _Slotted:
+    """A record on __slots__: equality and hash of its field tuple, repr and
+    pickling by its fields, as a frozen dataclass has them, and no setter."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Discriminant(NamedTuple("Discriminant", [("d", int)])):
     """The field Q(sqrt(-d)); 0 < d <= MAX_N = 10^12 with -d fundamental.
 
     The bound is the domain of every check: ``factorize`` reaches it by
-    trial division to 10^6, and the checks sum over every a < d.
+    trial division to 10^6, and the checks sum over every a < d.  An
+    instance keeps a __dict__, where ``is_prime_3mod4`` is kept once known.
     """
 
-    d: int
+    def __new__(cls, d: int):
+        if d > MAX_N:
+            raise DomainError(f"{d} is above the domain bound {MAX_N} of d and p")
+        if not is_fundamental(d):
+            raise DomainError(f"-d is not a fundamental discriminant for d = {d}")
+        return tuple.__new__(cls, (d,))
 
-    def __post_init__(self) -> None:
-        if self.d > MAX_N:
-            raise DomainError(f"{self.d} is above the domain bound {MAX_N} of d and p")
-        if not is_fundamental(self.d):
-            raise DomainError(f"-d is not a fundamental discriminant for d = {self.d}")
+    __setattr__ = _Slotted.__setattr__
 
     @classmethod
     def of(cls, d) -> "Discriminant":
@@ -128,17 +164,15 @@ class Discriminant:
         return kronecker(-self.d, a)
 
 
-@dataclass(frozen=True)
-class QuadForm:
-    a: int
-    b: int
-    c: int
+class QuadForm(NamedTuple("QuadForm", [("a", int), ("b", int), ("c", int)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a <= 0:
-            raise DomainError(f"form {self.tuple()} must have a > 0")
-        if self.disc >= 0:
-            raise DomainError(f"form {self.tuple()} must have negative discriminant")
+    def __new__(cls, a: int, b: int, c: int):
+        if a <= 0:
+            raise DomainError(f"form {(a, b, c)} must have a > 0")
+        if b * b - 4 * a * c >= 0:
+            raise DomainError(f"form {(a, b, c)} must have negative discriminant")
+        return tuple.__new__(cls, (a, b, c))
 
     @property
     def disc(self) -> int:
@@ -226,10 +260,13 @@ def inverse(f: QuadForm) -> QuadForm:
     return reduce_form(QuadForm(f.a, -f.b, f.c))
 
 
-@dataclass(frozen=True)
-class ClassGroup:
-    d: Discriminant
-    forms: tuple[QuadForm, ...]
+class ClassGroup(_Slotted):
+    """The reduced forms of Discriminant d, principal first."""
+
+    __slots__ = ("d", "forms")
+
+    def __init__(self, d: Discriminant, forms: tuple[QuadForm, ...]):
+        super().__init__(d, forms)
 
     @property
     def h(self) -> int:
@@ -307,19 +344,17 @@ def inverse_ideal_lattice(f: QuadForm, ctx: PrecisionContext) -> Lattice:
         return Lattice(tau=tau, scale=mp.mpf(1))
 
 
-@dataclass(frozen=True)
-class QuadInteger:
+class QuadInteger(_Slotted):
     """(x + y*sqrt(-d))/2, integral in the maximal order of Q(sqrt(-d))."""
 
-    x: int
-    y: int
-    d: int
+    __slots__ = ("x", "y", "d")
 
-    def __post_init__(self) -> None:
-        if self.d <= 0:
+    def __init__(self, x: int, y: int, d: int):
+        if d <= 0:
             raise DomainError("QuadInteger requires d > 0")
-        if (self.x - self.y * self.d) % 2 or (self.x * self.x + self.d * self.y * self.y) % 4:
-            raise DomainError(f"({self.x} + {self.y}*sqrt(-{self.d}))/2 is not integral")
+        if (x - y * d) % 2 or (x * x + d * y * y) % 4:
+            raise DomainError(f"({x} + {y}*sqrt(-{d}))/2 is not integral")
+        super().__init__(x, y, d)
 
     @property
     def norm(self) -> int:

@@ -513,6 +513,20 @@ def test_fermat_closed_form_past_the_digit_limit_exits_2(capsys, monkeypatch):
     assert err.startswith("error: ") and "p=5023" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "text"])
+def test_hecke_past_the_digit_limit_exits_2(capsys, monkeypatch, json_flag):
+    # a generator whose norm has more digits than CPython converts from an
+    # int to text (4,300): the request exits 2 with one line naming p,
+    # before any output, in --json and in text alike
+    from cmperiods.quadforms import QuadInteger
+
+    monkeypatch.setattr(cli, "psi_M", lambda f, disc: QuadInteger(2 * 10 ** 2200 + 1, 1, 23))
+    code, out, err = run(capsys, "hecke", "--p", "23", "--form", "2,1,3", "--prec", "30",
+                         *json_flag)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "p=23" in err and err.count("\n") == 1
+
+
 # d = 10^12 + 3; d = 3,999,999,999,988 = 4m with m = 999,999,999,997 = 1
 # mod 4 under the bound, so factoring m alone would find -d fundamental;
 # and the prime p = 1,000,000,000,039 = 3 mod 4

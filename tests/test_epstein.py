@@ -83,9 +83,9 @@ def _limit(dps, d):
 
 def _terms(dps, d, ns, limit):
     """E1(x) + e^-x/x at x = n t0, t0 = 2 pi/sqrt(d), for each n: one theta sum
-    of counts 1 at n alone, on rows that run to limit."""
+    of count 1 at n alone, on rows that run to limit."""
     with mp.workdps(dps):
-        return _theta_sums([[int(m == n) for m in range(limit + 1)] for n in ns], d)
+        return _theta_sums([([n], [1]) for n in ns], d, limit)
 
 
 def _assert_terms_match(dps, d, ns, limit):
