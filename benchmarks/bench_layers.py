@@ -21,26 +21,17 @@ records, for each kernel,
 
 The kernels and their arguments:
 
-- ``log_gamma`` over a/199, 0 < a < 199, the log-Gamma memos
-  (``log_gamma``'s and, where the tree has it, the parts memo
-  ``numkernel._log_gamma_parts``) cleared before the untimed pass and
-  again before each timed pass, so that every call computes: a Horner
-  sum over the Taylor table of log Gamma at the shift point and one
-  shift product; the cold call is log Gamma(1/199),
-  and it includes that table (``numkernel._log_gamma_taylor``), the one
-  the folded ``character_gamma_sum`` also reads;
-- ``delta_lattice`` over the lattices of Delta(a) and Delta(a^-1) for
-  every reduced form a of discriminant -d, d in 23, 71, 163 and 199
-  (40 lattices, built before timing); the cold call is the first of them;
 - ``numkernel.delta_norm``, Delta(a) Delta(a^-1) from one pentagonal
   series, rounded to working precision and its log taken, as
   ``csperiods.log_delta_pair`` takes each class's term, per class over
-  every reduced form a of the same discriminants (20 classes, sqrt(d)
-  taken before timing, as ``cs_verify`` takes it once per
-  discriminant); the cold call is the first of them;
+  every reduced form a of discriminant -d, d in 23, 71, 163 and 199
+  (20 classes, sqrt(d) taken before timing, as ``cs_verify`` takes it
+  once per discriminant); the cold call is the first of them;
 - ``lseries.character_gamma_sum`` per sum, sum eps(a) log Gamma(a/d)
   over 0 < a < d, at d in 123, 139, 163 and 199, the log-Gamma memos
-  cleared as for ``log_gamma``, so that a sum that reads it computes its
+  (each of ``numkernel._log_gamma_parts`` and ``log_gamma`` that has a
+  ``cache_clear`` in the tree) cleared before the untimed pass and again
+  before each timed pass, so that a sum that reads them computes its
   terms; the cold call is the sum at d = 123, and it includes the tables
   that every later sum at that precision reads: the Taylor table of
   log Gamma at the shift point (``numkernel._log_gamma_taylor``) and,
@@ -77,19 +68,18 @@ median, plus the machine; the spread is printed with each median.  Under
 its sample over the first tree's sample of the same round: the two ran
 seconds apart, so the ratio is steadier than either median when the
 machine's speed drifts from round to round.  On a 2-core x86-64 machine,
-eleven rounds put the median ratio of every unchanged kernel within
-0.99-1.05 (``BENCH_layers.json``), but their quartiles still reach
+eleven rounds put the warm median ratio of every unchanged kernel
+within 0.98-1.03 and its quartiles within 0.96-1.05
+(``BENCH_layers.json``), but earlier records had quartiles reaching
 0.74-1.27 at 120 and 300 digits: a change of about 10% per call is the
-least this bench resolves at 60 digits.  At 300 digits a pass of the
+least this bench is sure to resolve.  At 300 digits a pass of the
 slower kernels takes longer than PASS_SECONDS, so they get MIN_PASSES.
-Only public names are used (``log_gamma`` and its ``cache_clear``,
-``delta_lattice``, ``delta_norm``, ``PrecisionContext``,
+Only public names are used (``delta_norm``, ``PrecisionContext``,
 ``character_gamma_sum`` from ``lseries``, ``make_report`` from
-``csperiods``, ``tate_twist_certificate``, ``psi_M``, and
-``reduced_forms``, ``form_to_lattice`` and ``inverse_ideal_lattice``
-from ``quadforms``, ``epstein_jet`` and ``theta_counts`` from
-``epstein``), and ``numkernel._log_gamma_parts`` where a tree has it, so
-any two versions of the kernels compare.  The script is not under ``tests/`` and tier-1
+``csperiods``, ``tate_twist_certificate``, ``psi_M``, ``reduced_forms``
+and ``principal_form`` from ``quadforms``, ``epstein_jet`` and
+``theta_counts`` from ``epstein``), and the log-Gamma memos named above
+where a tree has them, so any two versions of the kernels compare.  The script is not under ``tests/`` and tier-1
 does not collect it.
 """
 
@@ -105,7 +95,6 @@ import sys
 from pathlib import Path
 
 TARGETS = (60, 120, 300)
-DEN = 199
 DISCS = (23, 71, 163, 199)
 SUM_DISCS = (123, 139, 163, 199)
 PSI_P = 1019
@@ -131,11 +120,12 @@ import json, sys, time
 from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
 from cmperiods import numkernel
-from cmperiods.numkernel import PrecisionContext, delta_lattice, log_gamma
-from cmperiods.quadforms import form_to_lattice, inverse_ideal_lattice, reduced_forms
+from cmperiods.numkernel import PrecisionContext
+from cmperiods.quadforms import reduced_forms
 ctx = PrecisionContext(int(sys.argv[2]))
-memos = [getattr(numkernel, name) for name in ("log_gamma", "_log_gamma_parts")
-         if hasattr(numkernel, name)]
+memos = [memo for memo in (getattr(numkernel, name, None)
+                           for name in ("log_gamma", "_log_gamma_parts"))
+         if hasattr(memo, "cache_clear")]
 clear_memos = lambda: [memo.cache_clear() for memo in memos]
 """
 
@@ -159,16 +149,6 @@ print(json.dumps({"cold_ms": cold * 1e3, "warm_ms": min(warm) * 1e3}))
 """ % (MIN_PASSES, PASS_SECONDS)
 
 WORKERS = {
-    "log_gamma": ("numkernel.log_gamma per call over a/%d, ms" % DEN, """
-kernel, fresh = log_gamma, clear_memos
-args = [Fraction(a, %d) for a in range(1, %d)]
-""" % (DEN, DEN)),
-    "delta_lattice": ("numkernel.delta_lattice per call over Delta(a), Delta(a^-1), "
-                      "d in %s, ms" % ", ".join(map(str, DISCS)), """
-kernel, fresh = delta_lattice, lambda: None
-args = [lat(f, ctx) for d in %r for f in reduced_forms(d)
-        for lat in (form_to_lattice, inverse_ideal_lattice)]
-""" % (DISCS,)),
     "delta_norm": ("numkernel.delta_norm, rounded and its log, per class, d in %s, ms"
                    % ", ".join(map(str, DISCS)), """
 from mpmath import mp

@@ -16,14 +16,14 @@ one pentagonal series per class, for ``cs_verify`` and the Kronecker
 limit formula (``log_delta_pair``), and the same number gives the
 class's period (|Delta(a)| / p^3)^(1/6) a sqrt(p) (``class_periods``).
 
-``numkernel.delta_lattice`` and the lattice builders of ``quadforms``
-compute Delta(a) and Delta(a^-1) one at a time; no check runs them,
-and the tests keep them as the oracle of the closed form.  The closed
-form is evaluated at the lattice point they use and carries the same
-ten digits past working precision, and each value is rounded to
-working precision where the direct path rounds it (the pair before its
-log, |Delta(a)| as ``abs`` rounds a complex number), so every sum, and
-every printed digit, is the direct one.
+``numkernel.delta_lattice``, on the lattices that the tests build
+(``tests/oracles.py``), computes Delta(a) and Delta(a^-1) one at a
+time; no check runs it, and the tests keep it as the oracle of the
+closed form.  The closed form is evaluated at the lattice point they
+use and carries the same ten digits past working precision, and each
+value is rounded to working precision where the direct path rounds it
+(the pair before its log, |Delta(a)| as ``abs`` rounds a complex
+number), so every sum, and every printed digit, is the direct one.
 """
 
 from __future__ import annotations

@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class PoleError(DomainError):
-    """Evaluation was requested exactly at a pole."""
-
-
 class PrecisionError(ArithmeticError):
     """The requested accuracy cannot be certified.
 

@@ -1,28 +1,26 @@
 """Arbitrary-precision numeric kernel.
 
 Everything downstream funnels through the handful of special functions
-defined here: log-gamma at rationals, the Hurwitz zeta function, and the
-discriminant cusp form on complex lattices.  All of them take an explicit
-:class:`PrecisionContext` and guarantee an absolute error below
-``10**-target_digits``.
+defined here: log-gamma at rationals and the discriminant cusp form on
+complex lattices.  All of them take an explicit :class:`PrecisionContext`
+and guarantee an absolute error below ``10**-target_digits``.
 
 Arithmetic is backed by mpmath (mpf/mpc); the special functions themselves
 are implemented here: one Taylor table of log Gamma per precision for
-log-gamma, Euler-Maclaurin for Hurwitz zeta, and Euler's pentagonal
-series for the modular discriminant.  Every function is pure, so callers
-may fan work out across processes freely.  ``log_gamma`` and
-``gamma_product`` take an int or a Fraction x with 0 < x <= 60, as every
-caller passes (all below 2).  Both read the parts of log Gamma(x), an
-exact Horner integer and a shift product (``_log_gamma_parts``), which
-are memoized for the life of the process per (argument value, binary
-precision): the Fermat certificates take Gamma at the same rationals a/p
-again and again.  ``gamma_product`` turns the parts of a product of
-Gamma powers into one exp and no log, which is all the certificates run;
-``log_gamma``, which the tests and the acceptance battery call, keeps its
-own memo per (argument type, argument value, PrecisionContext), where a
-hit returns the very mpf the kernel computed.  The folded character sum
-of ``lseries`` reads neither, so neither ``verify-cs``, ``periods``,
-``faltings`` nor ``suite`` fills the memos.  Every mixed ``fermat``
+log-gamma, and Euler's pentagonal series for the modular discriminant.
+Every function is pure, so callers may fan work out across processes
+freely.  ``log_gamma`` and ``gamma_product`` take an int or a Fraction x
+with 0 < x <= 60, as every caller passes (all below 2).  Both read the
+parts of log Gamma(x), an exact Horner integer and a shift product
+(``_log_gamma_parts``), which are memoized for the life of the process
+per (argument value, binary precision): the Fermat certificates take
+Gamma at the same rationals a/p again and again.  It is the one memo of
+log Gamma.  ``gamma_product`` turns the parts of a product of Gamma
+powers into one exp and no log, which is all the certificates run;
+``log_gamma``, which the tests and the acceptance battery call, takes the
+log of the shift product on every call.  The folded character sum of
+``lseries`` reads neither, so neither ``verify-cs``, ``periods``,
+``faltings`` nor ``suite`` fills the memo.  Every mixed ``fermat``
 triple at p = 7, 11 and 19 at one precision leaves 62 distinct
 arguments, and a tate-sweep campaign of perfbench, at three precisions,
 168; the arguments of one request are fractions k/p, so the 8,192 parts
@@ -42,10 +40,9 @@ forms the exact shift product that ``log_gamma`` takes the log of and
 ``lseries`` reads the odd coefficients about a small point J
 (``_log_gamma_odd``), the table's values at N plus exact finite sums
 over J <= j < N.  ``error_digits``, the digits an error leaves, is
-counted in integers too.  No shipped path asks mpmath for a Bernoulli
-number or a decimal log, each of which costs a fresh process a cache
-per precision; only the ``hurwitz_zeta`` oracle still reads mpmath's
-Bernoulli numbers.
+counted in integers too.  Nothing in the package asks mpmath for a
+Bernoulli number or a decimal log, each of which costs a fresh process
+a cache per precision.
 
 The discriminant sums prod (1 - q^n) as Euler's pentagonal series
 sum_k (-1)^k q^(k(3k-1)/2) (1 + q^k) (Hardy and Wright, section 19.9),
@@ -74,28 +71,25 @@ from typing import NamedTuple
 from mpmath import mp
 from mpmath.libmp import from_man_exp, prec_to_dps
 
-from .errors import DomainError, PoleError, PrecisionError
+from .errors import DomainError, PrecisionError
 
 __all__ = [
     "PrecisionContext",
     "Lattice",
     "log_gamma",
     "gamma_product",
-    "hurwitz_zeta",
     "delta_lattice",
     "delta_norm",
 ]
 
 _LN10 = 2.302585092994046
 _LOG10_2 = 0.30102999566398120
-_EM_TERM_CAP = 100000  # the Euler-Maclaurin series turns and grows long before
 # the tangent numbers T_1, T_2, ... of Stirling's series and the last
 # column of the triangle that gives them (``_tangent_numbers``), from T_1 = 1
 _TANGENTS = [1]
 _TANGENT_COLUMN = [1]
-# log-Gamma values, and log-Gamma parts, kept by each memo, at a few
-# hundred bytes each; only the fermat requests fill the parts (see the
-# module docstring)
+# log-Gamma parts kept by the memo, at a few hundred bytes each; only the
+# fermat requests fill it (see the module docstring)
 _LOG_GAMMA_MEMO = 8192
 # the largest argument of log_gamma: below the smallest shift point N, 72
 _LOG_GAMMA_MAX = 60
@@ -446,12 +440,11 @@ def _log_gamma_parts(x, prec):
         return acc, mp.mpf(_shift_product(n, m, 0, k)) / mp.mpf(m) ** k
 
 
-@lru_cache(maxsize=_LOG_GAMMA_MEMO, typed=True)
 def log_gamma(x, ctx: PrecisionContext):
     """log Gamma(x) for an int or Fraction 0 < x <= 60, absolute error < 10**-target_digits.
 
-    acc 2^-wp - log S from ``_log_gamma_parts``, at working + 10 digits.
-    Memoized per (type of x, x, ctx); errors are raised again on every call.
+    acc 2^-wp - log S from ``_log_gamma_parts``, at working + 10 digits:
+    the parts are memoized, and the log is taken on every call.
     """
     _gamma_domain(x)
     with ctx.workprec(10):
@@ -493,54 +486,6 @@ def gamma_product(weights, ctx: PrecisionContext):
                 num *= shifted ** -c
         arg = mp.make_mpf(from_man_exp(total, -(prec + _GUARD_BITS + _TAYLOR_GUARD_BITS)))
         return mp.exp(arg) * num / den
-
-
-def hurwitz_zeta(x, s, ctx: PrecisionContext):
-    """H(x, s) = sum_{n>=0} (n+x)^-s continued via Euler-Maclaurin.
-
-    Valid for 0 < x <= 1 and any real s != 1 (the continuation is used
-    below s = 1; s = 1 raises PoleError).
-    """
-    with ctx.workprec(10):
-        if not (0 < to_mpf(x) <= 1):
-            raise DomainError("hurwitz_zeta requires 0 < x <= 1")
-        if to_mpf(s) == 1:
-            raise PoleError("hurwitz_zeta has a pole at s = 1")
-        wp = mp.dps
-        budget = mp.mpf(10) ** (-(wp + 5))
-        n_cut = int(1.6 * wp) + 16
-        for _attempt in range(4):
-            # below s = 1 the direct block and the tail term grow like
-            # t^(1-s) while H stays moderate: carry that many more digits
-            # through the cancellation
-            cancel = max(0, ceil((1 - float(s)) * log10(n_cut + 1)))
-            with mp.workdps(wp + cancel):
-                xv, sv = to_mpf(x), to_mpf(s)
-                total = mp.mpf(0)
-                for n in range(n_cut):
-                    total += (n + xv) ** (-sv)
-                t = n_cut + xv
-                total += t ** (1 - sv) / (sv - 1) + t ** (-sv) / 2
-                # Correction terms B_2k/(2k)! * (s)_{2k-1} * t^(-s-2k+1),
-                # summed until one is below budget or the asymptotic
-                # series turns and grows.
-                rising = sv
-                tpow = t ** (-sv - 1)
-                tsq = t * t
-                smallest = mp.inf
-                for k in range(1, _EM_TERM_CAP + 1):
-                    term = mp.bernoulli(2 * k) / mp.factorial(2 * k) * rising * tpow
-                    total += term
-                    if abs(term) < budget:
-                        return total
-                    if abs(term) >= smallest:
-                        break
-                    smallest = abs(term)
-                    rising *= (sv + 2 * k - 1) * (sv + 2 * k)
-                    tpow /= tsq
-            n_cut = 2 * n_cut  # enlarge the direct block and retry
-        raise PrecisionError("Euler-Maclaurin tail did not reach the budget",
-                             achieved_digits=error_digits(smallest))
 
 
 def delta_q_terms(im_tau, working_digits: int) -> int:
@@ -630,8 +575,8 @@ def delta_norm(f, sqrt_d, ctx: PrecisionContext):
 
     sqrt_d is sqrt(-f.disc) at working precision, which the caller takes
     once per discriminant.  The lattice of a is a(Z + Z tau), with
-    tau = (-b + i sqrt(d)) / (2a) rounded to working precision as
-    ``quadforms.form_to_lattice`` rounds it, and that of a^-1 is
+    tau = (-b + i sqrt(d)) / (2a) rounded to working precision as the
+    tests' lattice builder (``tests/oracles.py``) rounds it, and that of a^-1 is
     Z + Z(-conj tau), so Delta(a^-1) = conj Delta(tau) and the pair is
     the positive real
 

@@ -7,6 +7,10 @@ the complex lattice a * (Z + Z*tau) with tau = (-b + i*sqrt(d)) / (2a).
 Reduction carries its SL2(Z) matrix and hands back the first column
 (x, y), so it also names where the form takes the reduced lead
 coefficient: f(x, y) = a of the reduced form.
+
+Everything here is exact integer arithmetic.  The complex lattice of a
+form is built only by the tests, as the oracle of the closed-form
+Delta kernel (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -16,11 +20,8 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from mpmath import mp
-
 from .arith import MAX_N, divisors, is_prime, is_squarefree, solve_linmod
 from .errors import ConsistencyError, DomainError
-from .numkernel import Lattice, PrecisionContext
 
 # 3,043 fundamental discriminants -d have d <= 10^4, the scale the class
 # number checks are meant to reach; each memoized h is one small int
@@ -256,10 +257,6 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     return reduce_form(ideal_product(f, g))
 
 
-def inverse(f: QuadForm) -> QuadForm:
-    return reduce_form(QuadForm(f.a, -f.b, f.c))
-
-
 class ClassGroup(_Slotted):
     """The reduced forms of Discriminant d, principal first."""
 
@@ -326,22 +323,6 @@ def _class_number_dirichlet(disc: Discriminant) -> int:
     if h.denominator != 1 or h <= 0:
         raise ConsistencyError(f"character sum gave h(-{d}) = {h}")
     return int(h)
-
-
-def form_to_lattice(f: QuadForm, ctx: PrecisionContext) -> Lattice:
-    """The ideal lattice a*(Z + Z*tau), tau = (-b + i*sqrt(d)) / (2a)."""
-    d = -f.disc
-    with ctx.workprec():
-        tau = (-f.b + mp.mpc(0, 1) * mp.sqrt(d)) / (2 * f.a)
-        return Lattice(tau=tau, scale=mp.mpf(f.a))
-
-
-def inverse_ideal_lattice(f: QuadForm, ctx: PrecisionContext) -> Lattice:
-    """The lattice of the inverse ideal, Z + Z*(b + i*sqrt(d))/(2a)."""
-    d = -f.disc
-    with ctx.workprec():
-        tau = (f.b + mp.mpc(0, 1) * mp.sqrt(d)) / (2 * f.a)
-        return Lattice(tau=tau, scale=mp.mpf(1))
 
 
 class QuadInteger(_Slotted):

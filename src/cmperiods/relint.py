@@ -28,8 +28,6 @@ from .numkernel import PrecisionContext, error_digits, to_mpf
 
 
 def _mpf_to_fraction(x) -> Fraction:
-    if not mp.isfinite(x):
-        raise DomainError("cannot recognize a non-finite value")
     sign, man, exp, _ = x._mpf_
     m = -man if sign else man
     if exp >= 0:
@@ -49,7 +47,8 @@ def recognize_rational(x, max_den: int, ctx: PrecisionContext):
             achieved_digits=ctx.working_digits)
     with ctx.workprec():
         xv = to_mpf(x)
-        q = _mpf_to_fraction(xv).limit_denominator(max_den)
+        if not mp.isfinite(xv):
+            raise DomainError("cannot recognize a non-finite value")
         window = mp.mpf(1) / (2 * max_den * max_den)
         # x carries working digits relative to its size; a hit is a proof
         # only when its absolute error is below the window
@@ -58,6 +57,12 @@ def recognize_rational(x, max_den: int, ctx: PrecisionContext):
             raise PrecisionError(
                 f"rational recognition at max_den={max_den} needs |x| below "
                 f"{mp.nstr(window / ulp, 3)}", achieved_digits=error_digits(abs(xv) * ulp))
+        # below 1/(2 max_den) no fraction but 0 is as near as 0 is: decided
+        # from the mpf, since the exact Fraction of a tiny x has a
+        # denominator of 2^|exponent|
+        if abs(xv) * (2 * max_den) < 1:
+            return Fraction(0) if abs(xv) < window else None
+        q = _mpf_to_fraction(xv).limit_denominator(max_den)
         if abs(xv - mp.mpf(q.numerator) / q.denominator) < window:
             return q
         return None

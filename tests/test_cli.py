@@ -295,7 +295,7 @@ def test_fermat_and_verify_cs_share_one_stirling_table(capsys):
     # the two requests at one --prec run one Stirling loop
     from cmperiods import numkernel
     for cache in (numkernel._log_gamma_taylor, numkernel._log_gamma_odd,
-                  numkernel._log_gamma_parts, numkernel.log_gamma):
+                  numkernel._log_gamma_parts):
         cache.cache_clear()
     for argv in (["fermat", "--p", "7", "--rst", "1,1,5"], ["verify-cs", "--d", "7"]):
         code, _, _ = run(capsys, "--json", "--prec", "45", *argv)
@@ -423,6 +423,33 @@ def test_recognize_unrecognized_is_failure(capsys):
     code, out, _ = run(capsys, "recognize", "--value", "0.5000000000001")
     assert code == 1
     assert "unrecognized" in out
+
+
+TINY_AND_HUGE = [
+    ("1e-10000000", 0, "0\n[pass] recognize  (120 digits agreed)\n", ""),
+    ("-1e-10000000", 0, "0\n[pass] recognize  (120 digits agreed)\n", ""),
+    ("1e10000000", 3, "", "precision failure: rational recognition at max_den=1000000000000 "
+                          "needs |x| below 5.0e+115 (achieved 0 digits)\n"),
+]
+
+
+@pytest.mark.parametrize("value,code,out,err", TINY_AND_HUGE,
+                         ids=[v for v, *_ in TINY_AND_HUGE])
+def test_recognize_decides_extreme_exponents_without_the_exact_fraction(capsys, value, code,
+                                                                         out, err):
+    # the exact Fraction of x = 10^-10^7 has a denominator of 2^33,219,748,
+    # and that of 10^10^7 a numerator as long: |x| below 1/(2 max_den) has
+    # 0 as its one candidate and a large |x| is a precision failure, both
+    # decided from the mpf, with the same bytes and exit code as before
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        got = run(capsys, "recognize", f"--value={value}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (code, out, err)
+    assert peak < 2 ** 20, peak
 
 
 MALFORMED = [

@@ -12,8 +12,8 @@ from cmperiods.csperiods import (class_periods, cs_verify, exact_report, falting
 from cmperiods.errors import DomainError
 from cmperiods.numkernel import PrecisionContext, delta_lattice, log_gamma
 from cmperiods.quadforms import (Discriminant, QuadForm, class_number, class_number_dirichlet,
-                                  form_to_lattice, inverse_ideal_lattice, is_fundamental,
-                                  reduced_forms)
+                                  is_fundamental, reduced_forms)
+from oracles import form_to_lattice, inverse_ideal_lattice
 
 
 def test_make_report_thresholds(ctx):

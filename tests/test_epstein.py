@@ -11,8 +11,8 @@ from cmperiods.epstein import (_cf_depth, _e1_cf, _scale_bits, _switch, _theta_s
 from cmperiods.errors import PrecisionError
 from cmperiods.lseries import dirichlet_jet
 from cmperiods.numkernel import _GUARD_BITS, _LN10, _LOG10_2, PrecisionContext, delta_lattice, log_gamma
-from cmperiods.quadforms import (Discriminant, QuadForm, form_to_lattice,
-                                 inverse_ideal_lattice, principal_form, reduced_forms)
+from cmperiods.quadforms import Discriminant, QuadForm, principal_form, reduced_forms
+from oracles import form_to_lattice, inverse_ideal_lattice
 
 
 def brute_counts(f, limit):

@@ -9,11 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from cmperiods import numkernel
-from cmperiods.errors import DomainError, PoleError, PrecisionError
+from cmperiods.errors import DomainError, PrecisionError
 from cmperiods.numkernel import (Lattice, PrecisionContext, delta_lattice, delta_q_terms,
-                                 delta_norm, hurwitz_zeta, log_gamma, to_mpf)
-from cmperiods.quadforms import (form_to_lattice, inverse_ideal_lattice, is_fundamental,
-                                  reduced_forms)
+                                 delta_norm, log_gamma, to_mpf)
+from cmperiods.quadforms import is_fundamental, reduced_forms
+from oracles import form_to_lattice, inverse_ideal_lattice
 
 
 def test_context_floors():
@@ -39,7 +39,7 @@ def test_log_gamma_exact_points(ctx):
 
 
 def test_log_gamma_domain(ctx):
-    # the memo keeps no errors: each call raises again
+    # the domain is checked before the parts memo is read: each call raises
     for x in (Fraction(0), Fraction(-3, 2), 0, -1, 0, -1):
         with pytest.raises(DomainError):
             log_gamma(x, ctx)
@@ -52,17 +52,6 @@ def test_log_gamma_refuses_an_mpf(ctx):
         for x in (mp.mpf(2), mp.mpf(1) / 7, mp.mpf("0.5"), 0.5):
             with pytest.raises(DomainError):
                 log_gamma(x, ctx)
-
-
-def test_log_gamma_memo_hit_is_fresh_value(ctx):
-    with ctx.workprec():
-        args = (Fraction(2, 7), 3, Fraction(3, 2 ** 74))
-    for x in args:
-        hit = log_gamma(x, ctx)
-        assert log_gamma(x, ctx) is hit
-        log_gamma.cache_clear()
-        fresh = log_gamma(x, ctx)
-        assert fresh is not hit and fresh._mpf_ == hit._mpf_, x
 
 
 def test_log_gamma_memo_keeps_precisions_apart():
@@ -148,7 +137,6 @@ def test_log_gamma_miss_runs_no_stirling_loop(monkeypatch):
     # call reaches the table whatever earlier requests left in them
     ctx = PrecisionContext(60)
     numkernel._log_gamma_parts.cache_clear()
-    log_gamma.cache_clear()
     log_gamma(Fraction(1, 7), ctx)  # builds the table
     loops = []
     stirling_terms = numkernel._stirling_terms
@@ -158,10 +146,10 @@ def test_log_gamma_miss_runs_no_stirling_loop(monkeypatch):
         return stirling_terms(*args)
 
     monkeypatch.setattr(numkernel, "_stirling_terms", counting)
-    log_gamma.cache_clear()
+    numkernel._log_gamma_parts.cache_clear()
     for x in (Fraction(1, 7), Fraction(12, 7), 5, Fraction(3, 2 ** 74)):
         log_gamma(x, ctx)
-    assert log_gamma.cache_info().misses == 4 and loops == []
+    assert numkernel._log_gamma_parts.cache_info().misses == 4 and loops == []
 
 
 def test_stirling_table_kept_per_precision():
@@ -170,7 +158,7 @@ def test_stirling_table_kept_per_precision():
     numkernel._log_gamma_taylor.cache_clear()
     numkernel._log_gamma_odd.cache_clear()
     for target in (60, 300, 60, 300):
-        log_gamma.cache_clear()
+        numkernel._log_gamma_parts.cache_clear()
         ctx = PrecisionContext(target)
         with mp.workdps(target + 40):
             for a in range(1, 7):
@@ -278,25 +266,6 @@ def test_gamma_product_domain(ctx):
         for weight in (1, 0):
             with pytest.raises(DomainError):
                 numkernel.gamma_product({Fraction(1, 7): 1, bad: weight}, ctx)
-
-
-def test_hurwitz_zeta_values(ctx):
-    with ctx.workprec():
-        assert abs(hurwitz_zeta(Fraction(1), mp.mpf(2), ctx) - mp.pi ** 2 / 6) < ctx.eps()
-        assert abs(hurwitz_zeta(Fraction(1), mp.mpf(0), ctx) + mp.mpf(1) / 2) < ctx.eps()
-        assert abs(hurwitz_zeta(Fraction(1, 2), mp.mpf(0), ctx)) < ctx.eps()
-        # zeta(-1) = -1/12
-        assert abs(hurwitz_zeta(Fraction(1), mp.mpf(-1), ctx) + Fraction(1, 12)) < ctx.eps()
-
-
-def test_hurwitz_zeta_against_mpmath(ctx):
-    points = [(Fraction(1, 3), "2.5"), (Fraction(2, 5), "-1.5"),
-              (Fraction(9, 10), "0.25"), (Fraction(1, 7), "3.0")]
-    with mp.workdps(200):
-        refs = [mp.zeta(mp.mpf(s), to_mpf(x)) for x, s in points]
-    with ctx.workprec():
-        for (x, s), ref in zip(points, refs):
-            assert abs(hurwitz_zeta(x, mp.mpf(s), ctx) - ref) < ctx.eps()
 
 
 def test_stirling_shortfall_reports_smallest_term():
@@ -483,32 +452,6 @@ def test_stirling_tail_keeps_guard_digits(n, m):
         assert abs(mp.mpf((val, -wp)) - ref) < mp.mpf(10) ** -(dps + 4)
 
 
-@pytest.mark.parametrize("target", [30, 60, 120])
-def test_hurwitz_zeta_negative_s_against_zeta(target):
-    # H(1/2, s) = (2^s - 1) zeta(s); below s = -11 the direct block grows
-    # to 10^29..10^48 and must not cost digits of the absolute bound
-    ctx = PrecisionContext(target)
-    for k in range(2, 26):
-        s = mp.mpf(-k) - mp.mpf(1) / 2
-        with mp.workdps(target + 60):
-            ref = (mp.mpf(2) ** s - 1) * mp.zeta(s)
-            assert abs(hurwitz_zeta(Fraction(1, 2), s, ctx) - ref) < ctx.eps(), f"s={s}"
-
-
-def test_hurwitz_shortfall_reports_last_term(monkeypatch):
-    # cut at 20 correction terms, the smallest at s = -31.5 is still ~1e-16
-    # after every enlargement of the direct block
-    monkeypatch.setattr(numkernel, "_EM_TERM_CAP", 20)
-    with pytest.raises(PrecisionError) as err:
-        hurwitz_zeta(Fraction(1, 2), mp.mpf("-31.5"), PrecisionContext(30))
-    assert err.value.achieved_digits == 16
-
-
-def test_hurwitz_zeta_pole(ctx):
-    with pytest.raises(PoleError):
-        hurwitz_zeta(Fraction(1, 2), mp.mpf(1), ctx)
-
-
 def test_reflection_identity(ctx, rng):
     with ctx.workprec():
         tol = ctx.eps(5)
@@ -543,17 +486,17 @@ def test_gauss_product(ctx):
 
 
 def test_hurwitz_jet_matches_loggamma(ctx, rng):
-    # d/ds H(x,s) at s=0 is log(Gamma(x)/sqrt(2*pi)); central difference.
+    # d/ds H(x,s) at s=0 is log(Gamma(x)/sqrt(2*pi)) (Lerch), against
+    # mpmath's independent zeta'(0, x)
     hi = PrecisionContext(260)
     with hi.workprec():
-        h = mp.mpf(10) ** -65
         for _ in range(20):
             den = rng.randrange(2, 200)
             num = rng.randrange(1, den)
             x = Fraction(num, den)
-            diff = (hurwitz_zeta(x, h, hi) - hurwitz_zeta(x, -h, hi)) / (2 * h)
+            deriv = mp.zeta(0, to_mpf(x), 1)
             expect = log_gamma(x, hi) - mp.log(2 * mp.pi) / 2
-            assert abs(diff - expect) < mp.mpf(10) ** -(ctx.target_digits // 2)
+            assert abs(deriv - expect) < mp.mpf(10) ** -(ctx.target_digits // 2)
 
 
 def test_delta_known_points(ctx):

@@ -10,11 +10,10 @@ from cmperiods.errors import ConsistencyError, DomainError
 from cmperiods.numkernel import PrecisionContext
 from cmperiods.quadforms import (ClassGroup, Discriminant, QuadForm, QuadInteger,
                                  class_number, class_number_dirichlet, compose,
-                                 elements_of_norm,
-                                 form_to_lattice, ideal_product,
-                                 inverse, inverse_ideal_lattice, is_fundamental,
+                                 elements_of_norm, ideal_product, is_fundamental,
                                  kronecker, principal_form,
                                  reduce_form, reduce_with_column, reduced_forms)
+from oracles import form_to_lattice, inverse_ideal_lattice
 
 
 def fundamental_ds(limit):
@@ -136,7 +135,7 @@ def test_class_group_structure():
         tuples = {f.tuple() for f in forms}
         for f in forms:
             assert f.is_reduced
-            assert reduce_form(inverse(f)).tuple() in tuples
+            assert reduce_form(QuadForm(f.a, -f.b, f.c)).tuple() in tuples
 
 
 def test_class_number_agreement():
@@ -172,7 +171,7 @@ def test_compose_group_laws(rng):
         e = principal_form(d)
         for f in forms:
             assert compose(e, f) == f
-            assert compose(f, inverse(f)) == e
+            assert compose(f, reduce_form(QuadForm(f.a, -f.b, f.c))) == e
         for _ in range(40):
             f, g, k = (rng.choice(forms) for _ in range(3))
             assert compose(f, g) == compose(g, f)
