@@ -21,7 +21,10 @@ The requests are
   ``fermat --p 19 --rst 1,2,16`` and ``suite --max-d 60``, each at 60,
   120, 300, 600 and 1000 digits;
 - ``kronecker`` over every class of d = 23 (3 classes) and d = 71 (7),
-  at 300 and 600 digits.
+  at 300 and 600 digits;
+- ``suite --max-d 200`` at 60 and 300 digits, with one worker: the
+  Chowla-Selberg check at each of the 62 fundamental d <= 200 and the
+  period and Faltings checks, in one process.
 
 Within a pair the trees take turns on each request, and the order of
 the trees flips from pair to pair, so a machine that speeds up or slows
@@ -50,10 +53,13 @@ TABLE = (("verify-cs", "--d", "163"), ("faltings", "--p", "163"), ("periods", "-
 TABLE_DIGITS = (60, 120, 300, 600, 1000)
 ALL_CLASS = (("kronecker", "--d", "23"), ("kronecker", "--d", "71"))
 ALL_CLASS_DIGITS = (300, 600)
+SUITE = (("suite", "--max-d", "200"),)
+SUITE_DIGITS = (60, 300)
 STARTUP = ("import", "cmperiods.cli", "+", "build_parser()")
 STARTUP_SAMPLES = 5
 REQUESTS = ([STARTUP] + [(*r, "--prec", str(t)) for r in TABLE for t in TABLE_DIGITS]
-            + [(*r, "--prec", str(t)) for r in ALL_CLASS for t in ALL_CLASS_DIGITS])
+            + [(*r, "--prec", str(t)) for r in ALL_CLASS for t in ALL_CLASS_DIGITS]
+            + [(*r, "--prec", str(t)) for r in SUITE for t in SUITE_DIGITS])
 
 WORKER = """
 import contextlib, io, json, sys, time

@@ -12,7 +12,10 @@ slows down meets them alike.  At 60, 120 and 300 target digits a sample
 records, for each kernel,
 
 - ``cold_ms``: the first call at that precision, which also pays for
-  mpmath's constants and whatever tables the kernel builds;
+  mpmath's constants and whatever tables the kernel builds, timed with
+  the garbage collector off and just after a collection, so that no
+  collection that the allocations before it happen to trigger lands in
+  it;
 - ``warm_ms``: the mean per call over all its arguments, after one
   untimed pass, in the fastest of the timed passes, as many as fit in
   PASS_SECONDS and at least MIN_PASSES: a pass that the machine slowed
@@ -22,11 +25,12 @@ records, for each kernel,
 The kernels and their arguments:
 
 - ``numkernel.delta_norm``, Delta(a) Delta(a^-1) from one pentagonal
-  series, rounded to working precision and its log taken, as
-  ``csperiods.log_delta_pair`` takes each class's term, per class over
-  every reduced form a of discriminant -d, d in 23, 71, 163 and 199
-  (20 classes, sqrt(d) taken before timing, as ``cs_verify`` takes it
-  once per discriminant); the cold call is the first of them;
+  series, rounded to working precision and its log taken, by
+  ``csperiods.log_delta_pair`` as ``cs_verify`` takes each class's
+  term, per class over every reduced form a of discriminant -d, d in
+  23, 71, 163 and 199 (20 classes, sqrt(d) taken before timing, as
+  ``cs_verify`` takes it once per discriminant); the cold call is the
+  first of them;
 - ``lseries.character_gamma_sum`` per sum, sum eps(a) log Gamma(a/d)
   over 0 < a < d, at d in 123, 139, 163 and 199, the log-Gamma memos
   (each of ``numkernel._log_gamma_parts`` and ``log_gamma`` that has a
@@ -74,7 +78,7 @@ within 0.98-1.03 and its quartiles within 0.96-1.05
 0.74-1.27 at 120 and 300 digits: a change of about 10% per call is the
 least this bench is sure to resolve.  At 300 digits a pass of the
 slower kernels takes longer than PASS_SECONDS, so they get MIN_PASSES.
-Only public names are used (``delta_norm``, ``PrecisionContext``,
+Only public names are used (``log_delta_pair``, ``PrecisionContext``,
 ``character_gamma_sum`` from ``lseries``, ``make_report`` from
 ``csperiods``, ``tate_twist_certificate``, ``psi_M``, ``reduced_forms``
 and ``principal_form`` from ``quadforms``, ``epstein_jet`` and
@@ -116,7 +120,7 @@ PASS_SECONDS = 0.2
 MIN_PASSES = 5
 
 PRELUDE = """
-import json, sys, time
+import gc, json, sys, time
 from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
 from cmperiods import numkernel
@@ -131,9 +135,12 @@ clear_memos = lambda: [memo.cache_clear() for memo in memos]
 
 # each worker binds kernel, args and fresh (what makes the next pass compute)
 TIMING = """
+gc.collect()
+gc.disable()
 t = time.perf_counter()
 kernel(args[0], ctx)
 cold = time.perf_counter() - t
+gc.enable()
 fresh()
 for x in args:
     kernel(x, ctx)
@@ -149,14 +156,11 @@ print(json.dumps({"cold_ms": cold * 1e3, "warm_ms": min(warm) * 1e3}))
 """ % (MIN_PASSES, PASS_SECONDS)
 
 WORKERS = {
-    "delta_norm": ("numkernel.delta_norm, rounded and its log, per class, d in %s, ms"
-                   % ", ".join(map(str, DISCS)), """
+    "delta_norm": ("numkernel.delta_norm, rounded and its log, by csperiods.log_delta_pair, "
+                   "per class, d in %s, ms" % ", ".join(map(str, DISCS)), """
 from mpmath import mp
-from cmperiods.numkernel import delta_norm
-def kernel(x, ctx):
-    with ctx.workprec():
-        return mp.log(+delta_norm(*x, ctx))
-fresh = lambda: None
+from cmperiods.csperiods import log_delta_pair
+kernel, fresh = (lambda x, ctx: log_delta_pair(*x, ctx)), lambda: None
 with ctx.workprec():
     args = [(f, mp.sqrt(d)) for d in %r for f in reduced_forms(d)]
 """ % (DISCS,)),

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -28,7 +29,7 @@ from .errors import ConsistencyError, DomainError, PrecisionError
 from .fermat import cm_type, epsilon_rst, tate_twist_certificate
 from .heckechar import psi_M
 from .lseries import character_gamma_sum
-from .numkernel import PrecisionContext
+from .numkernel import PrecisionContext, ln
 from .quadforms import (Discriminant, QuadForm, class_number, class_number_dirichlet,
                         is_fundamental, reduced_forms)
 from .relint import recognize_rational, recognize_sqrtp
@@ -93,8 +94,8 @@ def _periods(p, ctx):
     group, periods = class_periods(disc, ctx)
     with ctx.workprec():
         lines = [f"  class {f.tuple()}: {mp.nstr(val, 30)}" for f, val in zip(group, periods)]
-        total = sum((mp.log(val) for val in periods), mp.mpf(0))
-        rhs = group.h * mp.log(2 * mp.pi / disc.d) + character_gamma_sum(disc, ctx)
+        total = sum((ln(val) for val in periods), mp.mpf(0))
+        rhs = group.h * ln(2 * mp.pi / disc.d) + character_gamma_sum(disc, ctx)
     rep = make_report(f"period-product p={disc.d}", {"p": disc.d}, total, rhs, ctx)
     return [rep], lines
 
@@ -241,6 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
+        # a word that starts with "-" and a digit is a value, as in
+        # "--value -1e-30": argparse's own pattern takes only -7 and -0.75
+        # for numbers and reads -1e-30 as an unknown option
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         _global_flags(p, on_top=False)
         return p
 

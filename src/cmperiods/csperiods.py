@@ -36,7 +36,7 @@ from mpmath.libmp import mpf_pos, round_down
 
 from .errors import ConsistencyError, DomainError
 from .lseries import character_gamma_sum, dirichlet_jet
-from .numkernel import PrecisionContext, delta_norm, error_digits
+from .numkernel import PrecisionContext, delta_norm, error_digits, ln
 from .quadforms import Discriminant, QuadForm, class_number_dirichlet, reduced_forms
 
 
@@ -100,7 +100,7 @@ def log_delta_pair(f: QuadForm, sqrt_d, ctx: PrecisionContext):
     and then its log is taken.
     """
     with ctx.workprec():
-        return mp.log(+delta_norm(f, sqrt_d, ctx))
+        return ln(+delta_norm(f, sqrt_d, ctx))
 
 
 def cs_verify(d, ctx: PrecisionContext) -> IdentityReport:
@@ -111,7 +111,7 @@ def cs_verify(d, ctx: PrecisionContext) -> IdentityReport:
     with ctx.workprec():
         sqrt_d = mp.sqrt(d)
         lhs = sum((log_delta_pair(f, sqrt_d, ctx) for f in group), mp.mpf(0))
-        rhs = (12 * group.h * mp.log(2 * mp.pi / d)
+        rhs = (12 * group.h * ln(2 * mp.pi / d)
                + 6 * disc.w * character_gamma_sum(disc, ctx))
     return make_report(f"chowla-selberg d={d}", {"d": d}, lhs, rhs, ctx)
 
@@ -171,8 +171,8 @@ def faltings_height_periods(p, ctx: PrecisionContext):
     """Faltings height from the period integrals over the class group."""
     group, periods = class_periods(p, ctx)
     with ctx.workprec():
-        total = sum((mp.log(val) for val in periods), mp.mpf(0))
-        return -total / (2 * group.h) - mp.log(group.d.d) / 4
+        total = sum((ln(val) for val in periods), mp.mpf(0))
+        return -total / (2 * group.h) - ln(group.d.d) / 4
 
 
 def faltings_height_L(p, ctx: PrecisionContext):
@@ -181,4 +181,4 @@ def faltings_height_L(p, ctx: PrecisionContext):
     p = disc.d
     jet = dirichlet_jet(disc, ctx)
     with ctx.workprec():
-        return -jet.dlog / 2 - mp.log(p) / 4 - mp.log(2 * mp.pi) / 2
+        return -jet.dlog / 2 - ln(p) / 4 - ln(2 * mp.pi) / 2

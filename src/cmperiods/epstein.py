@@ -55,7 +55,7 @@ from mpmath.libmp import from_man_exp
 
 from .errors import PrecisionError
 from .lseries import SZeroJet
-from .numkernel import _GUARD_BITS, _LN10, _LOG10_2, PrecisionContext
+from .numkernel import _GUARD_BITS, _LN10, _LOG10_2, PrecisionContext, ln
 from .quadforms import QuadForm
 
 _LOG2E = 1.4426950408889634
@@ -228,7 +228,7 @@ def _theta_sums(rows, d, limit):
     with mp.workprec(p + 10):
         t0 = 2 * mp.pi / mp.sqrt(d)
         t0i = int(mp.ldexp(t0, p))
-        head = int(mp.ldexp(-mp.euler - 1 - mp.log(t0), s))
+        head = int(mp.ldexp(-mp.euler - 1 - ln(t0), s))
         inv_t0 = int(mp.ldexp(1 / t0, s))
         carry = int(mp.ldexp(mp.exp(-top * t0), e))
         step = int(mp.ldexp(mp.exp(-t0), e))
@@ -252,7 +252,7 @@ def _theta_sums(rows, d, limit):
             series = series * top + c * m
         inverse = sum(map(Fraction, rs, ns), Fraction())
         with mp.workprec(s + 10):
-            logs = int(mp.ldexp(mp.log(prod(map(pow, ns, rs))), s))
+            logs = int(mp.ldexp(ln(prod(map(pow, ns, rs))), s))
         acc = (sum(rs) * head - logs + inverse.numerator * inv_t0 // inverse.denominator
                + series // top ** k_terms)
         sums.append(acc >> (s - w))
@@ -286,7 +286,7 @@ def epstein_jets(forms, ctx: PrecisionContext) -> list[SZeroJet]:
         t0 = 2 * mp.pi / mp.sqrt(d)
         limit = int((mp.dps + 12) * _LN10 / float(t0)) + 4
         totals = _theta_sums([_represented(theta_counts(f, limit)) for f in forms], d, limit)
-        derivs = [total - 1 - mp.log(t0) - mp.euler for total in totals]
+        derivs = [total - 1 - ln(t0) - mp.euler for total in totals]
     with ctx.workprec():
         return [SZeroJet(value=mp.mpf(-1), deriv=+deriv, value_exact=Fraction(-1))
                 for deriv in derivs]

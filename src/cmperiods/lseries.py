@@ -30,7 +30,7 @@ from mpmath import mp
 
 from .errors import DomainError
 from .numkernel import (_GUARD_BITS, _TAYLOR_GUARD_BITS, PrecisionContext,
-                        _log_gamma_odd, to_mpf)
+                        _log_gamma_odd, ln, to_mpf)
 from .quadforms import Discriminant, class_number_dirichlet
 
 
@@ -129,7 +129,7 @@ def character_gamma_sum(d, ctx: PrecisionContext):
                 series = series * d * d + k * moment
             series //= d ** (2 * len(table) - 1)
             ratio = _rounded_product(parts[1], wp) / _rounded_product(parts[-1], wp)
-            acc = mp.mpf((2 * series, -wp)) - mp.log(ratio) + c * mp.log(d)
+            acc = mp.mpf((2 * series, -wp)) - ln(ratio) + c * ln(d)
         return +acc
 
 
@@ -141,5 +141,5 @@ def dirichlet_jet(d, ctx: PrecisionContext) -> SZeroJet:
     value = Fraction(2 * class_number_dirichlet(disc), disc.w)
     with ctx.workprec():
         # the log sqrt(2*pi) of each H_s'(a/d, 0) cancels: sum eps(a) = 0
-        deriv = -mp.log(d) * to_mpf(value) + character_gamma_sum(disc, ctx)
+        deriv = -ln(d) * to_mpf(value) + character_gamma_sum(disc, ctx)
         return SZeroJet(value=to_mpf(value), deriv=deriv, value_exact=value)

@@ -400,6 +400,28 @@ def test_recognize_rational(capsys):
     assert "3/4" in out
 
 
+@pytest.mark.parametrize("value, out", [
+    ("-1e-30", "0\n[pass] recognize  (120 digits agreed)\n"),
+    ("-2.5E+3", "-2500\n[pass] recognize  (120 digits agreed)\n"),
+    ("-0.75", "-3/4\n[pass] recognize  (120 digits agreed)\n"),
+])
+def test_recognize_negative_value_as_its_own_word(capsys, value, out):
+    # "--value -1e-30" used to exit 2 with argparse's "expected one
+    # argument", since argparse took only -7 and -0.75 for numbers; both
+    # spellings now print the same bytes, and -0.75 prints what it did
+    assert run(capsys, "recognize", "--value", value) == (0, out, "")
+    assert run(capsys, "recognize", f"--value={value}") == (0, out, "")
+    assert (run(capsys, "recognize", "--value", value, "--json")
+            == run(capsys, "recognize", f"--value={value}", "--json"))
+
+
+def test_negative_list_as_its_own_word(capsys):
+    # the same rule for a comma list that starts with a negative number
+    argv = ("fermat", "--p", "7", "--prec", "30")
+    got = run(capsys, *argv, "--rst", "-1,2,-1")
+    assert got[0] == 0 and got == run(capsys, *argv, "--rst=-1,2,-1")
+
+
 def test_recognize_sqrtp(capsys):
     code, out, _ = run(capsys, "recognize", "--value",
                        "4.58257569495584000658804719372800848898445657676797190260724212"
@@ -668,7 +690,8 @@ def cli_argv(draw):
         value = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6).map(str),
                                st.floats().map(repr),
                                st.sampled_from(["1/3", "0.75", "1e400", "nan", "x", ""])))
-        argv.append(f"--value={value}")
+        # as its own word in half the draws: "--value -1e-05" is a value
+        argv += ["--value", value] if draw(st.booleans()) else [f"--value={value}"]
         if draw(st.booleans()):
             argv.append(f"--sqrtp={integer(-5, 200)}")
     else:

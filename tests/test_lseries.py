@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from cmperiods import numkernel
+from cmperiods import lseries, numkernel
 from cmperiods.errors import DomainError
 from cmperiods.fermat import _residue_gamma_product
 from cmperiods.lseries import SZeroJet, character_gamma_sum, dirichlet_jet
@@ -163,16 +163,20 @@ def test_reflected_character_gamma_sum_against_mpmath(prec, ds):
             assert abs(got - ref) < mp.mpf(10) ** -(prec + 10), d
 
 
-def _mp_log_calls(monkeypatch, d, ctx):
+def _ln_calls(monkeypatch, d, ctx):
     calls = []
-    real_log = mp.log
+    real_ln = lseries.ln
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return real_log(*args, **kwargs)
+        return real_ln(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"mp.log called with {args}")
 
     with monkeypatch.context() as m:
-        m.setattr(mp, "log", counting)
+        m.setattr(lseries, "ln", counting)
+        m.setattr(mp, "log", refuse)
         character_gamma_sum(Discriminant(d), ctx)
     return len(calls)
 
@@ -184,8 +188,9 @@ def test_reflected_character_gamma_sum_halves_log_gamma_calls(monkeypatch, d):
     # precision, summed against the exact odd moments sum eps(a) a^m, and
     # shift products of J factors.  Once the tables are built a sum runs
     # no log_gamma call, no Stirling loop and no mp.expjpi (no sine), and
-    # two mp.log calls, log d and that of the products' ratio, at d as at
-    # d = 9995, where phi(d)/2 = 3,996
+    # two logs, log d and that of the products' ratio, both by
+    # numkernel.ln and none by mp.log, at d as at d = 9995, where
+    # phi(d)/2 = 3,996
     def refuse(*args):
         raise AssertionError(f"called with {args}")
 
@@ -201,6 +206,6 @@ def test_reflected_character_gamma_sum_halves_log_gamma_calls(monkeypatch, d):
     monkeypatch.setattr(numkernel, "_stirling_terms", counting)
     monkeypatch.setattr(mp, "expjpi", refuse)
     numkernel._log_gamma_parts.cache_clear()
-    count = _mp_log_calls(monkeypatch, d, ctx)
+    count = _ln_calls(monkeypatch, d, ctx)
     assert numkernel._log_gamma_parts.cache_info()[:2] == (0, 0) and loops == []
-    assert count == _mp_log_calls(monkeypatch, 9995, ctx) == 2, count
+    assert count == _ln_calls(monkeypatch, 9995, ctx) == 2, count

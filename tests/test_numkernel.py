@@ -357,6 +357,65 @@ def test_error_digits_refuses_non_positive_and_non_finite():
             numkernel.error_digits(x)
 
 
+LN_DIGITS = [30, 60, 120, 300, 600, 1000]
+
+
+def _ln_ulps(x):
+    """|ln(x) - log x| in units of the last place of ln(x), log x by mp.log at 30 more digits."""
+    got = numkernel.ln(x)
+    _, _, exp, bc = got._mpf_
+    ulp = mp.ldexp(1, exp + bc - mp.prec)
+    with mp.workdps(mp.dps + 30):
+        return abs(got - mp.log(x)) / ulp
+
+
+@pytest.mark.parametrize("digits", LN_DIGITS)
+def test_ln_rounds_to_nearest_against_mpmath(digits, rng):
+    # random mantissas at exponents to +-5000 bits, and x = 1 +- 2^-k for k
+    # to the precision, where log x cancels to about +-2^-k: rounded to
+    # nearest from a sum within 2^-19 of an ulp, so within half an ulp
+    # and 2^-18 more
+    with mp.workdps(digits):
+        prec = mp.prec
+        xs = [mp.mpf((rng.getrandbits(prec) | 1 << (prec - 1), e - prec))
+              for e in (-5000, -1000, -64, -1, 0, 1, 2, 3, 64, 1000, 5000)]
+        for k in {1, 2, 3, prec // 2, prec - 2, prec - 1, *rng.sample(range(1, prec), 12)}:
+            xs += [mp.mpf(((1 << k) + 1, -k)), mp.mpf(((1 << k) - 1, -k))]
+        for x in xs:
+            assert _ln_ulps(x) <= 0.5 + 2 ** -18, x
+
+
+def test_ln_of_one_and_powers_of_two_runs_no_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"log_taylor called with {args}")
+
+    monkeypatch.setattr(numkernel, "log_taylor", refuse)
+    for digits in LN_DIGITS:
+        with mp.workdps(digits):
+            assert numkernel.ln(1)._mpf_ == numkernel.ln(mp.mpf(1))._mpf_ == mp.zero._mpf_
+            for k in (1, -1, 2, -2, 64, -1000, 1000, 5000, -5000):
+                assert _ln_ulps(mp.ldexp(1, k)) <= 0.5 + 2 ** -18, k
+
+
+def test_ln_refuses_non_positive_and_non_finite():
+    for x in (0, -3, mp.mpf(0), -mp.mpf(10) ** -5, mp.inf, -mp.inf, mp.nan):
+        with pytest.raises(DomainError):
+            numkernel.ln(x)
+
+
+@pytest.mark.parametrize("digits", LN_DIGITS)
+def test_ln_is_mp_log_to_the_bit_on_a_grid(digits):
+    # the kinds of argument the package takes the log of: integers d and
+    # p, 2 pi/d, fractions n/d about 1 and powers of two; each rounds as
+    # mpmath's cached log does, which is why no printed byte moved when
+    # the package's logs left mp.log
+    with mp.workdps(digits):
+        grid = ([mp.mpf(n) for n in range(2, 200)] + [2 * mp.pi / n for n in range(1, 200)]
+                + [mp.mpf(n) / 97 for n in range(1, 200)]
+                + [mp.ldexp(1, k) for k in range(-64, 65)])
+        assert [x for x in grid if numkernel.ln(x) != mp.log(x)] == []
+
+
 # the shift point N = ceil(1.2 dps) at 1000 digits
 _N1000 = 1200
 
