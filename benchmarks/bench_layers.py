@@ -32,10 +32,11 @@ The kernels and their arguments:
   ``cs_verify`` takes it once per discriminant); the cold call is the
   first of them;
 - ``lseries.character_gamma_sum`` per sum, sum eps(a) log Gamma(a/d)
-  over 0 < a < d, at d in 123, 139, 163 and 199, the log-Gamma memos
-  (each of ``numkernel._log_gamma_parts`` and ``log_gamma`` that has a
-  ``cache_clear`` in the tree) cleared before the untimed pass and again
-  before each timed pass, so that a sum that reads them computes its
+  over 0 < a < d, at d in 123, 139, 163 and 199, the memos (each of
+  ``numkernel._log_gamma_parts``, ``_log_gamma_horner`` and
+  ``log_gamma`` that has a ``cache_clear`` in the tree, and the memo of
+  residues, ``quadforms._residues``, where a tree has it) cleared before
+  the untimed pass and again before each timed pass, so that a sum that reads them computes its
   terms; the cold call is the sum at d = 123, and it includes the tables
   that every later sum at that precision reads: the Taylor table of
   log Gamma at the shift point (``numkernel._log_gamma_taylor``) and,
@@ -55,11 +56,18 @@ The kernels and their arguments:
   all of them; the cold call, at j = 1, also pays for whatever the
   digits count builds at that precision;
 - ``fermat.tate_twist_certificate`` per call over twelve evenly spaced
-  mixed triples at p = 19, the log-Gamma memos cleared before each
-  pass, so that a pass computes Gamma at each argument once, as a fresh
-  process does for its requests at one p; the cold call is the first
+  mixed triples at p = 19, the memos cleared before each pass, so that
+  a pass computes Gamma at each argument, and the residues, once, as a
+  fresh process does for its requests at one p; the cold call is the first
   triple, and it includes the Taylor table of log Gamma at the shift
   point;
+- ``numkernel.gamma_product`` per product, as fermat forms them:
+  ``fermat.beta_period`` at two evenly spaced mixed triples and
+  ``fermat._residue_gamma_product`` at eps = +1 and -1, at p = 7, 11 and
+  19 (12 products), with the memos cleared before each pass, as a fresh
+  process computes them for its requests at one p; the
+  cold call is the beta product at p = 7, and it includes the Taylor
+  table of log Gamma at the shift point;
 - ``heckechar.psi_M`` over every reduced form of p = 1019 (13 classes),
   at 60 digits only, since it computes in exact integers: h - 1
   ``ideal_product`` steps and one form reduction per call; the cold
@@ -82,8 +90,10 @@ Only public names are used (``log_delta_pair``, ``PrecisionContext``,
 ``character_gamma_sum`` from ``lseries``, ``make_report`` from
 ``csperiods``, ``tate_twist_certificate``, ``psi_M``, ``reduced_forms``
 and ``principal_form`` from ``quadforms``, ``epstein_jet`` and
-``theta_counts`` from ``epstein``), and the log-Gamma memos named above
-where a tree has them, so any two versions of the kernels compare.  The script is not under ``tests/`` and tier-1
+``theta_counts`` from ``epstein``, ``beta_period`` from ``fermat``),
+fermat's ``_residue_gamma_product``, whose signature has not changed,
+and the memos named above where a tree has them, so any two versions of
+the kernels compare.  The script is not under ``tests/`` and tier-1
 does not collect it.
 """
 
@@ -103,6 +113,7 @@ DISCS = (23, 71, 163, 199)
 SUM_DISCS = (123, 139, 163, 199)
 PSI_P = 1019
 TATE_P = 19
+GAMMA_PS = (7, 11, 19)
 
 
 def _mixed_triples(p, n):
@@ -123,13 +134,14 @@ PRELUDE = """
 import gc, json, sys, time
 from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
-from cmperiods import numkernel
+from cmperiods import numkernel, quadforms
 from cmperiods.numkernel import PrecisionContext
 from cmperiods.quadforms import reduced_forms
 ctx = PrecisionContext(int(sys.argv[2]))
 memos = [memo for memo in (getattr(numkernel, name, None)
-                           for name in ("log_gamma", "_log_gamma_parts"))
+                           for name in ("log_gamma", "_log_gamma_parts", "_log_gamma_horner"))
          if hasattr(memo, "cache_clear")]
+memos += [quadforms._residues] if hasattr(quadforms, "_residues") else []
 clear_memos = lambda: [memo.cache_clear() for memo in memos]
 """
 
@@ -207,6 +219,19 @@ from cmperiods.fermat import tate_twist_certificate
 kernel, fresh = (lambda rst, ctx: tate_twist_certificate(%d, *rst, ctx)), clear_memos
 args = %r
 """ % (TATE_P, _mixed_triples(TATE_P, 12)))
+
+WORKERS["gamma_product"] = ("numkernel.gamma_product per product, fermat's beta products at "
+                            "two mixed triples and residue products at eps = +-1, p in %s, ms"
+                            % ", ".join(map(str, GAMMA_PS)), """
+from cmperiods.fermat import _residue_gamma_product, beta_period
+def kernel(x, ctx):
+    if len(x) == 4:
+        return beta_period(*x, ctx)
+    return _residue_gamma_product(quadforms.Discriminant.prime(x[0]), x[1], ctx)
+fresh = clear_memos
+args = %r
+""" % ([(p, *rst) for p in GAMMA_PS for rst in _mixed_triples(p, 2)]
+       + [(p, sigma) for p in GAMMA_PS for sigma in (1, -1)],))
 
 WORKERS["psi_M"] = ("heckechar.psi_M per call over the reduced forms of p = %d, ms" % PSI_P, """
 from cmperiods.heckechar import psi_M

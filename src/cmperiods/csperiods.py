@@ -159,8 +159,7 @@ def m_invariant(p) -> Fraction:
     """m = sum of a/p over quadratic residues a; equals (p-1)/4 - h/2."""
     disc = Discriminant.prime(p)
     p = disc.d
-    m = sum((Fraction(a, p) for a in range(1, p) if disc.epsilon(a) == 1),
-            Fraction(0))
+    m = Fraction(sum(disc.residues), p)
     h = class_number_dirichlet(disc)
     if m != Fraction(p - 1, 4) - Fraction(h, 2):
         raise ConsistencyError(f"m-invariant {m} != (p-1)/4 - h/2 at p={p}")

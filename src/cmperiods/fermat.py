@@ -18,7 +18,13 @@ table of log Gamma.
 Each public function takes p as an int or as the Discriminant that
 ``Discriminant.prime`` returned, and checks the triple once; a caller
 holding that Discriminant passes it on, so p is tested for primality
-once per request.
+once per request.  Every sum and product over the residues reads
+``Discriminant.residues``, found once per p from (p - 1)/2 characters,
+in increasing a, so the mpf products round in one order; eps(r) is
+whether r is among them.  The Gamma arguments go to ``gamma_product``
+as integer numerators over p, with no Fraction per argument, and its
+memos key them on integers: u + v = 1 + k/p reads the Horner sum of
+k/p, and a request at a p and precision already seen computes no part.
 """
 
 from __future__ import annotations
@@ -76,7 +82,8 @@ def _check_triple(p, r, s, t):
 
 
 def _epsilon(disc, r, s, t) -> int:
-    return disc.epsilon(r) + disc.epsilon(s) + disc.epsilon(t)
+    residues = disc.residues
+    return sum(1 if x in residues else -1 for x in (r, s, t))
 
 
 def epsilon_rst(p, r, s, t) -> int:
@@ -90,7 +97,7 @@ def cm_type(p, r, s, t) -> CMTypeRecord:
     p = disc.d
     phi = tuple(a for a in range(1, p)
                 if (a * r % p) + (a * s % p) + (a * t % p) == p)
-    u = sum(1 for a in phi if disc.epsilon(a) == 1)
+    u = sum(1 for a in disc.residues if (a * r % p) + (a * s % p) + (a * t % p) == p)
     v = len(phi) - u
     return CMTypeRecord(p=p, rst=(r, s, t), phi=phi, u=u, v=v)
 
@@ -107,20 +114,23 @@ def beta_period(p, r, s, t, ctx: PrecisionContext):
     disc, r, s, t = _check_triple(p, r, s, t)
     p = disc.d
     weights = Counter()  # on the numerators over p: u = (a r mod p)/p
-    for a in range(1, p):
-        if disc.epsilon(a) == 1:
-            u, v = a * r % p, a * s % p
-            weights[u] += 1
-            weights[v] += 1
-            weights[u + v] -= 1
-    return gamma_product({Fraction(k, p): c for k, c in weights.items()}, ctx)
+    for a in disc.residues:
+        u, v = a * r % p, a * s % p
+        weights[u] += 1
+        weights[v] += 1
+        weights[u + v] -= 1
+    return gamma_product(weights, p, ctx)
 
 
 def _residue_gamma_product(disc, sigma, ctx: PrecisionContext):
-    """prod of Gamma(a/p) over the residues eps(a) = sigma, at working + 10 digits."""
-    p = disc.d
-    return gamma_product({Fraction(a, p): 1 for a in range(1, p) if disc.epsilon(a) == sigma},
-                         ctx)
+    """prod of Gamma(a/p) over the a with eps(a) = sigma = +-1, at working + 10 digits.
+
+    In increasing a: the residues, or at sigma = -1 the p - a, a a residue
+    (eps is odd), which are all the other a < p when p is prime.
+    """
+    p, residues = disc.d, disc.residues
+    numerators = residues if sigma == 1 else [p - a for a in reversed(residues)]
+    return gamma_product(dict.fromkeys(numerators, 1), p, ctx)
 
 
 def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificate:
@@ -142,8 +152,9 @@ def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificat
         raise DomainError("tate certificate needs eps(r)+eps(s)+eps(t) = +-1")
     m = m_invariant(disc)
     name, inputs = f"tate-twist p={p} rst={r},{s},{t}", {"p": p, "rst": [r, s, t]}
-    uvs = (a * r % p + a * s % p for a in range(1, p) if disc.epsilon(a) == 1)
-    q = prod((Fraction(p, uv - p) for uv in uvs if uv > p), start=Fraction(1))
+    uvs = (a * r % p + a * s % p for a in disc.residues)
+    excess = [uv - p for uv in uvs if uv > p]
+    q = Fraction(p ** len(excess), prod(excess))
     exact, kind = (q, "rational") if e == 1 else (q / p, "sqrtp")
     try:
         text = str(exact)

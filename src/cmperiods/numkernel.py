@@ -9,22 +9,28 @@ Arithmetic is backed by mpmath (mpf/mpc); the special functions themselves
 are implemented here: one Taylor table of log Gamma per precision for
 log-gamma, and Euler's pentagonal series for the modular discriminant.
 Every function is pure, so callers may fan work out across processes
-freely.  ``log_gamma`` and ``gamma_product`` take an int or a Fraction x
-with 0 < x <= 60, as every caller passes (all below 2).  Both read the
-parts of log Gamma(x), an exact Horner integer and a shift product
+freely.  ``log_gamma`` takes an int or a Fraction x with 0 < x <= 60,
+and ``gamma_product`` integer numerators n over one denominator m with
+0 < n/m <= 60, as every caller passes (all below 2).  Both read the
+parts of log Gamma(n/m), an exact Horner integer and a shift product
 (``_log_gamma_parts``), which are memoized for the life of the process
-per (argument value, binary precision): the Fermat certificates take
-Gamma at the same rationals a/p again and again.  It is the one memo of
-log Gamma.  ``gamma_product`` turns the parts of a product of Gamma
-powers into one exp and no log, which is all the certificates run;
-``log_gamma``, which the tests and the acceptance battery call, takes the
-log of the shift product on every call.  The folded character sum of
-``lseries`` reads neither, so neither ``verify-cs``, ``periods``,
-``faltings`` nor ``suite`` fills the memo.  Every mixed ``fermat``
-triple at p = 7, 11 and 19 at one precision leaves 62 distinct
-arguments, and a tate-sweep campaign of perfbench, at three precisions,
-168; the arguments of one request are fractions k/p, so the 8,192 parts
-the memo holds leave room for many primes and precisions.
+on the integers (n, m, binary precision), n/m in lowest terms: the
+Fermat certificates take Gamma at the same rationals a/p again and
+again, and no Fraction is built or hashed for a key.  The Horner integer
+depends on the fractional part t = n/m - round(n/m) alone and has its
+own memo on (t m, m, binary precision) (``_log_gamma_horner``), so k/p
+and 1 + k/p, the arguments u + v > 1 of the beta periods, share one sum.
+These are the memos of log Gamma.  ``gamma_product`` turns the parts of
+a product of Gamma powers into one exp and no log, which is all the
+certificates run; ``log_gamma``, which the tests and the acceptance
+battery call, takes the log of the shift product on every call.  The
+folded character sum of ``lseries`` reads neither, so neither
+``verify-cs``, ``periods``, ``faltings`` nor ``suite`` fills the memos.
+Every mixed ``fermat`` triple at p = 7, 11 and 19 at one precision
+leaves 62 distinct arguments on 34 fractional parts, and a tate-sweep
+campaign of perfbench, at three precisions, 168 on 102; the arguments of
+one request are fractions k/p, so the 8,192 entries each memo holds
+leave room for many primes and precisions.
 
 log Gamma is evaluated in one place: ``_log_gamma_taylor`` keeps, per
 working precision, the Taylor coefficients of log Gamma(N + t) about the
@@ -59,7 +65,8 @@ of the sum and of q, and no complex 24th power.  Every check runs
 
 Every log the package takes is ``ln``'s: log f + k log 2 for
 x = f 2^k, 1/2 <= f < 1, in fixed point, log f by mpmath's
-``log_taylor`` after a few square roots, with 20 guard bits and more for
+``log_taylor`` series after a few exact square roots (``math.isqrt``),
+with 20 guard bits and more for
 k, for the cancellation near x = 1 and for the roots and the series.
 Its sum is within 2^-19 of an ulp of log x before its one rounding to
 nearest (the error budget is in its docstring), so it rounds as the
@@ -81,7 +88,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count
-from math import ceil, floor, isqrt, log2, log10, pi, prod
+from math import ceil, floor, gcd, isqrt, log2, log10, pi, prod
 from operator import floordiv
 from typing import NamedTuple
 
@@ -107,8 +114,8 @@ _LOG10_2 = 0.30102999566398120
 # column of the triangle that gives them (``_tangent_numbers``), from T_1 = 1
 _TANGENTS = [1]
 _TANGENT_COLUMN = [1]
-# log-Gamma parts kept by the memo, at a few hundred bytes each; only the
-# fermat requests fill it (see the module docstring)
+# log-Gamma parts, and Horner sums, kept by each memo, at a few hundred
+# bytes each; only the fermat requests fill them (see the module docstring)
 _LOG_GAMMA_MEMO = 8192
 # the largest argument of log_gamma: below the smallest shift point N, 72
 _LOG_GAMMA_MAX = 60
@@ -207,10 +214,11 @@ def ln(x):
     """log x for an mpf or int x > 0, rounded to nearest at the current precision.
 
     With x = f 2^k, 1/2 <= f < 1, log x = log f + k log 2, in fixed point
-    at wp bits: log f by mpmath's ``log_taylor``, which takes r square
-    roots of f and then the series 2 atanh((y - 1)/(y + 1)) at
-    y = f^(1/2^r), and k log 2 from ``ln2_fixed``.  Nothing is kept per
-    argument.  wp0 = prec + _GUARD_BITS + bit_length(k) + c, where c, for
+    at wp bits: log f = 2^r log y, with y = f^(1/2^r) from r exact
+    floored roots (``math.isqrt``; mpmath's own root may fall one unit
+    short) and log y from mpmath's ``log_taylor`` series
+    2 atanh((y - 1)/(y + 1)); k log 2 from ``ln2_fixed``.  Nothing is kept
+    per argument.  wp0 = prec + _GUARD_BITS + bit_length(k) + c, where c, for
     1/2 <= x < 2, is the bits by which log x cancels, counted as mpmath's
     ``mpf_log`` counts them, and 0 else; wp = wp0 + r + 1 + bit_length(wp0).
     A power of two 2^e is e log 2, with no series, and log 1 = 0 exactly.
@@ -246,7 +254,10 @@ def ln(x):
         wp += bc - (man - (1 << (bc - 1))).bit_length()
     roots = max(2, isqrt(wp) // 8)
     wp += roots + 1 + wp.bit_length()
-    fixed = log_taylor((man << wp) >> bc, wp, roots) + k * ln2_fixed(wp)
+    y = (man << wp) >> bc
+    for _ in range(roots):
+        y = isqrt(y << wp)
+    fixed = (log_taylor(y, wp) << roots) + k * ln2_fixed(wp)
     return mp.make_mpf(from_man_exp(fixed, -wp, prec, round_nearest))
 
 
@@ -471,37 +482,50 @@ def _shift_product(n, m, lo, hi):
     return _shift_product(n, m, lo, mid) * _shift_product(n, m, mid, hi)
 
 
-def _gamma_domain(x):
-    """Raise DomainError unless x is an int or a Fraction with 0 < x <= 60."""
-    if not isinstance(x, (int, Fraction)):
-        raise DomainError("log_gamma takes an int or a Fraction")
-    # in integers: the denominator is positive
-    if x.numerator <= 0:
+def _gamma_domain(n, m):
+    """Raise DomainError unless n and m are ints with m > 0 and 0 < n/m <= 60."""
+    if not (isinstance(n, int) and isinstance(m, int)) or m <= 0:
+        raise DomainError("log Gamma takes an int numerator over a positive int denominator")
+    if n <= 0:
         raise DomainError("log_gamma requires x > 0")
-    if x.numerator > _LOG_GAMMA_MAX * x.denominator:
+    if n > _LOG_GAMMA_MAX * m:
         raise DomainError(f"log_gamma requires x <= {_LOG_GAMMA_MAX}")
 
 
 @lru_cache(maxsize=_LOG_GAMMA_MEMO)
-def _log_gamma_parts(x, prec):
-    """(acc, S) with log Gamma(x) = acc 2^-wp - log S, at binary precision prec.
+def _log_gamma_horner(tn, m, prec):
+    """The table of ``_log_gamma_taylor(prec)`` at N + t, t = tn/m, |t| <= 1/2, as one integer.
 
-    wp = prec + _GUARD_BITS + _TAYLOR_GUARD_BITS.  With x = n/m,
-    i = round(x) and t = x - i, acc is the table of ``_log_gamma_taylor``
-    at N + t, summed by Horner's rule in integers, and S is
-    prod_{j < N - i} (x + j) = Gamma(N + t) / Gamma(x) (DLMF 5.5.1), the
-    exact integer prod (n + j*m) over m^(N - i), as an mpf at prec.  The
-    least N is 72 (30 target and 20 guard digits), so i <= 60 < N.  Memoized per
-    (x, prec): ``log_gamma`` and ``gamma_product`` share the parts.
+    Summed by Horner's rule in integers on the scale 2^-wp,
+    wp = prec + _GUARD_BITS + _TAYLOR_GUARD_BITS, each step floored:
+    log Gamma(N + t) within the table's length of units.  Memoized per
+    (tn, m, prec), the fractional part of every argument n/m with
+    n - round(n/m) m = tn: k/p and 1 + k/p read one sum.
     """
     shift, table = _log_gamma_taylor(prec)
-    n, m = x.numerator, x.denominator
-    i = round(x)
-    tn, step = n - i * m, m * shift  # t/N = tn/step
+    step = m * shift  # t/N = tn/step
     acc = 0
     for e in reversed(table):
         acc = acc * tn // step + e
-    k = shift - i
+    return acc
+
+
+@lru_cache(maxsize=_LOG_GAMMA_MEMO)
+def _log_gamma_parts(n, m, prec):
+    """(acc, S) with log Gamma(n/m) = acc 2^-wp - log S, at binary precision prec.
+
+    n/m in lowest terms, 0 < n/m <= 60, and wp as in ``_log_gamma_horner``.
+    With i = round(n/m), halves up, and t = n/m - i, acc is the Horner
+    sum at N + t (``_log_gamma_horner``), and S is
+    prod_{j < N - i} (x + j) = Gamma(N + t) / Gamma(x) (DLMF 5.5.1), the
+    exact integer prod (n + j*m) over m^(N - i), as an mpf at prec.  The
+    least N is 72 (30 target and 20 guard digits), so i <= 60 < N.
+    Memoized per (n, m, prec): ``log_gamma`` and ``gamma_product`` share
+    the parts.
+    """
+    i = (2 * n + m) // (2 * m)
+    k = _log_gamma_taylor(prec)[0] - i
+    acc = _log_gamma_horner(n - i * m, m, prec)
     with mp.workprec(prec):
         return acc, mp.mpf(_shift_product(n, m, 0, k)) / mp.mpf(m) ** k
 
@@ -512,18 +536,22 @@ def log_gamma(x, ctx: PrecisionContext):
     acc 2^-wp - log S from ``_log_gamma_parts``, at working + 10 digits:
     the parts are memoized, and the log is taken on every call.
     """
-    _gamma_domain(x)
+    if not isinstance(x, (int, Fraction)):
+        raise DomainError("log_gamma takes an int or a Fraction")
+    n, m = x.numerator, x.denominator  # in lowest terms
+    _gamma_domain(n, m)
     with ctx.workprec(10):
-        acc, shifted = _log_gamma_parts(x, mp.prec)
+        acc, shifted = _log_gamma_parts(n, m, mp.prec)
         return mp.mpf((acc, -(mp.prec + _GUARD_BITS + _TAYLOR_GUARD_BITS))) - ln(shifted)
 
 
-def gamma_product(weights, ctx: PrecisionContext):
-    """prod Gamma(x)^c over a map {x: c}, x an int or Fraction 0 < x <= 60, c an int.
+def gamma_product(weights, m, ctx: PrecisionContext):
+    """prod Gamma(n/m)^c over a map {n: c}, n and c ints, 0 < n/m <= 60, over one int m > 0.
 
     Returned at working + 10 digits.  Zero weights are skipped; a caller
-    merges equal arguments into one weight (a dict holds each once).  From
-    the parts (acc, S) of each x (``_log_gamma_parts``),
+    merges equal arguments into one weight (a dict holds each n once).
+    Each n/m is taken to lowest terms, one gcd, and from its parts
+    (acc, S) (``_log_gamma_parts``),
 
         prod Gamma(x)^c = exp(sum c acc 2^-wp) / prod S^c:
 
@@ -534,17 +562,18 @@ def gamma_product(weights, ctx: PrecisionContext):
     adds about one ulp; each power and product of the S^c adds at most
     about 3 ulps per unit of sum |c|.  The Fermat certificates have
     sum |c| <= 3(p - 1)/2, far inside the 10 extra digits for any p the
-    CLI takes.  Raises DomainError, as ``log_gamma`` does, for an x
-    outside its domain.
+    CLI takes.  Raises DomainError, as ``log_gamma`` does, for an n/m
+    outside its domain, or an n or m that is not an int.
     """
     with ctx.workprec(10):
         prec = mp.prec
         total, num, den = 0, mp.mpf(1), mp.mpf(1)
-        for x, c in weights.items():
-            _gamma_domain(x)
+        for n, c in weights.items():
+            _gamma_domain(n, m)
             if not c:
                 continue
-            acc, shifted = _log_gamma_parts(x, prec)
+            g = gcd(n, m)
+            acc, shifted = _log_gamma_parts(n // g, m // g, prec)
             total += c * acc
             if c > 0:
                 den *= shifted ** c

@@ -26,6 +26,9 @@ from .errors import ConsistencyError, DomainError
 # 3,043 fundamental discriminants -d have d <= 10^4, the scale the class
 # number checks are meant to reach; each memoized h is one small int
 _CLASS_NUMBER_MEMO = 4096
+# residue tuples kept, about d/2 ints each: the few d of a request, and
+# the last of a sweep over d
+_RESIDUE_MEMO = 64
 
 
 def kronecker(D: int, n: int) -> int:
@@ -113,6 +116,7 @@ class Discriminant(NamedTuple("Discriminant", [("d", int)])):
     The bound is the domain of every check: ``factorize`` reaches it by
     trial division to 10^6, and the checks sum over every a < d.  An
     instance keeps a __dict__, where ``is_prime_3mod4`` is kept once known.
+    Its ``residues`` are kept per d for the process (``_residues``).
     """
 
     def __new__(cls, d: int):
@@ -163,6 +167,31 @@ class Discriminant(NamedTuple("Discriminant", [("d", int)])):
     def epsilon(self, a: int) -> int:
         """The quadratic character (-d | a)."""
         return kronecker(-self.d, a)
+
+    @property
+    def residues(self) -> tuple:
+        """The a with 0 < a < d and eps(a) = 1, increasing (``_residues``)."""
+        return _residues(self)
+
+
+@lru_cache(maxsize=_RESIDUE_MEMO)
+def _residues(disc: Discriminant) -> tuple:
+    """``Discriminant.residues``, from the characters eps(a), a < d/2, memoized per d.
+
+    eps is odd, eps(d - a) = eps(-a) = -eps(a), since -d < 0, so the a < d/2
+    with eps(a) = -1 give the residues d - a above d/2.  The memo is keyed
+    on d, not on an instance, so a memo that keeps its Discriminant keys,
+    as the class number's does, keeps no residue tuple.
+    """
+    d = disc.d
+    low, high = [], []
+    for a in range(1, (d + 1) // 2):
+        e = disc.epsilon(a)
+        if e == 1:
+            low.append(a)
+        elif e == -1:
+            high.append(d - a)
+    return (*low, *reversed(high))
 
 
 class QuadForm(NamedTuple("QuadForm", [("a", int), ("b", int), ("c", int)])):
@@ -311,7 +340,10 @@ def class_number(d: int) -> int:
 def class_number_dirichlet(d) -> int:
     """h(-d) = -(w / 2d) sum eps(a) a, the finite character sum in exact arithmetic.
 
-    Memoized per validated discriminant; a failed sum raises on every call.
+    With R the residues, the a coprime to d with eps(a) = -1 are the
+    d - a, a in R (``_residues``), so sum eps(a) a = 2 sum R - d |R|, and
+    the sum computes no character of its own.  Memoized per validated
+    discriminant; a failed sum raises on every call.
     """
     return _class_number_dirichlet(Discriminant.of(d))
 
@@ -319,7 +351,8 @@ def class_number_dirichlet(d) -> int:
 @lru_cache(maxsize=_CLASS_NUMBER_MEMO)
 def _class_number_dirichlet(disc: Discriminant) -> int:
     d = disc.d
-    h = Fraction(-disc.w * sum(disc.epsilon(a) * a for a in range(1, d)), 2 * d)
+    residues = disc.residues
+    h = Fraction(disc.w * (d * len(residues) - 2 * sum(residues)), 2 * d)
     if h.denominator != 1 or h <= 0:
         raise ConsistencyError(f"character sum gave h(-{d}) = {h}")
     return int(h)

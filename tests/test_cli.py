@@ -289,13 +289,36 @@ def test_fermat_request_validates_p_once(capsys, monkeypatch, rst, kind):
     assert calls["relint"] == 0
 
 
+@pytest.mark.parametrize("rst", ["1,2,16", "1,3,15"])
+def test_fermat_request_finds_each_character_once(capsys, monkeypatch, rst):
+    # the residues of p are found once per request, from eps(a) at the
+    # a < p/2, and the CM type, the beta and residue products, Q, eps(r)
+    # + eps(s) + eps(t), m and the class number all read them: with the
+    # memos of residues and class numbers cleared, a request at p = 19
+    # computes (p - 1)/2 Kronecker symbols, within the p - 1 bound
+    from cmperiods import quadforms
+    quadforms._residues.cache_clear()
+    quadforms._class_number_dirichlet.cache_clear()
+    seen = []
+    real = quadforms.kronecker
+
+    def counting(D, n):
+        seen.append(n)
+        return real(D, n)
+
+    monkeypatch.setattr(quadforms, "kronecker", counting)
+    code, out, _ = run(capsys, "--json", "--prec", "30", "fermat", "--p", "19", "--rst", rst)
+    assert code == 0 and all(row["pass"] for row in json.loads(out))
+    assert sorted(seen) == list(range(1, 10))
+
+
 def test_fermat_and_verify_cs_share_one_stirling_table(capsys):
     # the Tate certificate's Gamma products and the folded character sum
     # of verify-cs read one Taylor table of log Gamma per precision, so
     # the two requests at one --prec run one Stirling loop
     from cmperiods import numkernel
     for cache in (numkernel._log_gamma_taylor, numkernel._log_gamma_odd,
-                  numkernel._log_gamma_parts):
+                  numkernel._log_gamma_parts, numkernel._log_gamma_horner):
         cache.cache_clear()
     for argv in (["fermat", "--p", "7", "--rst", "1,1,5"], ["verify-cs", "--d", "7"]):
         code, _, _ = run(capsys, "--json", "--prec", "45", *argv)
@@ -363,7 +386,7 @@ def test_cm_type_balance_row_fails_on_a_wrong_cm_type(capsys, monkeypatch):
     # 3 of phi = (1, 2, 3) at p = 7, rst = 1, 1, 5 counts as a residue, so
     # u - v = 3 misses h * eps = 1 while |phi| stays 3
     def three_a_residue(disc, r, s, t):
-        skewed = SimpleNamespace(d=disc.d, epsilon=lambda a: 1 if a == 3 else disc.epsilon(a))
+        skewed = SimpleNamespace(d=disc.d, residues=tuple(sorted({*disc.residues, 3})))
         return skewed, r, s, t
     _corrupt_inside_cm_type(monkeypatch, three_a_residue)
     code, out, _ = run(capsys, "--json", "--prec", "30", "fermat", "--p", "7", "--rst", "1,1,5")

@@ -137,6 +137,7 @@ def test_fermat_request_takes_no_log(monkeypatch, capsys):
     argv = ["--prec", "120", "fermat", "--p", "19", "--rst", "1,2,16"]
     assert cli.main(argv) == 0  # builds the table
     numkernel._log_gamma_parts.cache_clear()
+    numkernel._log_gamma_horner.cache_clear()
     calls = {}
 
     def counting(name, real):
@@ -166,8 +167,9 @@ def test_every_tate_row_carries_gamma_content(monkeypatch):
         wp = prec + numkernel._GUARD_BITS + numkernel._TAYLOR_GUARD_BITS
         return shift, (coeffs[0] + (1 << (wp - 40)),) + coeffs[1:]
 
-    parts = numkernel._log_gamma_parts
-    parts.cache_clear()
+    memos = (numkernel._log_gamma_parts, numkernel._log_gamma_horner)
+    for memo in memos:
+        memo.cache_clear()
     monkeypatch.setattr(numkernel, "_log_gamma_taylor", mutated)
     passed = {1: set(), -1: set()}
     try:
@@ -177,7 +179,8 @@ def test_every_tate_row_carries_gamma_content(monkeypatch):
                 if abs(e) == 1:
                     passed[e].add(tate_twist_certificate(p, r, s, t, ctx).passed)
     finally:
-        parts.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
     assert passed == {1: {False}, -1: {False}}
 
 

@@ -206,6 +206,8 @@ def test_reflected_character_gamma_sum_halves_log_gamma_calls(monkeypatch, d):
     monkeypatch.setattr(numkernel, "_stirling_terms", counting)
     monkeypatch.setattr(mp, "expjpi", refuse)
     numkernel._log_gamma_parts.cache_clear()
+    numkernel._log_gamma_horner.cache_clear()
     count = _ln_calls(monkeypatch, d, ctx)
     assert numkernel._log_gamma_parts.cache_info()[:2] == (0, 0) and loops == []
+    assert numkernel._log_gamma_horner.cache_info()[:2] == (0, 0)
     assert count == _ln_calls(monkeypatch, 9995, ctx) == 2, count

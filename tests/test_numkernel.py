@@ -16,6 +16,11 @@ from cmperiods.quadforms import is_fundamental, reduced_forms
 from oracles import form_to_lattice, inverse_ideal_lattice
 
 
+def _clear_parts():
+    numkernel._log_gamma_parts.cache_clear()
+    numkernel._log_gamma_horner.cache_clear()
+
+
 def test_context_floors():
     with pytest.raises(DomainError):
         PrecisionContext(10)
@@ -136,7 +141,7 @@ def test_log_gamma_miss_runs_no_stirling_loop(monkeypatch):
     # runs no Stirling loop.  The memos are cleared first, so the first
     # call reaches the table whatever earlier requests left in them
     ctx = PrecisionContext(60)
-    numkernel._log_gamma_parts.cache_clear()
+    _clear_parts()
     log_gamma(Fraction(1, 7), ctx)  # builds the table
     loops = []
     stirling_terms = numkernel._stirling_terms
@@ -146,7 +151,7 @@ def test_log_gamma_miss_runs_no_stirling_loop(monkeypatch):
         return stirling_terms(*args)
 
     monkeypatch.setattr(numkernel, "_stirling_terms", counting)
-    numkernel._log_gamma_parts.cache_clear()
+    _clear_parts()
     for x in (Fraction(1, 7), Fraction(12, 7), 5, Fraction(3, 2 ** 74)):
         log_gamma(x, ctx)
     assert numkernel._log_gamma_parts.cache_info().misses == 4 and loops == []
@@ -158,7 +163,7 @@ def test_stirling_table_kept_per_precision():
     numkernel._log_gamma_taylor.cache_clear()
     numkernel._log_gamma_odd.cache_clear()
     for target in (60, 300, 60, 300):
-        numkernel._log_gamma_parts.cache_clear()
+        _clear_parts()
         ctx = PrecisionContext(target)
         with mp.workdps(target + 40):
             for a in range(1, 7):
@@ -185,21 +190,22 @@ def test_log_gamma_one_seventh_product_oracle():
         assert abs(log_gamma(Fraction(1, 7), ctx) - oracle) < ctx.eps()
 
 
-def test_beta_on_fractions_reuses_the_log_gamma_parts_memo(ctx):
-    # the beta period of fermat is one gamma_product over the Fraction
-    # arguments u, v and u + v; a second call on the same triple finds
-    # the parts of every one of them in the memo
+def test_beta_on_integers_shares_horner_sums_by_fractional_part(ctx):
+    # the beta period of fermat is one gamma_product over the numerators
+    # of u, v and u + v over p; u + v = 1 + k/p reads the Horner sum of
+    # k/p, and a second call on the same triple computes nothing
     from cmperiods.fermat import beta_period
-    parts = numkernel._log_gamma_parts
-    parts.cache_clear()
+    parts, horner = numkernel._log_gamma_parts, numkernel._log_gamma_horner
+    _clear_parts()
     beta_period(7, 1, 1, 5, ctx)
-    first = parts.cache_info()
     # u = v = a/7 and u + v = 2a/7 over the residues a = 1, 2, 4: nine
-    # factors merged onto four arguments, 1/7, 2/7, 4/7 and 8/7
-    assert (first.hits, first.misses) == (0, 4)
+    # factors merged onto four arguments, 1/7, 2/7, 4/7 and 8/7, on the
+    # three fractional parts 1/7, 2/7 and 4/7 - 1
+    assert parts.cache_info()[:2] == (0, 4)
+    assert horner.cache_info()[:2] == (1, 3)
     beta_period(7, 1, 1, 5, ctx)
-    after = parts.cache_info()
-    assert (after.hits - first.hits, after.misses - first.misses) == (4, 0)
+    assert parts.cache_info()[:2] == (4, 4)
+    assert horner.cache_info()[:2] == (1, 3)
 
 
 def _residues(p):
@@ -207,44 +213,45 @@ def _residues(p):
 
 
 def _beta_terms(p, r, s):
-    """The factors (x, c) of fermat's beta period at (r, s), one per Gamma, unmerged."""
+    """The factors (n, c) of fermat's beta period at (r, s) over p, one per Gamma, unmerged."""
     terms = []
     for a in _residues(p):
-        u, v = Fraction(a * r % p, p), Fraction(a * s % p, p)
+        u, v = a * r % p, a * s % p
         terms += [(u, 1), (v, 1), (u + v, -1)]
     return terms
 
 
 def _merged(terms):
     weights = {}
-    for x, c in terms:
-        weights[x] = weights.get(x, 0) + c
+    for n, c in terms:
+        weights[n] = weights.get(n, 0) + c
     return weights
 
 
 @pytest.mark.parametrize("target, primes", [(30, (7, 19, 163, 1019)), (300, (7, 19, 163)),
                                             (1000, (7,))], ids=["30", "300", "1000"])
 def test_gamma_product_against_mpmath(target, primes):
-    # the beta and residue maps of fermat, and a map with a zero weight,
-    # a weight -2 at an x in (1, 2) and an int argument, against the exp
-    # of the fsum of c loggamma(x) over the unmerged factors, by mpmath at
-    # working + 20 digits (the beta map merges duplicates: at p = 7, the
-    # nine factors of (1, 1, 5) fall on four arguments)
+    # the beta and residue maps of fermat over p, and a map with a zero
+    # weight, a weight -2 at (2p - 1)/p in (1, 2) and the int argument 3
+    # as 3p/p, against the exp of the fsum of c loggamma(n/p) over the
+    # unmerged factors, by mpmath at working + 20 digits (the beta map
+    # merges duplicates: at p = 7, the nine factors of (1, 1, 5) fall on
+    # four arguments)
     ctx = PrecisionContext(target)
     for p in primes:
-        residues = [(Fraction(a, p), 1) for a in _residues(p)]
+        residues = [(a, 1) for a in _residues(p)]
         maps = [_beta_terms(p, 1, 2), _beta_terms(p, 1, 1), residues,
-                residues + [(Fraction(2 * p - 1, p), -2), (Fraction(3, p), 0), (3, 1)]]
+                residues + [(2 * p - 1, -2), (3, 0), (3 * p, 1)]]
         with mp.workdps(ctx.working_digits + 20):
             refs = {}
             for terms in maps:
-                for x, _ in terms:
-                    if x not in refs:
-                        refs[x] = mp.loggamma(mp.mpf(x.numerator) / x.denominator)
+                for n, _ in terms:
+                    if n not in refs:
+                        refs[n] = mp.loggamma(mp.mpf(n) / p)
         for terms in maps:
-            got = numkernel.gamma_product(_merged(terms), ctx)
+            got = numkernel.gamma_product(_merged(terms), p, ctx)
             with mp.workdps(ctx.working_digits + 20):
-                ref = mp.exp(mp.fsum(c * refs[x] for x, c in terms))
+                ref = mp.exp(mp.fsum(c * refs[n] for n, c in terms))
                 assert abs(got - ref) < mp.mpf(10) ** -ctx.working_digits * ref, (p, terms)
 
 
@@ -254,18 +261,23 @@ def test_gamma_product_gauss_multiplication(target):
     # a closed-form oracle that reaches p = 1019 at 1000 digits
     ctx = PrecisionContext(target)
     for p in (163, 1019):
-        got = numkernel.gamma_product({Fraction(a, p): 1 for a in range(1, p)}, ctx)
+        got = numkernel.gamma_product(dict.fromkeys(range(1, p), 1), p, ctx)
         with mp.workdps(ctx.working_digits + 20):
             ref = (2 * mp.pi) ** ((p - 1) // 2) / mp.sqrt(p)
             assert abs(got - ref) < mp.mpf(10) ** -ctx.working_digits * ref, p
 
 
 def test_gamma_product_domain(ctx):
-    # log_gamma's domain, on every argument of the map, whatever its weight
-    for bad in (0, Fraction(-1, 7), 61, Fraction(421, 7), 0.5):
+    # log_gamma's domain, on every numerator over 7, whatever its weight:
+    # 0, a negative argument, 61 and 421/7 above the bound and a
+    # non-integer key; and a denominator that is not a positive int
+    for bad in (0, -1, 61 * 7, 421, 0.5, Fraction(1, 2)):
         for weight in (1, 0):
             with pytest.raises(DomainError):
-                numkernel.gamma_product({Fraction(1, 7): 1, bad: weight}, ctx)
+                numkernel.gamma_product({1: 1, bad: weight}, 7, ctx)
+    for den in (0, -7, 7.0, Fraction(7)):
+        with pytest.raises(DomainError):
+            numkernel.gamma_product({1: 1}, den, ctx)
 
 
 def test_stirling_shortfall_reports_smallest_term():

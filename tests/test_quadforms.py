@@ -156,12 +156,32 @@ def test_class_number_dirichlet_memo(monkeypatch):
     assert quadforms._class_number_dirichlet.cache_info().currsize == 1
     # a character sum that gives no class number raises on every call
     monkeypatch.setattr(Discriminant, "epsilon", lambda self, a: 1)
+    quadforms._residues.cache_clear()  # the residues are found from epsilon
     for _ in range(2):
         with pytest.raises(ConsistencyError):
             class_number_dirichlet(47)
     for _ in range(2):
         with pytest.raises(DomainError):
             class_number_dirichlet(25)
+
+
+@pytest.mark.parametrize("ds", ["primes", "composite"])
+def test_residues_are_the_characters_equal_to_one(ds):
+    # the residues found from eps(a), a < d/2, alone are every a < d with
+    # eps(a) = 1, in increasing order: at each prime p = 3 mod 4 below
+    # 2,000, where they are also the squares mod p, and at the composite
+    # and even d of the character sum's tests
+    from cmperiods import quadforms
+    quadforms._residues.cache_clear()
+    if ds == "primes":
+        cases = [p for p in range(3, 2000, 4) if sympy.isprime(p)]
+    else:
+        cases = [4, 8, 15, 20, 84, 231, 9995]
+    for d in cases:
+        want = tuple(a for a in range(1, d) if kronecker(-d, a) == 1)
+        assert Discriminant(d).residues == want, d
+        if ds == "primes":
+            assert want == tuple(sorted({a * a % d for a in range(1, d)})), d
 
 
 def test_compose_group_laws(rng):
