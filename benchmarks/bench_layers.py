@@ -26,16 +26,20 @@ The kernels and their arguments:
 
 - ``numkernel.delta_norm``, Delta(a) Delta(a^-1) from one pentagonal
   series, rounded to working precision and its log taken, by
-  ``csperiods.log_delta_pair`` as ``cs_verify`` takes each class's
-  term, per class over every reduced form a of discriminant -d, d in
-  23, 71, 163 and 199 (20 classes, sqrt(d) taken before timing, as
-  ``cs_verify`` takes it once per discriminant); the cold call is the
-  first of them;
+  ``csperiods.log_delta_pair``, per class over every reduced form a of
+  discriminant -d, d in 23, 71, 163 and 199 (20 classes in 12 inverse
+  pairs; sqrt(d) is taken before timing and passed where the tree's
+  ``log_delta_pair`` takes it), with the memo of pairs
+  (``numkernel._delta_norm``, where a tree has it) cleared before the
+  untimed pass and each timed pass, so that a pass sums one series per
+  pair where the tree keeps the pair, and one per class where it does
+  not; the cold call is the first of them;
 - ``lseries.character_gamma_sum`` per sum, sum eps(a) log Gamma(a/d)
   over 0 < a < d, at d in 123, 139, 163 and 199, the memos (each of
   ``numkernel._log_gamma_parts``, ``_log_gamma_horner`` and
-  ``log_gamma`` that has a ``cache_clear`` in the tree, and the memo of
-  residues, ``quadforms._residues``, where a tree has it) cleared before
+  ``log_gamma`` that has a ``cache_clear`` in the tree, the memo of
+  residues, ``quadforms._residues``, and that of the sums,
+  ``lseries._character_gamma_sum``, where a tree has them) cleared before
   the untimed pass and again before each timed pass, so that a sum that reads them computes its
   terms; the cold call is the sum at d = 123, and it includes the tables
   that every later sum at that precision reads: the Taylor table of
@@ -71,7 +75,25 @@ The kernels and their arguments:
 - ``heckechar.psi_M`` over every reduced form of p = 1019 (13 classes),
   at 60 digits only, since it computes in exact integers: h - 1
   ``ideal_product`` steps and one form reduction per call; the cold
-  call, on the principal form, also sums the class number.
+  call, on the principal form, also sums the class number;
+- the tables of log Gamma that a process builds once, at 300, 600 and
+  1000 digits only, at the binary precision of working + 10 digits,
+  where ``log_gamma`` and the character sum read them, one call per
+  pass:
+
+  - ``numkernel._tangent_numbers``, as many tangent numbers as the
+    Taylor table at that precision reads, the per-process lists reset
+    to T_1 before each pass; with nothing else to fill, cold and warm
+    time the same work;
+  - ``numkernel._log_gamma_taylor``, the Taylor table at the shift
+    point, both table memos (``_log_gamma_taylor`` and
+    ``_log_gamma_odd``) cleared before each pass and the tangent
+    numbers kept; the cold call also builds the tangent numbers and
+    mpmath's pi at that precision;
+  - ``numkernel._log_gamma_odd``, the odd table about J, both table
+    memos cleared and the Taylor table rebuilt, untimed, before each
+    pass, so that a pass times the odd table alone; the cold call
+    builds all three.
 
 The JSON written to ``--out`` holds, per kernel, tree and precision, the
 median of the samples, their quartiles and their spread (q3 - q1) /
@@ -92,7 +114,8 @@ Only public names are used (``log_delta_pair``, ``PrecisionContext``,
 and ``principal_form`` from ``quadforms``, ``epstein_jet`` and
 ``theta_counts`` from ``epstein``, ``beta_period`` from ``fermat``),
 fermat's ``_residue_gamma_product``, whose signature has not changed,
-and the memos named above where a tree has them, so any two versions of
+the three table builders and the tangent lists of ``numkernel``, and
+the memos named above where a tree has them, so any two versions of
 the kernels compare.  The script is not under ``tests/`` and tier-1
 does not collect it.
 """
@@ -138,11 +161,15 @@ from cmperiods import numkernel, quadforms
 from cmperiods.numkernel import PrecisionContext
 from cmperiods.quadforms import reduced_forms
 ctx = PrecisionContext(int(sys.argv[2]))
-memos = [memo for memo in (getattr(numkernel, name, None)
-                           for name in ("log_gamma", "_log_gamma_parts", "_log_gamma_horner"))
-         if hasattr(memo, "cache_clear")]
-memos += [quadforms._residues] if hasattr(quadforms, "_residues") else []
-clear_memos = lambda: [memo.cache_clear() for memo in memos]
+# a function clearing the memos of module by these names, those the tree has
+def clearer(module, *names):
+    memos = [memo for memo in (getattr(module, name, None) for name in names)
+             if hasattr(memo, "cache_clear")]
+    return lambda: [memo.cache_clear() for memo in memos]
+clear_gamma = clearer(numkernel, "log_gamma", "_log_gamma_parts", "_log_gamma_horner")
+clear_residues = clearer(quadforms, "_residues")
+clear_memos = lambda: (clear_gamma(), clear_residues())
+clear_tables = clearer(numkernel, "_log_gamma_taylor", "_log_gamma_odd")
 """
 
 # each worker binds kernel, args and fresh (what makes the next pass compute)
@@ -170,16 +197,22 @@ print(json.dumps({"cold_ms": cold * 1e3, "warm_ms": min(warm) * 1e3}))
 WORKERS = {
     "delta_norm": ("numkernel.delta_norm, rounded and its log, by csperiods.log_delta_pair, "
                    "per class, d in %s, ms" % ", ".join(map(str, DISCS)), """
+from inspect import signature
 from mpmath import mp
 from cmperiods.csperiods import log_delta_pair
-kernel, fresh = (lambda x, ctx: log_delta_pair(*x, ctx)), lambda: None
+# (f, sqrt(d)) where the tree passes sqrt(d), else f alone
+given = len(signature(log_delta_pair).parameters) - 1
+kernel = lambda x, ctx: log_delta_pair(*x[:given], ctx)
+fresh = clearer(numkernel, "_delta_norm")
 with ctx.workprec():
     args = [(f, mp.sqrt(d)) for d in %r for f in reduced_forms(d)]
 """ % (DISCS,)),
     "character_gamma_sum": ("lseries.character_gamma_sum per sum, d in %s, ms"
                             % ", ".join(map(str, SUM_DISCS)), """
+from cmperiods import lseries
 from cmperiods.lseries import character_gamma_sum
-kernel, fresh = character_gamma_sum, clear_memos
+clear_sums = clearer(lseries, "_character_gamma_sum")
+kernel, fresh = character_gamma_sum, lambda: (clear_memos(), clear_sums())
 args = %r
 """ % (SUM_DISCS,)),
 }
@@ -239,6 +272,43 @@ kernel, fresh = (lambda f, ctx: psi_M(f, %d)), lambda: None
 args = list(reduced_forms(%d))
 """ % (PSI_P, PSI_P))
 KERNEL_TARGETS = {"psi_M": (60,)}  # psi_M is exact: the precision does not enter
+
+# the tables of log Gamma, per process or per precision, at the binary
+# precision of working + 10 digits, where log_gamma and the character
+# sum read them
+TABLE_TARGETS = (300, 600, 1000)
+TABLE_PRELUDE = """
+from mpmath import mp
+with ctx.workprec(10):
+    prec = mp.prec
+args = [prec]
+"""
+WORKERS["tangent_numbers"] = ("numkernel._tangent_numbers, the tangent numbers "
+                              "the Taylor table of log Gamma reads, built from none, ms",
+                              TABLE_PRELUDE + """
+numkernel._log_gamma_taylor(prec)  # finds how many the table reads
+count = len(numkernel._TANGENTS)
+def fresh():
+    numkernel._TANGENTS[:] = numkernel._TANGENT_COLUMN[:] = [1]
+fresh()
+clear_tables()
+kernel = lambda prec, ctx: numkernel._tangent_numbers(count)
+""")
+WORKERS["log_gamma_taylor"] = ("numkernel._log_gamma_taylor, the Taylor table of log Gamma "
+                               "at the shift point, tangent numbers kept, ms",
+                               TABLE_PRELUDE + """
+kernel, fresh = (lambda prec, ctx: numkernel._log_gamma_taylor(prec)), clear_tables
+""")
+WORKERS["log_gamma_odd"] = ("numkernel._log_gamma_odd, the odd Taylor table of log Gamma "
+                            "about J, from the table at the shift point, ms",
+                            TABLE_PRELUDE + """
+kernel = lambda prec, ctx: numkernel._log_gamma_odd(prec)
+def fresh():
+    clear_tables()
+    numkernel._log_gamma_taylor(prec)
+""")
+KERNEL_TARGETS.update(dict.fromkeys(("tangent_numbers", "log_gamma_taylor", "log_gamma_odd"),
+                                    TABLE_TARGETS))
 
 
 def sample(src: str, kernel: str, target: int) -> dict:

@@ -64,9 +64,9 @@ def _cmd_verify_cs(args, ctx):
     return [cs_verify(args.d, ctx)], []
 
 
-def _kronecker_class(disc, i, f, jet, sqrt_d, ctx):
+def _kronecker_class(disc, i, f, jet, ctx):
     with ctx.workprec():
-        rhs = -log_delta_pair(f, sqrt_d, ctx) / 12
+        rhs = -log_delta_pair(f, ctx) / 12
     return make_report(f"kronecker-limit d={disc.d} class={i}",
                        {"d": disc.d, "class": i, "form": list(f.tuple())},
                        jet.deriv, rhs, ctx)
@@ -83,9 +83,7 @@ def _cmd_kronecker(args, ctx):
             raise DomainError(f"--class must be in 0..{len(forms) - 1} for d={disc.d}")
         picked = [(args.class_index, forms[args.class_index])]
         jets = [epstein_jet(forms[args.class_index], ctx)]
-    with ctx.workprec():
-        sqrt_d = mp.sqrt(disc.d)
-    return [_kronecker_class(disc, i, f, jet, sqrt_d, ctx)
+    return [_kronecker_class(disc, i, f, jet, ctx)
             for (i, f), jet in zip(picked, jets)], []
 
 
@@ -201,8 +199,9 @@ def _cmd_suite(args, ctx):
                                 agree, len(ps), ctx))
 
     # the period and Faltings checks run first, so that forked workers
-    # inherit the log-Gamma tables they build at this precision; their
-    # rows still follow the Chowla-Selberg rows
+    # inherit the log-Gamma tables they build at this precision, and the
+    # Delta pairs and character sums of their p, which the Chowla-Selberg
+    # checks there read; their rows still follow the Chowla-Selberg rows
     tail = [rep for p in _PERIOD_PRIMES if p <= maxd for rep in _periods(p, ctx)[0]]
     tail += [rep for p in _FALTINGS_PRIMES if p <= maxd for rep in _faltings(p, ctx)[0]]
     tasks = [(d, ctx.target_digits) for d in ds]

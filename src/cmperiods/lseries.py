@@ -13,14 +13,16 @@ sum eps(a) a^m, and the exact shift products of J factors per a, rounded
 to working precision as they are multiplied.  J comes from a cost model
 of the work per a, and the shift point of the table from ``numkernel``.
 A sum takes two mpf logs, no sine and no ``log_gamma`` call, at
-working + 10 digits.  The Fermat certificates take the product of
-Gamma(a/p) over the residues alone, one ``numkernel.gamma_product`` with
-no log (``fermat``).
+working + 10 digits, and is kept for the process per discriminant and
+precision, so the checks of one d that each need it take it once.  The
+Fermat certificates take the product of Gamma(a/p) over the residues
+alone, one ``numkernel.gamma_product`` with no log (``fermat``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, repeat
 from math import prod
 from operator import add, mul, sub
@@ -32,6 +34,9 @@ from .errors import DomainError
 from .numkernel import (_GUARD_BITS, _TAYLOR_GUARD_BITS, PrecisionContext,
                         _log_gamma_odd, ln, to_mpf)
 from .quadforms import Discriminant, class_number_dirichlet
+
+# character sums kept, one mpf each per discriminant and precision
+_CHARACTER_SUM_MEMO = 1024
 
 
 class SZeroJet(NamedTuple):
@@ -65,6 +70,18 @@ def _rounded_product(xs, bits):
 
 def character_gamma_sum(d, ctx: PrecisionContext):
     """sum over 0 < a < d of eps(a) log Gamma(a/d), at working precision.
+
+    Memoized for the process per discriminant and precision context, up
+    to _CHARACTER_SUM_MEMO sums (``_character_gamma_sum``): the period
+    product, both Faltings heights and Chowla-Selberg at one p read one
+    sum, and the value depends on its key alone.
+    """
+    return _character_gamma_sum(Discriminant.of(d), ctx)
+
+
+@lru_cache(maxsize=_CHARACTER_SUM_MEMO)
+def _character_gamma_sum(disc, ctx):
+    """``character_gamma_sum`` at the Discriminant disc, computed.
 
     eps is odd, so with t = a/d the term at d - a is -eps(a) log Gamma(1 - t):
 
@@ -105,7 +122,6 @@ def character_gamma_sum(d, ctx: PrecisionContext):
     10^-(working + 8) of mpmath's loggamma at every d the tests reach:
     d = 9995 at 30 digits, d = 1999 at 300 and d <= 199 at 1000 included.
     """
-    disc = Discriminant.of(d)
     d = disc.d
     with ctx.workprec():
         with mp.extradps(10):

@@ -61,7 +61,10 @@ is reduced mod 2 exactly, with no multiple of pi to cancel.
 ``delta_norm`` sums the same series (``_euler_series``) for
 Delta(a) Delta(a^-1) = a^-12 |Delta(tau)|^2, in real numbers: the norm
 of the sum and of q, and no complex 24th power.  Every check runs
-``delta_norm``; ``delta_lattice`` is the tests' oracle.
+``delta_norm``; ``delta_lattice`` is the tests' oracle.  The pair is
+one number for a and for a^-1, the class of (a, -b, c), so it is
+memoized for the process per inverse pair and precision context, up to
+4,096 of them (``_delta_norm``).
 
 Every log the package takes is ``ln``'s: log f + k log 2 for
 x = f 2^k, 1/2 <= f < 1, in fixed point, log f by mpmath's
@@ -117,6 +120,10 @@ _TANGENT_COLUMN = [1]
 # log-Gamma parts, and Horner sums, kept by each memo, at a few hundred
 # bytes each; only the fermat requests fill them (see the module docstring)
 _LOG_GAMMA_MEMO = 8192
+# pairs Delta(a) Delta(a^-1) kept, one mpf each per inverse pair of
+# classes and precision: the 264 classes of the fundamental d <= 200
+# make 186 pairs
+_DELTA_NORM_MEMO = 4096
 # the largest argument of log_gamma: below the smallest shift point N, 72
 _LOG_GAMMA_MAX = 60
 # tables kept, one per binary working precision: the Taylor tables of
@@ -665,13 +672,12 @@ def delta_lattice(lattice: Lattice, ctx: PrecisionContext, terms: int | None = N
         return scale ** (-12) * _two_pi_pow12(mp.prec) * q * e24
 
 
-def delta_norm(f, sqrt_d, ctx: PrecisionContext):
+def delta_norm(f, ctx: PrecisionContext):
     """Delta(a) Delta(a^-1) for the ideal class a of the form f, from one series.
 
-    sqrt_d is sqrt(-f.disc) at working precision, which the caller takes
-    once per discriminant.  The lattice of a is a(Z + Z tau), with
-    tau = (-b + i sqrt(d)) / (2a) rounded to working precision as the
-    tests' lattice builder (``tests/oracles.py``) rounds it, and that of a^-1 is
+    The lattice of a is a(Z + Z tau), with tau = (-b + i sqrt(d)) / (2a),
+    sqrt(d) and tau rounded to working precision as the tests' lattice
+    builder (``tests/oracles.py``) rounds them, and that of a^-1 is
     Z + Z(-conj tau), so Delta(a^-1) = conj Delta(tau) and the pair is
     the positive real
 
@@ -686,9 +692,21 @@ def delta_norm(f, sqrt_d, ctx: PrecisionContext):
     product of the two ``delta_lattice`` values, the tests' oracle, to
     the ten digits past working precision that both carry, and it is
     returned at that precision for the caller to round.
+
+    The pair is one number for a and a^-1, the class of (a, -b, c), so
+    it is memoized for the process on (a, |b|, c) and the precision
+    context (``_delta_norm``, at most _DELTA_NORM_MEMO entries) and
+    summed at b = |b|: the value depends on its key alone, whichever of
+    the two forms asks first.
     """
+    return _delta_norm(f.a, abs(f.b), f.c, ctx)
+
+
+@lru_cache(maxsize=_DELTA_NORM_MEMO)
+def _delta_norm(a, b, c, ctx):
+    """``delta_norm`` of the form (a, b, c) at ctx, summed at this b; the memo's key has b >= 0."""
     with ctx.workprec():
-        tau = (-f.b + mp.mpc(0, 1) * sqrt_d) / (2 * f.a)
+        tau = (-b + mp.mpc(0, 1) * mp.sqrt(4 * a * c - b * b)) / (2 * a)
     with ctx.workprec(10):
         terms = delta_q_terms(mp.im(tau), mp.dps)
         q = mp.expjpi(2 * tau)
@@ -696,4 +714,4 @@ def delta_norm(f, sqrt_d, ctx: PrecisionContext):
         e_re, e_im = _euler_series(q, terms, wp)
         norm = mp.mpf((e_re * e_re + e_im * e_im, -2 * wp))
         return (_two_pi_pow12(mp.prec) ** 2 * (q.real ** 2 + q.imag ** 2)
-                * norm ** 24 / f.a ** 12)
+                * norm ** 24 / a ** 12)

@@ -56,8 +56,8 @@ def test_criterion_01_chowla_selberg(ctx):
 
 
 def test_criterion_02_kronecker_limit(ctx):
-    # the row rule of every identity check: target - 20 digits
-    tol = ctx.eps(20)
+    # the row rule of every identity check: the target digits
+    tol = ctx.eps()
     for d in (7, 23, 47, 163):
         disc = Discriminant(d)
         for f in reduced_forms(disc):

@@ -818,6 +818,33 @@ def test_suite_thread_invariance(capsys, tmp_path):
     assert all(r["pass"] for r in reports)
 
 
+def test_suite_takes_each_character_sum_and_delta_pair_once(capsys, monkeypatch):
+    # the period and Faltings checks at p = 7, 11 and 23 fill the memos of
+    # character sums and Delta pairs before the Chowla-Selberg checks run:
+    # the second Faltings height and cs_verify at those p read them, so
+    # each sum's body runs once per d (counted by its one read of the odd
+    # table), and each series once per inverse pair of classes
+    from cmperiods import lseries
+    from cmperiods.quadforms import is_fundamental, reduced_forms
+    lseries._character_gamma_sum.cache_clear()
+    numkernel._delta_norm.cache_clear()
+    real, bodies = lseries._log_gamma_odd, []
+
+    def counting(prec):
+        bodies.append(prec)
+        return real(prec)
+
+    monkeypatch.setattr(lseries, "_log_gamma_odd", counting)
+    code, _, _ = run(capsys, "--json", "--prec", "60", "suite", "--max-d", "30",
+                     "--threads", "1")
+    ds = [d for d in range(3, 31) if is_fundamental(d)]
+    assert code == 0 and len(bodies) == len(ds) == 10
+    sums = lseries._character_gamma_sum.cache_info()
+    assert (sums.misses, sums.hits) == (10, 6)  # 2 more reads each at 7, 11 and 23
+    pairs = sum(len({(f.a, abs(f.b)) for f in reduced_forms(d)}) for d in ds)
+    assert numkernel._delta_norm.cache_info().misses == pairs
+
+
 def test_suite_m_invariant_row_counts_disagreements(capsys, monkeypatch):
     real = csperiods.class_number_dirichlet
     monkeypatch.setattr(csperiods, "class_number_dirichlet",

@@ -207,6 +207,7 @@ def test_reflected_character_gamma_sum_halves_log_gamma_calls(monkeypatch, d):
     monkeypatch.setattr(mp, "expjpi", refuse)
     numkernel._log_gamma_parts.cache_clear()
     numkernel._log_gamma_horner.cache_clear()
+    lseries._character_gamma_sum.cache_clear()  # so that each sum is computed
     count = _ln_calls(monkeypatch, d, ctx)
     assert numkernel._log_gamma_parts.cache_info()[:2] == (0, 0) and loops == []
     assert numkernel._log_gamma_horner.cache_info()[:2] == (0, 0)

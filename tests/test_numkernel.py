@@ -679,7 +679,7 @@ def test_delta_norm_against_pair_and_qp(target, d):
     for f in reduced_forms(d):
         tau = form_to_lattice(f, ctx).tau
         with ctx.workprec(10):
-            got = mp.log(delta_norm(f, sqrt_d, ctx))
+            got = mp.log(delta_norm(f, ctx))
             pair = mp.log(delta_lattice(form_to_lattice(f, ctx), ctx)
                           * delta_lattice(inverse_ideal_lattice(f, ctx), ctx))
         with mp.workdps(work + 20):
