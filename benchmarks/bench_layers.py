@@ -8,8 +8,10 @@ Each ``--tree LABEL=DIR`` names a source directory holding the
 in a fresh interpreter with that directory first on ``sys.path``.  Within
 a round the trees take turns on each (kernel, precision), and the order
 of the trees flips from round to round, so a machine that speeds up or
-slows down meets them alike.  At 60, 120 and 300 target digits a sample
-records, for each kernel,
+slows down meets them alike.  At 300 digits each round takes
+SAMPLES_PER_ROUND[300] samples per tree, the order flipping from one to
+the next, since a kernel's time there spreads the most.  At 60, 120 and
+300 target digits a sample records, for each kernel,
 
 - ``cold_ms``: the first call at that precision, which also pays for
   mpmath's constants and whatever tables the kernel builds, timed with
@@ -62,16 +64,28 @@ The kernels and their arguments:
 - ``fermat.tate_twist_certificate`` per call over twelve evenly spaced
   mixed triples at p = 19, the memos cleared before each pass, so that
   a pass computes Gamma at each argument, and the residues, once, as a
-  fresh process does for its requests at one p; the cold call is the first
-  triple, and it includes the Taylor table of log Gamma at the shift
-  point;
+  fresh process does for its requests at one p; the memos are those of
+  log Gamma and of residues, and the Gauss products of fermat
+  (``fermat._residue_gamma_product``, where a tree has it); the cold
+  call is the first triple, and it includes the Taylor table of log
+  Gamma at the shift point;
+- ``tate_warm``, the same calls with the parts of log Gamma and the
+  residues kept, as a request at a p and precision already seen finds
+  them, and only the Gauss products cleared before each pass, where a
+  tree keeps them: a pass builds G_+ and G_- once, where the tree keeps
+  them, and a tree that does not builds its products in every call;
 - ``numkernel.gamma_product`` per product, as fermat forms them:
   ``fermat.beta_period`` at two evenly spaced mixed triples and
   ``fermat._residue_gamma_product`` at eps = +1 and -1, at p = 7, 11 and
-  19 (12 products), with the memos cleared before each pass, as a fresh
-  process computes them for its requests at one p; the
-  cold call is the beta product at p = 7, and it includes the Taylor
-  table of log Gamma at the shift point;
+  19 (12 products), with the memos cleared before each pass, the Gauss
+  products included, as a fresh process computes them for its requests
+  at one p; the cold call is the beta product at p = 7, and it includes
+  the Taylor table of log Gamma at the shift point;
+- ``gauss_product``, one Gauss product G_sigma =
+  ``fermat._residue_gamma_product`` at eps = +1 and -1, at p = 7, 11 and
+  19 (6 products), the parts of log Gamma kept and the Gauss memo
+  cleared before each pass, where a tree has it: what a request that
+  finds G_sigma in the memo no longer computes;
 - ``heckechar.psi_M`` over every reduced form of p = 1019 (13 classes),
   at 60 digits only, since it computes in exact integers: h - 1
   ``ideal_product`` steps and one form reduction per call; the cold
@@ -103,11 +117,15 @@ its sample over the first tree's sample of the same round: the two ran
 seconds apart, so the ratio is steadier than either median when the
 machine's speed drifts from round to round.  On a 2-core x86-64 machine,
 eleven rounds put the warm median ratio of every unchanged kernel
-within 0.98-1.03 and its quartiles within 0.96-1.05
-(``BENCH_layers.json``), but earlier records had quartiles reaching
-0.74-1.27 at 120 and 300 digits: a change of about 10% per call is the
-least this bench is sure to resolve.  At 300 digits a pass of the
-slower kernels takes longer than PASS_SECONDS, so they get MIN_PASSES.
+within 0.98-1.03 and its quartiles within 0.96-1.05, but earlier
+records had quartiles reaching 0.74-1.27 at 120 and 300 digits.  With
+three samples per round at 300 digits, two recordings on a busy machine
+put the quartiles of every unchanged kernel there within 0.93-1.07
+(``BENCH_layers.json``), while at 120 digits, one sample per round, a
+burst of load put three of them at 0.81-0.85: a change of about 10%
+per call is the least this bench is sure to resolve.  At 300 digits a
+pass of the slower kernels takes longer than PASS_SECONDS, so they get
+MIN_PASSES.
 Only public names are used (``log_delta_pair``, ``PrecisionContext``,
 ``character_gamma_sum`` from ``lseries``, ``make_report`` from
 ``csperiods``, ``tate_twist_certificate``, ``psi_M``, ``reduced_forms``
@@ -137,6 +155,8 @@ SUM_DISCS = (123, 139, 163, 199)
 PSI_P = 1019
 TATE_P = 19
 GAMMA_PS = (7, 11, 19)
+# samples per tree in each round, by target digits; 1 where not named
+SAMPLES_PER_ROUND = {300: 3}
 
 
 def _mixed_triples(p, n):
@@ -157,7 +177,7 @@ PRELUDE = """
 import gc, json, sys, time
 from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
-from cmperiods import numkernel, quadforms
+from cmperiods import fermat, numkernel, quadforms
 from cmperiods.numkernel import PrecisionContext
 from cmperiods.quadforms import reduced_forms
 ctx = PrecisionContext(int(sys.argv[2]))
@@ -168,7 +188,8 @@ def clearer(module, *names):
     return lambda: [memo.cache_clear() for memo in memos]
 clear_gamma = clearer(numkernel, "log_gamma", "_log_gamma_parts", "_log_gamma_horner")
 clear_residues = clearer(quadforms, "_residues")
-clear_memos = lambda: (clear_gamma(), clear_residues())
+clear_gauss = clearer(fermat, "_residue_gamma_product")
+clear_memos = lambda: (clear_gamma(), clear_residues(), clear_gauss())
 clear_tables = clearer(numkernel, "_log_gamma_taylor", "_log_gamma_odd")
 """
 
@@ -252,6 +273,13 @@ from cmperiods.fermat import tate_twist_certificate
 kernel, fresh = (lambda rst, ctx: tate_twist_certificate(%d, *rst, ctx)), clear_memos
 args = %r
 """ % (TATE_P, _mixed_triples(TATE_P, 12)))
+WORKERS["tate_warm"] = ("fermat.tate_twist_certificate per call over 12 mixed triples at "
+                        "p = %d, parts of log Gamma kept, Gauss products cleared per pass, ms"
+                        % TATE_P, """
+from cmperiods.fermat import tate_twist_certificate
+kernel, fresh = (lambda rst, ctx: tate_twist_certificate(%d, *rst, ctx)), clear_gauss
+args = %r
+""" % (TATE_P, _mixed_triples(TATE_P, 12)))
 
 WORKERS["gamma_product"] = ("numkernel.gamma_product per product, fermat's beta products at "
                             "two mixed triples and residue products at eps = +-1, p in %s, ms"
@@ -265,6 +293,13 @@ fresh = clear_memos
 args = %r
 """ % ([(p, *rst) for p in GAMMA_PS for rst in _mixed_triples(p, 2)]
        + [(p, sigma) for p in GAMMA_PS for sigma in (1, -1)],))
+WORKERS["gauss_product"] = ("fermat._residue_gamma_product per product, eps = +-1, p in %s, "
+                            "parts of log Gamma kept, ms" % ", ".join(map(str, GAMMA_PS)), """
+def kernel(x, ctx):
+    return fermat._residue_gamma_product(quadforms.Discriminant.prime(x[0]), x[1], ctx)
+fresh = clear_gauss
+args = %r
+""" % ([(p, sigma) for p in GAMMA_PS for sigma in (1, -1)],))
 
 WORKERS["psi_M"] = ("heckechar.psi_M per call over the reduced forms of p = %d, ms" % PSI_P, """
 from cmperiods.heckechar import psi_M
@@ -340,10 +375,11 @@ def main(argv=None) -> int:
         order = list(trees) if rnd % 2 == 0 else list(reversed(trees))
         for kernel in WORKERS:
             for target in KERNEL_TARGETS.get(kernel, TARGETS):
-                for label in order:
-                    got = sample(os.path.abspath(trees[label]), kernel, target)
-                    for key, val in got.items():
-                        raw[kernel][label][target][key].append(val)
+                for rep in range(SAMPLES_PER_ROUND.get(target, 1)):
+                    for label in (order if rep % 2 == 0 else order[::-1]):
+                        got = sample(os.path.abspath(trees[label]), kernel, target)
+                        for key, val in got.items():
+                            raw[kernel][label][target][key].append(val)
         print(f"round {rnd + 1}/{args.rounds} done", file=sys.stderr)
     result = {
         "bench": "numeric kernels per call, ms",

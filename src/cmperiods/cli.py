@@ -21,9 +21,9 @@ from concurrent.futures import ProcessPoolExecutor
 from mpmath import mp
 
 from .arith import MAX_N
-from .csperiods import (IdentityReport, class_periods, cs_verify, exact_report,
+from .csperiods import (IdentityReport, _per_pair, class_periods, cs_verify, exact_report,
                         faltings_height_L, faltings_height_periods, log_delta_pair,
-                        m_invariant, make_report, unrecognized_report)
+                        m_invariant, make_report, period_logs, unrecognized_report)
 from .epstein import epstein_jet, epstein_jets
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .fermat import cm_type, epsilon_rst, tate_twist_certificate
@@ -64,9 +64,9 @@ def _cmd_verify_cs(args, ctx):
     return [cs_verify(args.d, ctx)], []
 
 
-def _kronecker_class(disc, i, f, jet, ctx):
+def _kronecker_class(disc, i, f, jet, log_pair, ctx):
     with ctx.workprec():
-        rhs = -log_delta_pair(f, ctx) / 12
+        rhs = -log_pair / 12
     return make_report(f"kronecker-limit d={disc.d} class={i}",
                        {"d": disc.d, "class": i, "form": list(f.tuple())},
                        jet.deriv, rhs, ctx)
@@ -83,8 +83,10 @@ def _cmd_kronecker(args, ctx):
             raise DomainError(f"--class must be in 0..{len(forms) - 1} for d={disc.d}")
         picked = [(args.class_index, forms[args.class_index])]
         jets = [epstein_jet(forms[args.class_index], ctx)]
-    return [_kronecker_class(disc, i, f, jet, ctx)
-            for (i, f), jet in zip(picked, jets)], []
+    # one log of Delta(a) Delta(a^-1) per inverse pair of classes
+    logs = _per_pair([f for _, f in picked], lambda f: log_delta_pair(f, ctx))
+    return [_kronecker_class(disc, i, f, jet, log_pair, ctx)
+            for (i, f), jet, log_pair in zip(picked, jets, logs)], []
 
 
 def _periods(p, ctx):
@@ -92,7 +94,7 @@ def _periods(p, ctx):
     group, periods = class_periods(disc, ctx)
     with ctx.workprec():
         lines = [f"  class {f.tuple()}: {mp.nstr(val, 30)}" for f, val in zip(group, periods)]
-        total = sum((ln(val) for val in periods), mp.mpf(0))
+        total = sum(period_logs(group, periods), mp.mpf(0))
         rhs = group.h * ln(2 * mp.pi / disc.d) + character_gamma_sum(disc, ctx)
     rep = make_report(f"period-product p={disc.d}", {"p": disc.d}, total, rhs, ctx)
     return [rep], lines

@@ -21,7 +21,9 @@ precision (at most ``numkernel._DELTA_NORM_MEMO``, 4,096), and
 ``cs_verify`` and ``class_periods`` take one log, or one period, per
 pair, which the second class of the pair reads at its own place in the
 group's order (``_per_pair``): the sum adds the same mpf twice, as it
-added two equal ones.  The Gamma side, ``lseries.character_gamma_sum``,
+added two equal ones.  The log of a period is likewise taken once per
+pair (``period_logs``), as all-class ``kronecker`` takes the log of
+each pair once.  The Gamma side, ``lseries.character_gamma_sum``,
 is kept per discriminant and precision (at most
 ``lseries._CHARACTER_SUM_MEMO``, 1,024), so the period, Faltings and
 Chowla-Selberg checks of one p take it once.
@@ -180,6 +182,17 @@ def class_periods(p, ctx: PrecisionContext):
         return group, _per_pair(group, lambda f: _period(f, disc.d, sqrt_p, ctx))
 
 
+def period_logs(group, periods):
+    """[ln(x) for x in periods], the periods of ``class_periods``; call at working precision.
+
+    Both classes of an inverse pair have one period, the same mpf, so
+    the log is taken once per pair and the second class reads it at its
+    own place in the group's order (``_per_pair``).
+    """
+    period = dict(zip(group, periods))
+    return _per_pair(group, lambda f: ln(period[f]))
+
+
 def m_invariant(p) -> Fraction:
     """m = sum of a/p over quadratic residues a; equals (p-1)/4 - h/2."""
     disc = Discriminant.prime(p)
@@ -195,7 +208,7 @@ def faltings_height_periods(p, ctx: PrecisionContext):
     """Faltings height from the period integrals over the class group."""
     group, periods = class_periods(p, ctx)
     with ctx.workprec():
-        total = sum((ln(val) for val in periods), mp.mpf(0))
+        total = sum(period_logs(group, periods), mp.mpf(0))
         return -total / (2 * group.h) - ln(group.d.d) / 4
 
 

@@ -15,6 +15,21 @@ certificate compares that ratio, times sqrt(p) at e = +1, with its
 closed form, so both signs run every Gamma(a/p) through the Taylor
 table of log Gamma.
 
+The residues are a subgroup of index 2 of the units mod p, so a -> ar
+mod p takes them onto the a with eps(a) = eps(r): the u-factors of B
+are G_eps(r), the v-factors G_eps(s), and
+
+    B = G_eps(r) G_eps(s) / prod Gamma((u + v)/p) over the residues a.
+
+G_+ and G_- are kept for the process per Discriminant, sign and
+precision context (``_residue_gamma_product``, at most
+_GAUSS_PRODUCT_MEMO = 1,024), and (2 pi)^((p-1)/2) per exponent and
+binary precision (``numkernel._two_pi_power``).  Every mixed triple
+needs both signs among eps(r), eps(s) and -e, so the first certificate
+at a p and precision builds both products, and every later one forms a
+single ``gamma_product``, over the (p - 1)/2 sums u + v, where it
+formed two over up to 2(p - 1) arguments.
+
 Each public function takes p as an int or as the Discriminant that
 ``Discriminant.prime`` returned, and checks the triple once; a caller
 holding that Discriminant passes it on, so p is tested for primality
@@ -32,6 +47,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
@@ -39,8 +55,12 @@ from mpmath import mp
 
 from .csperiods import IdentityReport, m_invariant, make_report
 from .errors import DomainError
-from .numkernel import PrecisionContext, gamma_product, to_mpf
+from .numkernel import PrecisionContext, _two_pi_power, gamma_product, to_mpf
 from .quadforms import Discriminant
+
+# Gauss products G_sigma kept, one mpf each per prime, sign and precision:
+# the fermat requests at p = 7, 11 and 19 at three precisions fill 18
+_GAUSS_PRODUCT_MEMO = 1024
 
 
 class CMTypeRecord(NamedTuple):
@@ -107,26 +127,36 @@ def beta_period(p, r, s, t, ctx: PrecisionContext):
 
     The beta factor is Gamma(u)Gamma(v)/Gamma(u+v) with the true sum
     u + v, which may lie in (1, 2); reducing it mod 1 would silently
-    drop the rational factor this module is after.  The factors over all
-    a are one ``gamma_product``: weight +1 at u and at v and -1 at u + v,
-    equal arguments merged.
+    drop the rational factor this module is after.  a -> ar mod p takes
+    the residues onto the a with eps(a) = eps(r), so the u-factors are
+    the Gauss product G_eps(r) and the v-factors G_eps(s)
+    (``_residue_gamma_product``, memoized), and
+
+        B = G_eps(r) G_eps(s) prod_a Gamma(u + v)^-1,
+
+    multiplied in that order; the last factor is one ``gamma_product``,
+    weight -1 at each sum, equal sums merged.
     """
     disc, r, s, t = _check_triple(p, r, s, t)
-    p = disc.d
-    weights = Counter()  # on the numerators over p: u = (a r mod p)/p
-    for a in disc.residues:
-        u, v = a * r % p, a * s % p
-        weights[u] += 1
-        weights[v] += 1
-        weights[u + v] -= 1
-    return gamma_product(weights, p, ctx)
+    p, residues = disc.d, disc.residues
+    sums = Counter(a * r % p + a * s % p for a in residues)  # numerators over p
+    inverse = gamma_product({n: -c for n, c in sums.items()}, p, ctx)
+    g_r = _residue_gamma_product(disc, 1 if r in residues else -1, ctx)
+    g_s = _residue_gamma_product(disc, 1 if s in residues else -1, ctx)
+    with ctx.workprec(10):
+        return g_r * g_s * inverse
 
 
+@lru_cache(maxsize=_GAUSS_PRODUCT_MEMO)
 def _residue_gamma_product(disc, sigma, ctx: PrecisionContext):
-    """prod of Gamma(a/p) over the a with eps(a) = sigma = +-1, at working + 10 digits.
+    """G_sigma, the product of Gamma(a/p) over the a with eps(a) = sigma = +-1.
 
-    In increasing a: the residues, or at sigma = -1 the p - a, a a residue
-    (eps is odd), which are all the other a < p when p is prime.
+    At working + 10 digits, in increasing a: the residues, or at
+    sigma = -1 the p - a, a a residue (eps is odd), which are all the
+    other a < p when p is prime.  Memoized for the process per
+    Discriminant, sign and precision context, up to _GAUSS_PRODUCT_MEMO
+    products: the beta periods and the ratios of every triple at one p
+    and precision read the same two.
     """
     p, residues = disc.d, disc.residues
     numerators = residues if sigma == 1 else [p - a for a in reversed(residues)]
@@ -141,6 +171,9 @@ def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificat
     -e, the ratio B G_-e / (2 pi)^((p-1)/2), times sqrt(p) at e = +1, is
     formed at working + 10 digits and rounded to working once; it is
     compared with Q at +1 and (Q/p) sqrt(p) at -1 (module docstring).
+    G_-e and (2 pi)^((p-1)/2) are read from their memos and B is built
+    from the Gauss products (module docstring); the ratio is b g /
+    (2 pi)^((p-1)/2), then times sqrt(p), in that order.
     The m-invariant rides along as the twist exponent the comparison is
     taken at.  Raises DomainError, before any Gamma product, when Q has
     more digits than CPython converts to text (from p of about 4,800).
@@ -164,7 +197,7 @@ def tate_twist_certificate(p, r, s, t, ctx: PrecisionContext) -> RatioCertificat
     b = beta_period(disc, r, s, t, ctx)
     g = _residue_gamma_product(disc, -e, ctx)
     with ctx.workprec(10):
-        ratio = b * g / (2 * mp.pi) ** ((p - 1) // 2)
+        ratio = b * g / _two_pi_power((p - 1) // 2, mp.prec)
         if e == 1:
             ratio *= mp.sqrt(p)
     with ctx.workprec():

@@ -55,9 +55,13 @@ sum_k (-1)^k q^(k(3k-1)/2) (1 + q^k) (Hardy and Wright, section 19.9),
 about sqrt(2N/3) terms in place of N factors, each carried from the last
 in four Gaussian-integer multiplications; it raises the sum to its 24th
 power in the same fixed point, in five more, and becomes an mpc once,
-to be multiplied by q and (2 pi)^12, the latter kept per working
-precision.  q itself is e^(i pi 2tau) (``mp.expjpi``), whose argument
-is reduced mod 2 exactly, with no multiple of pi to cancel.
+to be multiplied by q and (2 pi)^12.  ``_two_pi_power`` keeps (2 pi)^k
+per exponent and binary precision, up to _TWO_PI_POWERS = 256 of them,
+each formed at that precision, so its value depends on its key alone:
+k = 12 for Delta, and k = (p - 1)/2 for the Tate certificates of
+``fermat``, which read it in every request.  q itself is
+e^(i pi 2tau) (``mp.expjpi``), whose argument is reduced mod 2
+exactly, with no multiple of pi to cancel.
 ``delta_norm`` sums the same series (``_euler_series``) for
 Delta(a) Delta(a^-1) = a^-12 |Delta(tau)|^2, in real numbers: the norm
 of the sum and of q, and no complex 24th power.  Every check runs
@@ -126,9 +130,11 @@ _LOG_GAMMA_MEMO = 8192
 _DELTA_NORM_MEMO = 4096
 # the largest argument of log_gamma: below the smallest shift point N, 72
 _LOG_GAMMA_MAX = 60
-# tables kept, one per binary working precision: the Taylor tables of
-# log Gamma and (2 pi)^12
+# Taylor tables of log Gamma kept, one per binary working precision
 _STIRLING_TABLES = 16
+# powers (2 pi)^k kept, one mpf each per exponent and binary precision:
+# k = 12 for Delta and k = (p - 1)/2 for the Tate certificates of p
+_TWO_PI_POWERS = 256
 # bits carried below the working precision by the fixed-point loops of
 # Stirling's series and the pentagonal series of Delta, for the rounding
 # of each step; epstein's theta sums carry them below 10^-(dps+12), and
@@ -268,10 +274,16 @@ def ln(x):
     return mp.make_mpf(from_man_exp(fixed, -wp, prec, round_nearest))
 
 
-@lru_cache(maxsize=_STIRLING_TABLES)
-def _two_pi_pow12(prec):
-    """(2 pi)^12, the constant of the discriminant's q-series, at binary precision prec."""
-    return (2 * mp.pi) ** 12
+@lru_cache(maxsize=_TWO_PI_POWERS)
+def _two_pi_power(k, prec):
+    """(2 pi)^k for an int k, at binary precision prec, memoized on the integers (k, prec).
+
+    Formed under ``mp.workprec(prec)``, so the value depends on its key
+    alone: (2 pi)^12 for the discriminant's q-series, and (2 pi)^((p-1)/2)
+    for the Tate certificates of p.
+    """
+    with mp.workprec(prec):
+        return (2 * mp.pi) ** k
 
 
 def _tangent_numbers(n):
@@ -562,7 +574,8 @@ def gamma_product(weights, m, ctx: PrecisionContext):
 
         prod Gamma(x)^c = exp(sum c acc 2^-wp) / prod S^c:
 
-    one exact integer sum, the powers S^c and one ``mp.exp``, and no log.
+    one exact integer sum, the powers S^c at |c| > 1 and one ``mp.exp``,
+    and no log.
     Error budget, relative, at the binary precision prec of working + 10
     digits: each acc is within its table's length of units of 2^-wp,
     wp = prec + 52, and the exp reads its argument exactly, so the exp
@@ -582,10 +595,11 @@ def gamma_product(weights, m, ctx: PrecisionContext):
             g = gcd(n, m)
             acc, shifted = _log_gamma_parts(n // g, m // g, prec)
             total += c * acc
+            # S is already at prec, so S^1 is S: no power at weight +-1
             if c > 0:
-                den *= shifted ** c
+                den *= shifted if c == 1 else shifted ** c
             else:
-                num *= shifted ** -c
+                num *= shifted if c == -1 else shifted ** -c
         arg = mp.make_mpf(from_man_exp(total, -(prec + _GUARD_BITS + _TAYLOR_GUARD_BITS)))
         return mp.exp(arg) * num / den
 
@@ -669,7 +683,7 @@ def delta_lattice(lattice: Lattice, ctx: PrecisionContext, terms: int | None = N
         e8 = _gauss_sq(*_gauss_sq(*_gauss_sq(e_re, e_im, wp), wp), wp)
         e24_re, e24_im = _gauss_mul(*_gauss_sq(*e8, wp), *e8, wp)
         e24 = mp.mpc(mp.mpf((e24_re, -wp)), mp.mpf((e24_im, -wp)))
-        return scale ** (-12) * _two_pi_pow12(mp.prec) * q * e24
+        return scale ** (-12) * _two_pi_power(12, mp.prec) * q * e24
 
 
 def delta_norm(f, ctx: PrecisionContext):
@@ -713,5 +727,5 @@ def _delta_norm(a, b, c, ctx):
         wp = mp.prec + _GUARD_BITS
         e_re, e_im = _euler_series(q, terms, wp)
         norm = mp.mpf((e_re * e_re + e_im * e_im, -2 * wp))
-        return (_two_pi_pow12(mp.prec) ** 2 * (q.real ** 2 + q.imag ** 2)
+        return (_two_pi_power(12, mp.prec) ** 2 * (q.real ** 2 + q.imag ** 2)
                 * norm ** 24 / a ** 12)

@@ -845,6 +845,27 @@ def test_suite_takes_each_character_sum_and_delta_pair_once(capsys, monkeypatch)
     assert numkernel._delta_norm.cache_info().misses == pairs
 
 
+@pytest.mark.parametrize("argv", [["periods", "--p", "199"], ["kronecker", "--d", "199"]],
+                         ids=["periods", "kronecker"])
+def test_one_log_per_inverse_pair_of_classes(capsys, monkeypatch, argv):
+    # both classes of an inverse pair share one period and one Delta
+    # pair, and the log of that mpf is taken once: the 9 classes of 199
+    # make 5 pairs, and csperiods takes 5 logs, each of a new number
+    from cmperiods.quadforms import reduced_forms
+    group = reduced_forms(199)
+    assert (group.h, len({(f.a, abs(f.b)) for f in group})) == (9, 5)
+    real, logged = csperiods.ln, []
+
+    def counting(x):
+        logged.append(x)
+        return real(x)
+
+    monkeypatch.setattr(csperiods, "ln", counting)
+    code, _, _ = run(capsys, "--json", "--prec", "60", *argv)
+    assert code == 0
+    assert len(logged) == len(set(logged)) == 5
+
+
 def test_suite_m_invariant_row_counts_disagreements(capsys, monkeypatch):
     real = csperiods.class_number_dirichlet
     monkeypatch.setattr(csperiods, "class_number_dirichlet",

@@ -131,13 +131,16 @@ def test_domain_errors(ctx):
 
 def test_fermat_request_takes_no_log(monkeypatch, capsys):
     # once the Taylor table of a precision is built, a fermat request
-    # forms the beta period and the residue product from the parts of
-    # log Gamma, misses included: no log_gamma call, no mp.log, and one
-    # mp.exp per product
+    # forms the beta period and the Gauss products from the parts of log
+    # Gamma, misses included: no log_gamma call, no mp.log, and one
+    # mp.exp per product; with every memo cleared, the request at
+    # 1,2,16 builds both Gauss products (eps(1) = 1, eps(2) = -1) and
+    # the product over the sums u + v
     argv = ["--prec", "120", "fermat", "--p", "19", "--rst", "1,2,16"]
     assert cli.main(argv) == 0  # builds the table
     numkernel._log_gamma_parts.cache_clear()
     numkernel._log_gamma_horner.cache_clear()
+    fermat._residue_gamma_product.cache_clear()
     calls = {}
 
     def counting(name, real):
@@ -151,14 +154,16 @@ def test_fermat_request_takes_no_log(monkeypatch, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert not hasattr(fermat, "log_gamma")
-    assert calls == {"exp": 2}
+    assert calls == {"exp": 3}
 
 
 def test_every_tate_row_carries_gamma_content(monkeypatch):
     # both signs compare B G_-e / (2 pi)^((p-1)/2) with the closed form,
     # and B G_-e holds the product of all Gamma(a/p), which no shift
     # product cancels: 2^-40 added to log Gamma(N), entry 0 of the
-    # Taylor table, fails every mixed triple at p = 7, 11 and 19
+    # Taylor table, fails every mixed triple at p = 7, 11 and 19.  The
+    # Gauss products built from the mutated table are cleared with the
+    # parts, so none outlives the test
     ctx = PrecisionContext(60)
     table = numkernel._log_gamma_taylor
 
@@ -167,7 +172,8 @@ def test_every_tate_row_carries_gamma_content(monkeypatch):
         wp = prec + numkernel._GUARD_BITS + numkernel._TAYLOR_GUARD_BITS
         return shift, (coeffs[0] + (1 << (wp - 40)),) + coeffs[1:]
 
-    memos = (numkernel._log_gamma_parts, numkernel._log_gamma_horner)
+    memos = (numkernel._log_gamma_parts, numkernel._log_gamma_horner,
+             fermat._residue_gamma_product)
     for memo in memos:
         memo.cache_clear()
     monkeypatch.setattr(numkernel, "_log_gamma_taylor", mutated)
@@ -182,6 +188,46 @@ def test_every_tate_row_carries_gamma_content(monkeypatch):
         for memo in memos:
             memo.cache_clear()
     assert passed == {1: {False}, -1: {False}}
+
+
+def _primes_3mod4(bound):
+    return [p for p in range(7, bound + 1, 4)
+            if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+
+
+def test_multiplication_maps_the_residues_onto_a_class():
+    # a -> ar mod p takes the residues R onto R when r is a residue and
+    # onto the non-residues when it is not: the u-factors of the beta
+    # period are the Gauss product G_eps(r), exactly, at every r
+    for p in _primes_3mod4(199):
+        residues = {a for a in range(1, p) if pow(a, (p - 1) // 2, p) == 1}
+        others = set(range(1, p)) - residues
+        for r in range(1, p):
+            image = {a * r % p for a in residues}
+            assert image == (residues if r in residues else others), (p, r)
+
+
+def test_tate_certificates_at_one_prime_build_two_gauss_products(monkeypatch):
+    # every mixed triple has residues of both signs among eps(r), eps(s)
+    # and -e, so the first request builds G_+ and G_- and every later
+    # one at that p and precision reads them: one product, over the sums
+    ctx = PrecisionContext(60)
+    fermat._residue_gamma_product.cache_clear()
+    real, calls = fermat.gamma_product, []
+
+    def counting(weights, m, ctx):
+        calls.append(weights)
+        return real(weights, m, ctx)
+
+    monkeypatch.setattr(fermat, "gamma_product", counting)
+    per_request = []
+    for rst in mixed_triples(19):
+        before = len(calls)
+        tate_twist_certificate(19, *rst, ctx)
+        per_request.append(len(calls) - before)
+    assert fermat._residue_gamma_product.cache_info().misses == 2
+    assert per_request == [3] + [1] * (len(per_request) - 1)
+    assert len(per_request) == 216
 
 
 def shift_rational(p, r, s):

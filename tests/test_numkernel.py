@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
-from cmperiods import numkernel
+from cmperiods import fermat, numkernel
 from cmperiods.errors import DomainError, PrecisionError
 from cmperiods.numkernel import (Lattice, PrecisionContext, delta_lattice, delta_q_terms,
                                  delta_norm, log_gamma, to_mpf)
@@ -19,6 +19,7 @@ from oracles import form_to_lattice, inverse_ideal_lattice
 def _clear_parts():
     numkernel._log_gamma_parts.cache_clear()
     numkernel._log_gamma_horner.cache_clear()
+    fermat._residue_gamma_product.cache_clear()  # the Gauss products read the parts
 
 
 def test_context_floors():
@@ -191,20 +192,25 @@ def test_log_gamma_one_seventh_product_oracle():
 
 
 def test_beta_on_integers_shares_horner_sums_by_fractional_part(ctx):
-    # the beta period of fermat is one gamma_product over the numerators
-    # of u, v and u + v over p; u + v = 1 + k/p reads the Horner sum of
-    # k/p, and a second call on the same triple computes nothing
-    from cmperiods.fermat import beta_period
+    # the beta period of fermat is G_eps(r) G_eps(s) times one
+    # gamma_product over the numerators of u + v over p; u + v = 1 + k/p
+    # reads the Horner sum of k/p, and a second call on the same triple
+    # computes nothing
     parts, horner = numkernel._log_gamma_parts, numkernel._log_gamma_horner
+    gauss = fermat._residue_gamma_product
     _clear_parts()
-    beta_period(7, 1, 1, 5, ctx)
-    # u = v = a/7 and u + v = 2a/7 over the residues a = 1, 2, 4: nine
-    # factors merged onto four arguments, 1/7, 2/7, 4/7 and 8/7, on the
-    # three fractional parts 1/7, 2/7 and 4/7 - 1
-    assert parts.cache_info()[:2] == (0, 4)
+    fermat.beta_period(7, 1, 1, 5, ctx)
+    # u = v = a/7 over the residues a = 1, 2, 4, so both Gauss products
+    # are G_+ = Gamma(1/7) Gamma(2/7) Gamma(4/7), built once, and u + v =
+    # 2a/7 is 2/7, 4/7 and 8/7: four arguments, 1/7, 2/7, 4/7 and 8/7,
+    # of which 2/7 and 4/7 are read twice, on the three fractional parts
+    # 1/7, 2/7 and 4/7 - 1
+    assert gauss.cache_info()[:2] == (1, 1)
+    assert parts.cache_info()[:2] == (2, 4)
     assert horner.cache_info()[:2] == (1, 3)
-    beta_period(7, 1, 1, 5, ctx)
-    assert parts.cache_info()[:2] == (4, 4)
+    fermat.beta_period(7, 1, 1, 5, ctx)
+    assert gauss.cache_info()[:2] == (3, 1)
+    assert parts.cache_info()[:2] == (5, 4)
     assert horner.cache_info()[:2] == (1, 3)
 
 
@@ -226,6 +232,23 @@ def _merged(terms):
     for n, c in terms:
         weights[n] = weights.get(n, 0) + c
     return weights
+
+
+@pytest.mark.parametrize("target", [60, 300])
+@pytest.mark.parametrize("p, stride", [(7, 1), (11, 1), (19, 5), (43, 41)])
+def test_beta_period_regrouped_matches_one_product(target, p, stride):
+    # B = G_eps(r) G_eps(s) prod Gamma(u + v)^-1 against the one
+    # gamma_product of every u, v and u + v, merged, at working + 10
+    # digits: within 10^-(working + 8) relative, over every triple r, s
+    # at a stride (all 30 at p = 7, 90 at 11, 62 of 306 at 19, 42 of
+    # 1,722 at 43)
+    ctx = PrecisionContext(target)
+    triples = [(r, s) for r in range(1, p) for s in range(1, p) if (r + s) % p][::stride]
+    for r, s in triples:
+        got = fermat.beta_period(p, r, s, -(r + s) % p, ctx)
+        ref = numkernel.gamma_product(_merged(_beta_terms(p, r, s)), p, ctx)
+        with ctx.workprec(10):
+            assert abs(got / ref - 1) < mp.mpf(10) ** -(ctx.working_digits + 8), (p, r, s)
 
 
 @pytest.mark.parametrize("target, primes", [(30, (7, 19, 163, 1019)), (300, (7, 19, 163)),
